@@ -1,17 +1,11 @@
-// Allocation pools for the hot paths: an arena-backed free-list object
-// pool (simulator packet/event records) and a shared-ownership buffer
-// pool (transport receive frames for zero-copy decode). Both recycle
-// LIFO so the hottest object is the one still warm in cache.
+// Allocation pool for the simulator's hot path: an arena-backed
+// free-list object pool (packet/event records). It recycles LIFO so the
+// hottest object is the one still warm in cache.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
-
-#include "common/bytes.h"
 
 namespace mrp {
 
@@ -53,89 +47,6 @@ class ObjectPool {
   std::vector<T*> free_;
   std::uint64_t acquired_ = 0;
   std::uint64_t reused_ = 0;
-};
-
-// Pool of fixed-capacity byte buffers handed out as shared_ptr<Bytes>.
-// A buffer returns to the pool when its last reference dies — which,
-// with zero-copy decode, can be long after Acquire() and on another
-// thread (whichever node loop drops the last message that views the
-// frame), so the free list is mutex-guarded and the return path is
-// weak_ptr-guarded: buffers outliving the pool are simply deleted.
-//
-// With poisoning on (tests), a returned buffer is filled with 0xDD so a
-// stale view into a recycled frame reads as garbage instead of silently
-// seeing the next packet's bytes.
-class BufferPool {
- public:
-  static constexpr std::uint8_t kPoisonByte = 0xDD;
-
-  explicit BufferPool(std::size_t buffer_capacity, std::size_t max_free = 64)
-      : state_(std::make_shared<State>()) {
-    state_->capacity = buffer_capacity;
-    state_->max_free = max_free;
-  }
-
-  // Returns a buffer resized to the pool's fixed capacity. Contents are
-  // unspecified (recycled buffers keep or poison their previous bytes).
-  std::shared_ptr<Bytes> Acquire() {
-    std::unique_ptr<Bytes> buf;
-    {
-      std::scoped_lock lock(state_->mu);
-      ++state_->acquired;
-      if (!state_->free_list.empty()) {
-        buf = std::move(state_->free_list.back());
-        state_->free_list.pop_back();
-        ++state_->reused;
-      }
-    }
-    if (buf == nullptr) buf = std::make_unique<Bytes>();
-    buf->resize(state_->capacity);
-    std::weak_ptr<State> weak = state_;
-    return {buf.release(), [weak](Bytes* b) { ReturnBuffer(weak, b); }};
-  }
-
-  void set_poison(bool on) {
-    std::scoped_lock lock(state_->mu);
-    state_->poison = on;
-  }
-
-  std::uint64_t acquired() const {
-    std::scoped_lock lock(state_->mu);
-    return state_->acquired;
-  }
-  std::uint64_t reused() const {
-    std::scoped_lock lock(state_->mu);
-    return state_->reused;
-  }
-  std::size_t free_count() const {
-    std::scoped_lock lock(state_->mu);
-    return state_->free_list.size();
-  }
-
- private:
-  struct State {
-    mutable std::mutex mu;
-    std::size_t capacity = 0;
-    std::size_t max_free = 0;
-    bool poison = false;
-    std::vector<std::unique_ptr<Bytes>> free_list;
-    std::uint64_t acquired = 0;
-    std::uint64_t reused = 0;
-  };
-
-  static void ReturnBuffer(const std::weak_ptr<State>& weak, Bytes* b) {
-    std::unique_ptr<Bytes> buf(b);
-    auto state = weak.lock();
-    if (state == nullptr) return;  // pool is gone; just free the buffer
-    std::scoped_lock lock(state->mu);
-    if (state->free_list.size() >= state->max_free) return;
-    if (state->poison && !buf->empty()) {
-      std::memset(buf->data(), kPoisonByte, buf->size());
-    }
-    state->free_list.push_back(std::move(buf));
-  }
-
-  std::shared_ptr<State> state_;
 };
 
 }  // namespace mrp

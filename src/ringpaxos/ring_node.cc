@@ -495,8 +495,12 @@ void RingNode::OnDeltaTimer(Env& env) {
   delta_timer_ = kNoTimer;
   if (role_ != Role::kLeader) return;
   // Algorithm 1 lines 13-20, with real elapsed time so that a paused and
-  // resumed coordinator emits one catch-up skip covering the outage.
-  const Duration elapsed = env.now() - last_sample_;
+  // resumed coordinator emits one catch-up skip covering the outage. The
+  // clock is read once: time spent proposing below (a send syscall in
+  // the real runtime) must count towards the next interval, not vanish
+  // from the lambda*t schedule.
+  const TimePoint now = env.now();
+  const Duration elapsed = now - last_sample_;
   const double secs = ToSeconds(elapsed);
   if (secs > 0) {
     const double k = static_cast<double>(next_instance_);
@@ -527,7 +531,7 @@ void RingNode::OnDeltaTimer(Env& env) {
     prev_k_ = cfg_.skip_resync
                   ? target
                   : std::max(static_cast<double>(next_instance_), target);
-    last_sample_ = env.now();
+    last_sample_ = now;
   }
   FlushDecisions(env);
   delta_timer_ = env.SetTimer(DeltaPeriod(), [this, &env] { OnDeltaTimer(env); });

@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -20,50 +19,62 @@ namespace {
 
 constexpr std::size_t kMaxFrame = 60 * 1024;
 constexpr std::size_t kHeaderBytes = 4;  // u32 sender id
+constexpr unsigned kRxBatch = 32;        // datagrams per recvmmsg()
 
-sockaddr_in MakeAddr(const std::string& ip, std::uint16_t port) {
+in_addr ParseIp(const std::string& ip) {
+  in_addr a{};
+  if (inet_pton(AF_INET, ip.c_str(), &a) != 1) {
+    throw std::runtime_error("bad address: " + ip);
+  }
+  return a;
+}
+
+sockaddr_in MakeAddr(in_addr ip, std::uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
-  if (inet_pton(AF_INET, ip.c_str(), &addr.sin_addr) != 1) {
-    throw std::runtime_error("bad address: " + ip);
-  }
+  addr.sin_addr = ip;
   return addr;
 }
 
 }  // namespace
 
 UdpTransport::UdpTransport(NodeId self, UdpConfig cfg)
-    : self_(self), cfg_(std::move(cfg)), rx_pool_(kMaxFrame) {
-  if (cfg_.rx_batch < 1) cfg_.rx_batch = 1;
-  if (cfg_.tx_batch < 1) cfg_.tx_batch = 1;
+    : self_(self),
+      cfg_(std::move(cfg)),
+      bind_addr_(ParseIp(cfg_.bind_ip)),
+      mcast_base_(ParseIp(cfg_.mcast_prefix + "0")),
+      rx_scratch_(new std::uint8_t[kRxBatch * kMaxFrame]),
+      rx_iovs_(kRxBatch),
+      rx_hdrs_(kRxBatch) {
   unicast_fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (unicast_fd_ < 0) throw std::runtime_error("socket() failed");
   int one = 1;
   ::setsockopt(unicast_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  auto addr = MakeAddr(cfg_.bind_ip, static_cast<std::uint16_t>(cfg_.base_port + self_));
+  auto addr = UnicastAddr(self_);
   if (::bind(unicast_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
     throw std::runtime_error("bind() failed for node " + std::to_string(self_));
   }
 
   mcast_tx_fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
-  in_addr iface{};
-  inet_pton(AF_INET, cfg_.mcast_if.c_str(), &iface);
+  const in_addr iface = ParseIp(cfg_.mcast_if);
   ::setsockopt(mcast_tx_fd_, IPPROTO_IP, IP_MULTICAST_IF, &iface, sizeof iface);
   int loop = 1;
   ::setsockopt(mcast_tx_fd_, IPPROTO_IP, IP_MULTICAST_LOOP, &loop, sizeof loop);
 
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
-  if (wake_fd_ < 0) throw std::runtime_error("eventfd() failed");
-
-  rx_bufs_.resize(static_cast<std::size_t>(cfg_.rx_batch));
+  // The kernel only writes msg_len/msg_flags, so the headers are set up
+  // once. Scratch pages are touched only as deep as datagrams reach.
+  for (unsigned k = 0; k < kRxBatch; ++k) {
+    rx_iovs_[k] = {rx_scratch_.get() + k * kMaxFrame, kMaxFrame};
+    rx_hdrs_[k].msg_hdr.msg_iov = &rx_iovs_[k];
+    rx_hdrs_[k].msg_hdr.msg_iovlen = 1;
+  }
 }
 
 UdpTransport::~UdpTransport() {
   Stop();
   if (unicast_fd_ >= 0) ::close(unicast_fd_);
   if (mcast_tx_fd_ >= 0) ::close(mcast_tx_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
   for (auto& [ch, fd] : mcast_rx_fds_) ::close(fd);
 }
 
@@ -80,14 +91,30 @@ int UdpTransport::OpenMulticastRx(ChannelId channel) {
     throw std::runtime_error("multicast bind failed");
   }
   ip_mreq mreq{};
-  const std::string group = cfg_.mcast_prefix + std::to_string(1 + channel);
-  inet_pton(AF_INET, group.c_str(), &mreq.imr_multiaddr);
-  inet_pton(AF_INET, cfg_.mcast_if.c_str(), &mreq.imr_interface);
+  mreq.imr_multiaddr = GroupAddr(channel).sin_addr;
+  mreq.imr_interface = ParseIp(cfg_.mcast_if);
   if (::setsockopt(fd, IPPROTO_IP, IP_ADD_MEMBERSHIP, &mreq, sizeof mreq) != 0) {
     ::close(fd);
     throw std::runtime_error("IP_ADD_MEMBERSHIP failed");
   }
   return fd;
+}
+
+sockaddr_in UdpTransport::UnicastAddr(NodeId node) const {
+  return MakeAddr(bind_addr_, static_cast<std::uint16_t>(cfg_.base_port + node));
+}
+
+sockaddr_in UdpTransport::GroupAddr(ChannelId channel) const {
+  // The group's last octet is 1 + channel; beyond 255 the prefix's
+  // dotted-quad form has no such address.
+  if (channel >= 255) {
+    throw std::runtime_error("bad address: " + cfg_.mcast_prefix +
+                             std::to_string(1 + channel));
+  }
+  in_addr group{};
+  group.s_addr = htonl(ntohl(mcast_base_.s_addr) + 1 + channel);
+  return MakeAddr(group, static_cast<std::uint16_t>(cfg_.mcast_port_base +
+                                                    channel));
 }
 
 void UdpTransport::Subscribe(ChannelId channel) {
@@ -99,123 +126,49 @@ void UdpTransport::Subscribe(ChannelId channel) {
 
 void UdpTransport::SetReceiver(RxFn rx) { rx_ = std::move(rx); }
 
-Bytes UdpTransport::FrameMessage(const MessageBase& msg) const {
+void UdpTransport::SendFrame(int fd, const sockaddr_in& addr,
+                             const MessageBase& msg) {
   // Header and message encode into one buffer: no intermediate frame
   // copy on the send path.
   ByteWriter w(msg.WireSize() + kHeaderBytes + 16);
   w.u32(self_);
-  if (!net::EncodeMessageTo(w, msg)) return {};
-  if (w.size() <= kHeaderBytes || w.size() > kMaxFrame) return {};
-  return w.take();
-}
-
-void UdpTransport::EnqueueTx(int fd, const sockaddr_in& addr, Bytes frame) {
-  if (!running_.load(std::memory_order_relaxed)) {
-    // Poll thread not running (pre-Start or during Stop's final flush):
-    // send inline, preserving the old synchronous behaviour.
-    ::sendto(fd, frame.data(), frame.size(), 0,
-             reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
-    ++tx_frames_;
-    return;
-  }
-  {
-    std::scoped_lock lock(tx_mu_);
-    tx_queue_.push_back(TxEntry{fd, addr, std::move(frame)});
-  }
-  std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof one);
+  if (!net::EncodeMessageTo(w, msg)) return;
+  if (w.size() <= kHeaderBytes || w.size() > kMaxFrame) return;
+  ssize_t n;
+  do {
+    n = ::sendto(fd, w.data().data(), w.size(), 0,
+                 reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+  } while (n < 0 && errno == EINTR);
+  if (n >= 0) ++tx_frames_;  // UDP is best-effort: a failed send is a drop
 }
 
 void UdpTransport::Send(NodeId to, MessagePtr msg) {
-  Bytes frame = FrameMessage(*msg);
-  if (frame.empty()) return;
-  auto addr = MakeAddr(cfg_.bind_ip, static_cast<std::uint16_t>(cfg_.base_port + to));
-  EnqueueTx(unicast_fd_, addr, std::move(frame));
+  SendFrame(unicast_fd_, UnicastAddr(to), *msg);
 }
 
 void UdpTransport::Multicast(ChannelId channel, MessagePtr msg) {
-  Bytes frame = FrameMessage(*msg);
-  if (frame.empty()) return;
-  const std::string group = cfg_.mcast_prefix + std::to_string(1 + channel);
-  auto addr = MakeAddr(group, static_cast<std::uint16_t>(cfg_.mcast_port_base + channel));
-  EnqueueTx(mcast_tx_fd_, addr, std::move(frame));
-}
-
-void UdpTransport::SendBatch(TxEntry* entries, std::size_t count) {
-  std::vector<mmsghdr> hdrs(count);
-  std::vector<iovec> iovs(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    iovs[k] = {entries[k].frame.data(), entries[k].frame.size()};
-    msghdr& h = hdrs[k].msg_hdr;
-    h.msg_name = &entries[k].addr;
-    h.msg_namelen = sizeof(sockaddr_in);
-    h.msg_iov = &iovs[k];
-    h.msg_iovlen = 1;
-  }
-  std::size_t sent = 0;
-  while (sent < count) {
-    const int n = ::sendmmsg(entries[0].fd, hdrs.data() + sent,
-                             static_cast<unsigned>(count - sent), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;  // UDP is best-effort: drop the rest of this run, as the
-              // old per-frame sendto did on error
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  tx_frames_ += sent;
-  ++tx_batches_;
-}
-
-void UdpTransport::DrainTxQueue() {
-  std::vector<TxEntry> batch;
-  {
-    std::scoped_lock lock(tx_mu_);
-    batch.swap(tx_queue_);
-  }
-  if (batch.empty()) return;
-  // Group the longest run of consecutive frames to one socket: order
-  // within the queue (and thus per-destination FIFO) is preserved.
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    std::size_t j = i + 1;
-    while (j < batch.size() && batch[j].fd == batch[i].fd &&
-           j - i < static_cast<std::size_t>(cfg_.tx_batch)) {
-      ++j;
-    }
-    SendBatch(batch.data() + i, j - i);
-    i = j;
-  }
+  SendFrame(mcast_tx_fd_, GroupAddr(channel), *msg);
 }
 
 void UdpTransport::ReadSocket(int fd) {
-  const auto batch = static_cast<std::size_t>(cfg_.rx_batch);
-  std::vector<mmsghdr> hdrs(batch);
-  std::vector<iovec> iovs(batch);
   for (;;) {
-    for (std::size_t k = 0; k < batch; ++k) {
-      if (rx_bufs_[k] == nullptr) rx_bufs_[k] = rx_pool_.Acquire();
-      iovs[k] = {rx_bufs_[k]->data(), rx_bufs_[k]->size()};
-      hdrs[k] = {};
-      hdrs[k].msg_hdr.msg_iov = &iovs[k];
-      hdrs[k].msg_hdr.msg_iovlen = 1;
-    }
-    const int got = ::recvmmsg(fd, hdrs.data(), static_cast<unsigned>(batch),
-                               MSG_DONTWAIT, nullptr);
+    const int got =
+        ::recvmmsg(fd, rx_hdrs_.data(), kRxBatch, MSG_DONTWAIT, nullptr);
     if (got <= 0) return;
     ++rx_batches_;
     for (int k = 0; k < got; ++k) {
-      const std::size_t len = hdrs[static_cast<std::size_t>(k)].msg_len;
-      std::shared_ptr<Bytes> frame = std::move(rx_bufs_[static_cast<std::size_t>(k)]);
+      const std::size_t len = rx_hdrs_[static_cast<std::size_t>(k)].msg_len;
       if (len <= kHeaderBytes) continue;
-      frame->resize(len);  // sole owner here; shared only after decode
-      ByteReader r(std::span<const std::uint8_t>(frame->data(), kHeaderBytes));
+      const std::uint8_t* data =
+          rx_scratch_.get() + static_cast<std::size_t>(k) * kMaxFrame;
+      ByteReader r(std::span<const std::uint8_t>(data, kHeaderBytes));
       auto from = r.u32();
       if (!from || *from == self_) continue;  // multicast self-loop filter
-      // Zero-copy decode: payload fields of the message alias `frame`,
-      // which returns to rx_pool_ when the last such message dies.
-      MessagePtr msg = net::DecodeMessage(
-          net::SharedFrame(std::move(frame)), kHeaderBytes);
+      // Zero-copy decode over an exact-size copy of the datagram: payload
+      // fields of the message alias `frame`, which dies with the last
+      // such message and pins only this datagram's bytes meanwhile.
+      auto frame = std::make_shared<const Bytes>(data, data + len);
+      MessagePtr msg = net::DecodeMessage(std::move(frame), kHeaderBytes);
       if (msg == nullptr) {
         MRP_WARN << "udp: dropping undecodable frame of " << len << " bytes";
         continue;
@@ -223,7 +176,7 @@ void UdpTransport::ReadSocket(int fd) {
       ++rx_frames_;
       if (rx_) rx_(*from, std::move(msg));
     }
-    if (got < static_cast<int>(batch)) return;
+    if (got < static_cast<int>(kRxBatch)) return;
   }
 }
 
@@ -234,33 +187,24 @@ void UdpTransport::Start() {
 
 void UdpTransport::Stop() {
   if (!running_.exchange(false)) return;
-  std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof one);
+  // Wake the poll thread now rather than at its next timeout: an empty
+  // datagram to our own unicast socket, which ReadSocket drops.
+  const sockaddr_in addr = UnicastAddr(self_);
+  ::sendto(unicast_fd_, "", 0, 0, reinterpret_cast<const sockaddr*>(&addr),
+           sizeof addr);
   if (poll_thread_.joinable()) poll_thread_.join();
-  DrainTxQueue();  // flush frames enqueued before running_ flipped
 }
 
 void UdpTransport::PollLoop() {
   std::vector<pollfd> fds;
-  fds.push_back({wake_fd_, POLLIN, 0});
   fds.push_back({unicast_fd_, POLLIN, 0});
   for (const auto& [ch, fd] : mcast_rx_fds_) fds.push_back({fd, POLLIN, 0});
 
   while (running_.load(std::memory_order_relaxed)) {
-    const int n = ::poll(fds.data(), fds.size(), /*timeout_ms=*/50);
-    if (n > 0) {
-      for (auto& pfd : fds) {
-        if (!(pfd.revents & POLLIN)) continue;
-        if (pfd.fd == wake_fd_) {
-          std::uint64_t drained;
-          while (::read(wake_fd_, &drained, sizeof drained) > 0) {
-          }
-          continue;  // tx flush happens below, once per poll round
-        }
-        ReadSocket(pfd.fd);
-      }
+    if (::poll(fds.data(), fds.size(), /*timeout_ms=*/50) <= 0) continue;
+    for (const auto& pfd : fds) {
+      if (pfd.revents & POLLIN) ReadSocket(pfd.fd);
     }
-    DrainTxQueue();
   }
 }
 

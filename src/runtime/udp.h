@@ -1,16 +1,19 @@
 // UDP transport with real ip-multicast. Unicast: one socket per node at
 // base_port + node id. Multicast: one group address per channel
 // (mcast_base + channel) joined on the configured interface; the sender
-// is filtered out on receive (frames carry the sender id). A background
-// thread polls all sockets and hands decoded messages to the receiver.
+// is filtered out on receive (frames carry the sender id).
 //
-// Hot-path batching: sends are queued and flushed by the poll thread in
-// sendmmsg() batches (one syscall for a run of frames to the same
-// socket), and receives drain each socket with recvmmsg() into pooled
-// per-datagram frame buffers that feed the zero-copy decode path
-// (net/codec.h) — ClientMsg payloads alias the receive buffer instead
-// of being copied out. Per-destination FIFO is preserved: the tx queue
-// keeps submission order and batches never reorder across it.
+// Send path: Send()/Multicast() frame the message and sendto() it on the
+// caller's thread (the node's loop thread) — one syscall per frame, no
+// queue and no thread hop. Destination addresses are computed from
+// base addresses parsed once at construction. Per-destination FIFO is
+// the caller's own order.
+//
+// Receive path: a background thread polls all sockets and drains each
+// with recvmmsg() into transport-owned scratch buffers sized for the
+// largest frame, then copies every datagram into an exact-size frame
+// that feeds the zero-copy decode path (net/codec.h): ClientMsg payloads
+// alias that frame, so a retained message pins only its own bytes.
 //
 // Defaults target loopback so a whole cluster runs on one machine; with
 // bind_ip / interface set to a real NIC the same code runs a distributed
@@ -18,17 +21,16 @@
 #pragma once
 
 #include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "common/pool.h"
 #include "runtime/transport.h"
 
 namespace mrp::runtime {
@@ -39,9 +41,6 @@ struct UdpConfig {
   std::string mcast_prefix = "239.255.77.";  // + (1 + channel)
   std::uint16_t mcast_port_base = 46500;  // + channel
   std::string mcast_if = "127.0.0.1";
-  // Max datagrams per recvmmsg() / sendmmsg() syscall.
-  int rx_batch = 32;
-  int tx_batch = 32;
 };
 
 class UdpTransport final : public Transport {
@@ -57,35 +56,26 @@ class UdpTransport final : public Transport {
   void Subscribe(ChannelId channel) override;
   void SetReceiver(RxFn rx) override;
 
-  // Starts the polling thread (after subscriptions are registered).
+  // Starts the receive thread (after subscriptions are registered).
   void Start();
   void Stop();
 
   std::uint64_t tx_frames() const { return tx_frames_.load(); }
   std::uint64_t rx_frames() const { return rx_frames_.load(); }
   // Syscall-batching effectiveness: frames per batch = frames/batches.
-  std::uint64_t tx_batches() const { return tx_batches_.load(); }
+  // Every frame is its own sendto(), so tx batches equal tx frames.
+  std::uint64_t tx_batches() const { return tx_frames(); }
   std::uint64_t rx_batches() const { return rx_batches_.load(); }
 
  private:
-  struct TxEntry {
-    int fd = -1;
-    sockaddr_in addr{};
-    Bytes frame;
-  };
-
   void PollLoop();
   int OpenMulticastRx(ChannelId channel);
-  // Frames `msg` (sender-id header + encoding) in one buffer; empty on
-  // unencodable or oversized messages.
-  Bytes FrameMessage(const MessageBase& msg) const;
-  // Queues a frame for the poll thread (or sends inline when the poll
-  // thread is not running, e.g. before Start()).
-  void EnqueueTx(int fd, const sockaddr_in& addr, Bytes frame);
-  // Swaps out the queue and flushes it in sendmmsg() runs.
-  void DrainTxQueue();
-  void SendBatch(TxEntry* entries, std::size_t count);
-  // Drains `fd` with recvmmsg() into pooled buffers and dispatches.
+  // Unicast address of a node, and group address of a multicast channel.
+  sockaddr_in UnicastAddr(NodeId node) const;
+  sockaddr_in GroupAddr(ChannelId channel) const;
+  // Frames `msg` (sender-id header + encoding) and sends it to `addr`.
+  void SendFrame(int fd, const sockaddr_in& addr, const MessageBase& msg);
+  // Drains `fd` with recvmmsg() into the scratch buffers and dispatches.
   void ReadSocket(int fd);
 
   NodeId self_;
@@ -93,21 +83,19 @@ class UdpTransport final : public Transport {
   RxFn rx_;
   int unicast_fd_ = -1;
   int mcast_tx_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: Send() wakes the poll thread to flush tx
+  in_addr bind_addr_{};   // bind_ip
+  in_addr mcast_base_{};  // mcast_prefix + "0"
   std::vector<std::pair<ChannelId, int>> mcast_rx_fds_;
   std::thread poll_thread_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> tx_frames_{0};
   std::atomic<std::uint64_t> rx_frames_{0};
-  std::atomic<std::uint64_t> tx_batches_{0};
   std::atomic<std::uint64_t> rx_batches_{0};
 
-  std::mutex tx_mu_;
-  std::vector<TxEntry> tx_queue_;  // guarded by tx_mu_
-
-  // Poll-thread state (also used by the Stop() flush after join).
-  BufferPool rx_pool_;
-  std::vector<std::shared_ptr<Bytes>> rx_bufs_;
+  // Receive-thread scratch: one max-size buffer per recvmmsg() slot.
+  std::unique_ptr<std::uint8_t[]> rx_scratch_;
+  std::vector<iovec> rx_iovs_;
+  std::vector<mmsghdr> rx_hdrs_;
 };
 
 }  // namespace mrp::runtime

@@ -349,7 +349,7 @@ TEST(CodecCoverage, ViewDecodeAliasesAndKeepsFrameAlive) {
 
 }  // namespace codec_coverage
 
-// ---- Allocation pools (common/pool.h) ----
+// ---- Allocation pool (common/pool.h) ----
 
 TEST(ObjectPool, ReusesReleasedObjectsLifo) {
   ObjectPool<int> pool;
@@ -368,36 +368,6 @@ TEST(ObjectPool, ReusesReleasedObjectsLifo) {
   EXPECT_EQ(pool.reused(), 2u);
   // Un-released objects are reclaimed by the pool's destructor (arena
   // ownership) — nothing to assert here beyond "no leak" under ASan.
-}
-
-TEST(BufferPool, RecyclesAndPoisonsReturnedBuffers) {
-  BufferPool pool(/*buffer_capacity=*/64);
-  pool.set_poison(true);
-  std::shared_ptr<Bytes> buf = pool.Acquire();
-  ASSERT_EQ(buf->size(), 64u);
-  Bytes* raw = buf.get();
-  (*buf)[0] = 0x11;
-  buf.reset();  // returns to the pool and poisons
-  EXPECT_EQ(pool.free_count(), 1u);
-
-  std::shared_ptr<Bytes> again = pool.Acquire();
-  EXPECT_EQ(again.get(), raw);  // recycled, not reallocated
-  EXPECT_EQ((*again)[0], BufferPool::kPoisonByte);
-  EXPECT_EQ(pool.acquired(), 2u);
-  EXPECT_EQ(pool.reused(), 1u);
-}
-
-TEST(BufferPool, BuffersOutliveThePool) {
-  std::shared_ptr<Bytes> survivor;
-  {
-    BufferPool pool(32);
-    survivor = pool.Acquire();
-    (*survivor)[0] = 0x77;
-  }
-  // The pool died first: releasing the buffer must plain-delete it
-  // (weak_ptr-guarded return path), not touch freed pool state.
-  EXPECT_EQ((*survivor)[0], 0x77);
-  survivor.reset();
 }
 
 TEST(MergeLearner, GroupsSortedByGroupId) {

@@ -1,11 +1,15 @@
 // Focused RingNode behaviour tests: leadership hand-off rules, value-ID
 // uniqueness across rounds, decided-watermark trimming, batch-timeout
-// partial batches, recoverable-mode fail-over, and proposer window
-// accounting under think-time jitter.
+// partial batches, recoverable-mode fail-over, the skip schedule under
+// slow sends, and proposer window accounting under think-time jitter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "multiring/sim_deployment.h"
@@ -151,6 +155,79 @@ TEST(RingNode, VidsUniqueAcrossRoundsAndInstances) {
   d.coordinator_node(0)->SetDown(true);  // force a new round's vids
   d.RunFor(Seconds(1));
   EXPECT_GT(snooper->seen.size(), 500u);
+}
+
+// Env whose clock advances by `send_cost` on every multicast, as a real
+// send syscall does, and which fires its timers in deadline order.
+class SlowSendEnv final : public Env {
+ public:
+  explicit SlowSendEnv(Duration send_cost) : send_cost_(send_cost), rng_(7) {}
+
+  NodeId self() const override { return 1; }
+  TimePoint now() const override { return now_; }
+  void Send(NodeId, MessagePtr) override {}
+  void Multicast(ChannelId, MessagePtr) override { now_ += send_cost_; }
+  TimerId SetTimer(Duration delay, std::function<void()> cb) override {
+    timers_.emplace(++next_id_, Timer{now_ + delay, delay, std::move(cb)});
+    return next_id_;
+  }
+  void CancelTimer(TimerId id) override { timers_.erase(id); }
+  Rng& rng() override { return rng_; }
+  MetricsRegistry& metrics() override { return registry_; }
+
+  // Fires the earliest timer; returns its delay and firing time.
+  std::pair<Duration, TimePoint> FireNext() {
+    auto first = timers_.begin();
+    for (auto it = timers_.begin(); it != timers_.end(); ++it) {
+      if (it->second.deadline < first->second.deadline) first = it;
+    }
+    Timer t = std::move(first->second);
+    timers_.erase(first);
+    now_ = std::max(now_, t.deadline);
+    const TimePoint fired_at = now_;
+    t.cb();
+    return {t.delay, fired_at};
+  }
+
+ private:
+  struct Timer {
+    TimePoint deadline;
+    Duration delay;
+    std::function<void()> cb;
+  };
+  Duration send_cost_;
+  TimePoint now_{0};
+  TimerId next_id_ = 0;
+  std::map<TimerId, Timer> timers_;
+  Rng rng_;
+  MetricsRegistry registry_;
+};
+
+TEST(RingNode, SkipScheduleCountsTimeSpentProposing) {
+  // An idle single-member ring proposes only skips, so after its last
+  // Delta tick at time t it has proposed exactly floor(lambda * t)
+  // logical instances — including the time its own multicasts took.
+  RingConfig cfg;
+  cfg.ring_members = {1};
+  cfg.data_channel = 1;
+  cfg.control_channel = 2;
+  cfg.lambda_per_sec = 10'000;
+  cfg.delta = Micros(1000);
+  RingNode node(cfg);
+  SlowSendEnv env(Micros(250));
+  node.OnStart(env);
+  ASSERT_TRUE(node.is_coordinator());
+
+  TimePoint last_tick{0};
+  for (int ticks = 0; ticks < 1000;) {
+    const auto [delay, fired_at] = env.FireNext();
+    if (delay != cfg.delta) continue;
+    ++ticks;
+    last_tick = fired_at;
+  }
+  const double expected = cfg.lambda_per_sec * ToSeconds(last_tick);
+  EXPECT_NEAR(static_cast<double>(node.next_instance()), expected, 1.0)
+      << "lambda schedule drifted over " << ToSeconds(last_tick) << " s";
 }
 
 TEST(Proposer, WindowNeverExceededWithThinkJitter) {

@@ -5,7 +5,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -450,6 +452,74 @@ TEST(LocalClusterUdp, PaxosBackedGroupOverRealSockets) {
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   cluster.Stop();
   EXPECT_EQ(delivered.load(), 20u);
+}
+
+double ResidentMb() {
+  long pages_total = 0, pages_resident = 0;
+  FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  if (std::fscanf(f, "%ld %ld", &pages_total, &pages_resident) != 2) {
+    pages_resident = 0;
+  }
+  std::fclose(f);
+  const auto page = static_cast<double>(::sysconf(_SC_PAGESIZE));
+  return static_cast<double>(pages_resident) * page / (1024.0 * 1024.0);
+}
+
+TEST(UdpTransport, RetainedFramesAreRightSized) {
+  // Every received message is kept alive, and each one's payload views
+  // its receive frame. Frames sized to their datagram keep that cheap; a
+  // max-size (60 kB) frame per message would pin ~117 MB here.
+  constexpr int kMsgs = 2000;
+  UdpConfig cfg;
+  cfg.base_port = 49300;
+  cfg.mcast_port_base = 49800;
+  cfg.mcast_prefix = "239.255.87.";
+  UdpTransport sender(0, cfg);
+  UdpTransport receiver(1, cfg);
+  receiver.Subscribe(0);
+  std::mutex mu;
+  std::vector<MessagePtr> kept;
+  kept.reserve(kMsgs);
+  receiver.SetReceiver([&](NodeId, MessagePtr m) {
+    std::scoped_lock lock(mu);
+    kept.push_back(std::move(m));
+  });
+  receiver.Start();
+  const double rss_before = ResidentMb();
+
+  for (int i = 0; i < kMsgs; ++i) {
+    ClientMsg m = SampleMsg();
+    m.seq = static_cast<std::uint64_t>(i);
+    auto submit = MakeMessage<Submit>(0, std::move(m));
+    // Half unicast, half multicast: both send paths, both receive sockets.
+    if (i % 2 == 0) {
+      sender.Send(1, std::move(submit));
+    } else {
+      sender.Multicast(0, std::move(submit));
+    }
+    if (i % 20 == 19) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int waited = 0; waited < 200; ++waited) {
+    {
+      std::scoped_lock lock(mu);
+      if (kept.size() == kMsgs) break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  receiver.Stop();
+
+  EXPECT_EQ(sender.tx_frames(), static_cast<std::uint64_t>(kMsgs));
+  EXPECT_EQ(sender.tx_batches(), sender.tx_frames());
+  ASSERT_GE(kept.size(), static_cast<std::size_t>(kMsgs * 3 / 4))
+      << "loopback lost frames";
+  for (const auto& m : kept) {
+    const auto* submit = Cast<Submit>(m);
+    ASSERT_NE(submit, nullptr);
+    EXPECT_FALSE(submit->msg.payload.owning());  // still a view into its frame
+    EXPECT_EQ(submit->msg.payload, SampleMsg().payload);
+  }
+  EXPECT_LT(ResidentMb() - rss_before, 20.0);
 }
 
 }  // namespace
