@@ -6,10 +6,8 @@
 // candidate against the baseline and fails CI on rate regressions.
 //
 // Scenarios:
-//   sched_churn_pq /     raw Scheduler churn with thousands of live
-//   sched_churn_wheel    timers + cancel/re-arm storms, once per core —
-//                        the committed pair documents the wheel's win
-//                        over the binary-heap baseline (sim-events/s)
+//   sched_churn_wheel    raw Scheduler churn with thousands of live
+//                        timers + cancel/re-arm storms (sim-events/s)
 //   workload_mix         8 rings x the multi-tenant DefaultMix driven
 //                        end to end (delivered msgs/s; delivery-latency
 //                        p50/p99/p99.9 in sim-time ns)
@@ -84,11 +82,10 @@ ScenarioResult Finish(std::string name, std::string unit, std::uint64_t ops,
 // A population of self-rescheduling timers whose delays span all wheel
 // levels (1us .. 300ms), plus a periodic cancel/re-arm storm — the
 // shape a 10^5-session driver plus per-ring batch/heartbeat/retry
-// timers produces. Run once per core; the wheel's O(1) insert and
-// pooled event records are the difference under measurement.
+// timers produces: O(1) insert and cancel over pooled event records.
 
-ScenarioResult SchedChurn(bool quick, sim::Scheduler::Core core) {
-  sim::Scheduler sched(core);
+ScenarioResult SchedChurn(bool quick) {
+  sim::Scheduler sched;
   Rng rng(2026);
   constexpr int kTimers = 8192;
   std::vector<std::uint64_t> ids(kTimers, 0);
@@ -128,9 +125,8 @@ ScenarioResult SchedChurn(bool quick, sim::Scheduler::Core core) {
     ops += per_chunk;
   }
   const std::uint64_t wall = WallNowNs() - t0;
-  return Finish(core == sim::Scheduler::Core::kWheel ? "sched_churn_wheel"
-                                                     : "sched_churn_pq",
-                "events/s", ops, static_cast<double>(ops), wall, per_op);
+  return Finish("sched_churn_wheel", "events/s", ops, static_cast<double>(ops),
+                wall, per_op);
 }
 
 // ---- workload mix: the multi-tenant engine end to end ----
@@ -374,8 +370,7 @@ int main(int argc, char** argv) {
                     : "full mode: baseline-quality runs");
 
   std::vector<ScenarioResult> results;
-  results.push_back(SchedChurn(quick, sim::Scheduler::Core::kPq));
-  results.push_back(SchedChurn(quick, sim::Scheduler::Core::kWheel));
+  results.push_back(SchedChurn(quick));
   results.push_back(WorkloadMix(quick));
   results.push_back(Scale100Rings(quick));
 
@@ -385,12 +380,6 @@ int main(int argc, char** argv) {
     std::printf("%-20s %14.0f %10s %10.0f %10.0f %10.0f %10" PRIu64 "\n",
                 r.name.c_str(), r.rate, r.unit.c_str(), r.p50_ns, r.p99_ns,
                 r.p999_ns, r.ops);
-  }
-  const double pq = results[0].rate;
-  const double wheel = results[1].rate;
-  if (pq > 0) {
-    std::printf("\nwheel/pq churn speedup: %.2fx%s\n", wheel / pq,
-                quick ? " (quick mode, advisory)" : "");
   }
 
   WriteJson(out, quick ? "quick" : "full", results);

@@ -1,6 +1,8 @@
-// Allocation pool for the simulator's hot path: an arena-backed
-// free-list object pool (packet/event records). It recycles LIFO so the
-// hottest object is the one still warm in cache.
+// Allocation pool for hot paths: an arena-backed free-list object pool
+// (the simulator's in-flight packet records, the workload driver's
+// sessions). It recycles LIFO so the hottest object is the one still
+// warm in cache. Event records live in common/timer_wheel.h's own arena,
+// which must map a handle back to its record.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,11 @@
 // Single-threaded event loop: tasks posted from any thread plus one-shot
 // timers, executed on the loop thread. One loop per node gives the same
 // run-to-completion semantics as the simulator, on real threads.
+//
+// Timers live in the same timer wheel as the simulator's events
+// (common/timer_wheel.h), guarded by the loop mutex: arming and
+// cancelling are O(1) from any thread, and a TimerId is the wheel
+// handle, so cancelling a timer that already fired is a no-op.
 #pragma once
 
 #include <chrono>
@@ -8,11 +13,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
 
+#include "common/timer_wheel.h"
 #include "common/types.h"
 
 namespace mrp::runtime {
@@ -58,20 +63,14 @@ class EventLoop {
 
   TimerId SetTimer(Duration delay, std::function<void()> fn) {
     std::scoped_lock lock(mu_);
-    const TimerId id = ++next_timer_;
-    timers_.emplace(std::make_pair(now() + delay, id), std::move(fn));
+    const TimerId id = timers_.Insert(now() + delay, std::move(fn));
     cv_.notify_one();
     return id;
   }
 
   void CancelTimer(TimerId id) {
     std::scoped_lock lock(mu_);
-    for (auto it = timers_.begin(); it != timers_.end(); ++it) {
-      if (it->first.second == id) {
-        timers_.erase(it);
-        return;
-      }
-    }
+    timers_.Cancel(id);
   }
 
   bool on_loop_thread() const { return std::this_thread::get_id() == thread_.get_id(); }
@@ -81,9 +80,9 @@ class EventLoop {
     std::unique_lock lock(mu_);
     while (running_) {
       // Run due timers.
-      while (!timers_.empty() && timers_.begin()->first.first <= now()) {
-        auto fn = std::move(timers_.begin()->second);
-        timers_.erase(timers_.begin());
+      while (auto* t = timers_.PeekMin()) {
+        if (t->at > now()) break;
+        auto fn = timers_.Release(timers_.TakeMin());
         lock.unlock();
         fn();
         lock.lock();
@@ -96,13 +95,16 @@ class EventLoop {
         lock.lock();
         continue;
       }
-      if (timers_.empty()) {
-        cv_.wait(lock, [this] {
-          return !running_ || !tasks_.empty() || !timers_.empty();
-        });
+      // Sleep until the earliest timer is due, or until a Post, Stop or
+      // a newly armed timer, which may be due earlier.
+      const std::uint64_t armed = timers_.inserted();
+      const auto woken = [this, armed] {
+        return !running_ || !tasks_.empty() || timers_.inserted() != armed;
+      };
+      if (const auto* t = timers_.PeekMin()) {
+        cv_.wait_until(lock, epoch_ + t->at, woken);
       } else {
-        const auto wake = epoch_ + timers_.begin()->first.first;
-        cv_.wait_until(lock, wake, [this] { return !running_ || !tasks_.empty(); });
+        cv_.wait(lock, woken);
       }
     }
   }
@@ -113,8 +115,7 @@ class EventLoop {
   std::thread thread_;
   bool running_ = false;
   std::deque<std::function<void()>> tasks_;
-  std::map<std::pair<TimePoint, TimerId>, std::function<void()>> timers_;
-  TimerId next_timer_ = 0;
+  TimerWheel<std::function<void()>> timers_;
 };
 
 }  // namespace mrp::runtime

@@ -44,16 +44,14 @@ Duration SimNode::SendCost(std::size_t bytes) {
                       spec_.cpu_per_byte_send_ns * static_cast<double>(bytes))));
 }
 
-void SimNode::ExecuteAt(TimePoint ready, Duration cost, std::function<void()> fn) {
+TimePoint SimNode::ChargeCpu(TimePoint ready, Duration cost) {
   const TimePoint start = std::max(ready, cpu_free_at_);
   cpu_wait_.Record(start - ready);
   cpu_free_at_ = start + cost;
   busy_.AddBusy(cost);
   ctr_cpu_tasks_->Inc();
   ctr_cpu_busy_ns_->Inc(static_cast<std::uint64_t>(std::max<std::int64_t>(cost.count(), 0)));
-  net_.scheduler().At(cpu_free_at_, [this, fn = std::move(fn)] {
-    if (!down_) fn();
-  });
+  return cpu_free_at_;
 }
 
 void SimNode::Send(NodeId to, MessagePtr m) {
@@ -83,25 +81,26 @@ void SimNode::Multicast(ChannelId channel, MessagePtr m) {
 }
 
 TimerId SimNode::SetTimer(Duration delay, std::function<void()> callback) {
-  const TimerId id = ++next_timer_;
-  timers_.emplace(id, std::move(callback));
-  net_.scheduler().After(delay, [this, id] { FireTimer(id); });
-  return id;
+  return net_.scheduler().After(delay, [this, incarnation = incarnation_,
+                                        cb = std::move(callback)]() mutable {
+    if (incarnation != incarnation_) return;
+    FireTimer(net_.scheduler().current(), std::move(cb));
+  });
 }
 
-void SimNode::CancelTimer(TimerId id) { timers_.erase(id); }
+void SimNode::CancelTimer(TimerId id) {
+  net_.scheduler().Cancel(id);
+  std::erase_if(deferred_timers_,
+                [id](const auto& timer) { return timer.first == id; });
+}
 
-void SimNode::FireTimer(TimerId id) {
-  auto it = timers_.find(id);
-  if (it == timers_.end()) return;  // cancelled
+void SimNode::FireTimer(TimerId id, std::function<void()> callback) {
   if (down_) {
-    deferred_timers_.push_back(id);
+    deferred_timers_.emplace_back(id, std::move(callback));
     return;
   }
-  auto cb = std::move(it->second);
-  timers_.erase(it);
   ExecuteAt(now(), spec_.infinite_cpu ? Duration{0} : spec_.cpu_timer_cost,
-            std::move(cb));
+            std::move(callback));
 }
 
 void SimNode::BindProtocol(std::unique_ptr<Protocol> protocol) {
@@ -114,7 +113,7 @@ void SimNode::Start() {
 }
 
 void SimNode::ReplaceProtocol(std::unique_ptr<Protocol> protocol) {
-  timers_.clear();
+  ++incarnation_;
   deferred_timers_.clear();
   protocol_ = std::move(protocol);
   if (!down_) Start();
@@ -129,7 +128,7 @@ void SimNode::SetDown(bool down) {
     cpu_free_at_ = std::max(cpu_free_at_, now());
     auto expired = std::move(deferred_timers_);
     deferred_timers_.clear();
-    for (TimerId id : expired) FireTimer(id);
+    for (auto& [id, callback] : expired) FireTimer(id, std::move(callback));
   }
 }
 

@@ -25,6 +25,7 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/env.h"
@@ -97,14 +98,18 @@ class SimNode final : public Env {
   TimePoint TxLinkDepart(std::size_t wire_bytes, TimePoint ready);
   // Charges CPU work and runs `fn` when it completes (skipped if the
   // node is down at completion time).
-  void ExecuteAt(TimePoint ready, Duration cost, std::function<void()> fn);
+  template <typename Fn>
+  void ExecuteAt(TimePoint ready, Duration cost, Fn&& fn);
   SimNetwork& network() { return net_; }
 
  private:
   Duration Jittered(Duration cost);
   Duration RecvCost(std::size_t bytes);
   Duration SendCost(std::size_t bytes);
-  void FireTimer(TimerId id);
+  // Books `cost` of CPU work that becomes ready at `ready`; returns when
+  // it completes.
+  TimePoint ChargeCpu(TimePoint ready, Duration cost);
+  void FireTimer(TimerId id, std::function<void()> callback);
 
   SimNetwork& net_;
   NodeId id_;
@@ -133,9 +138,13 @@ class SimNode final : public Env {
   Histogram rx_wait_;
   Histogram cpu_wait_;
 
-  TimerId next_timer_ = 0;
-  std::unordered_map<TimerId, std::function<void()>> timers_;
-  std::vector<TimerId> deferred_timers_;
+  // Timers are plain scheduler events; their handle is the TimerId.
+  // A timer belongs to the protocol incarnation that set it, so
+  // ReplaceProtocol drops the old protocol's timers by bumping the
+  // count. Timers that expire while the node is down wait here, with
+  // their handles so CancelTimer can still reach them, until it resumes.
+  std::uint64_t incarnation_ = 0;
+  std::vector<std::pair<TimerId, std::function<void()>>> deferred_timers_;
 };
 
 struct NetConfig {
@@ -240,5 +249,13 @@ class SimNetwork {
   // default deployment's metrics snapshot stays byte-identical to seed.
   Counter* ctr_access_drops_ = nullptr;
 };
+
+template <typename Fn>
+void SimNode::ExecuteAt(TimePoint ready, Duration cost, Fn&& fn) {
+  net_.scheduler().At(ChargeCpu(ready, cost),
+                      [this, fn = std::forward<Fn>(fn)]() mutable {
+                        if (!down_) fn();
+                      });
+}
 
 }  // namespace mrp::sim

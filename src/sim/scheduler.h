@@ -1,13 +1,11 @@
 // Deterministic discrete-event scheduler. Events fire in (time, insertion
 // sequence) order, so identical seeds give bit-identical runs.
 //
-// Two interchangeable cores sit behind the same API (selected at
-// construction, docs/SIMULATOR.md): the default hierarchical timer
-// wheel with pooled event records (O(1) schedule, allocation-free in
-// steady state) and the reference std::priority_queue kept for
-// differential parity tests and as the bench baseline. Both produce the
-// identical total order, so traces and the determinism gates are
-// unaffected by the choice.
+// A thin layer over the timer wheel (common/timer_wheel.h,
+// docs/SIMULATOR.md): pooled event records, O(1) schedule and cancel,
+// allocation-free in steady state. The handle At() returns is the
+// wheel's, so cancelling an event that already fired (or a handle whose
+// record now holds a newer event) is a no-op without any hashing.
 //
 // A pluggable Strategy (tools/mc, docs/MODEL_CHECKING.md) may override
 // the tie-break among events that share the minimal timestamp: the
@@ -19,13 +17,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/timer_wheel.h"
 #include "common/types.h"
-#include "sim/timer_wheel.h"
 
 namespace mrp::sim {
 
@@ -46,22 +42,12 @@ struct EventTag {
 
 class Scheduler {
  public:
+  // Cancellation handle returned by At()/After(); never 0.
   using EventId = std::uint64_t;
 
-  // Which event store backs the scheduler. Ordering is identical; only
-  // the data structure (and its constant factors) differ.
-  enum class Core : std::uint8_t {
-    kWheel = 0,  // hierarchical timer wheel + pooled events (default)
-    kPq = 1,     // reference priority queue (parity tests, bench baseline)
-  };
-
-  Scheduler() = default;
-  explicit Scheduler(Core core) : core_(core) {}
-
-  Core core() const { return core_; }
-
-  // One enabled event as shown to a Strategy: identity, firing time and
-  // the tag it was scheduled with.
+  // One enabled event as shown to a Strategy: its insertion sequence
+  // (1-based, the order At() was called in), firing time and the tag it
+  // was scheduled with.
   struct EventInfo {
     EventId id = 0;
     TimePoint at{0};
@@ -85,20 +71,7 @@ class Scheduler {
   }
 
   EventId At(TimePoint t, EventTag tag, std::function<void()> fn) {
-    const EventId id = ++next_id_;
-    const TimePoint at = t < now_ ? now_ : t;
-    if (core_ == Core::kWheel) {
-      Event* e = wheel_.Acquire();
-      e->at = at;
-      e->id = id;
-      e->tag = tag;
-      e->fn = std::move(fn);
-      wheel_.Insert(e);
-    } else {
-      queue_.push(Event{at, id, tag, std::move(fn)});
-    }
-    pending_ids_.insert(id);
-    return id;
+    return wheel_.Insert(t < now_ ? now_ : t, Event{tag, std::move(fn)});
   }
 
   EventId After(Duration d, std::function<void()> fn) {
@@ -109,59 +82,40 @@ class Scheduler {
     return At(now_ + d, tag, std::move(fn));
   }
 
-  // Cancels a scheduled-but-unfired event. Ids that already ran (or were
-  // never scheduled) are ignored, so empty() stays truthful no matter
+  // Cancels a scheduled-but-unfired event. Handles that already ran (or
+  // were never issued) are ignored, so empty() stays truthful no matter
   // how late a caller cancels.
   void Cancel(EventId id) {
-    if (pending_ids_.find(id) == pending_ids_.end()) return;
-    if (cancelled_.insert(id).second) ++cancelled_live_;
+    if (wheel_.Cancel(id)) ++events_cancelled_;
   }
 
-  bool empty() const { return StoredCount() == cancelled_live_; }
+  bool empty() const { return wheel_.empty(); }
 
   // Installs (or clears, with nullptr) the same-time tie-break strategy.
   // The pointer is borrowed and must outlive the scheduler or be cleared.
   void SetStrategy(Strategy* strategy) { strategy_ = strategy; }
 
-  // Earliest live (non-cancelled) event time; kTimeZero - 1 convention is
-  // avoided: returns `fallback` when no live event remains. Prunes
-  // cancelled store fronts as a side effect (they are dead either way).
+  // Earliest live (non-cancelled) event time, or `fallback` when no live
+  // event remains.
   TimePoint NextEventTime(TimePoint fallback) {
-    DiscardCancelledTop();
-    const Event* e = Peek();
-    return e == nullptr ? fallback : e->at;
+    const Record* r = wheel_.PeekMin();
+    return r == nullptr ? fallback : r->at;
   }
 
   // Runs the next event; returns false if none remain.
   bool RunOne() {
     if (strategy_ != nullptr) return RunOneWithStrategy();
-    if (core_ == Core::kWheel) {
-      while (!wheel_.empty()) {
-        Event* e = wheel_.RemoveMin();
-        if (Cancelled(e->id)) {
-          ReleaseRecord(e);
-          continue;
-        }
-        FireRecord(e);
-        return true;
-      }
-      return false;
-    }
-    while (!queue_.empty()) {
-      Event ev = PopTop();
-      if (Cancelled(ev.id)) continue;
-      Fire(std::move(ev));
-      return true;
-    }
-    return false;
+    Record* r = wheel_.TakeMin();
+    if (r == nullptr) return false;
+    Fire(r);
+    return true;
   }
 
   // Runs all events with time <= t, then advances the clock to t.
   void RunUntil(TimePoint t) {
     while (true) {
-      DiscardCancelledTop();
-      const Event* e = Peek();
-      if (e == nullptr || e->at > t) break;
+      const Record* r = wheel_.PeekMin();
+      if (r == nullptr || r->at > t) break;
       if (!RunOne()) break;
     }
     if (now_ < t) now_ = t;
@@ -175,189 +129,73 @@ class Scheduler {
     }
   }
 
-  std::size_t pending() const { return StoredCount(); }
+  // Live (scheduled, unfired, uncancelled) events.
+  std::size_t pending() const { return wheel_.size(); }
+
+  // Handle of the event whose callback is running (or ran last).
+  EventId current() const { return current_; }
 
   // ---- Dispatch counters (exported into the cluster metrics snapshot) ----
   std::uint64_t events_run() const { return events_run_; }
-  std::uint64_t events_scheduled() const { return next_id_; }
+  std::uint64_t events_scheduled() const { return wheel_.inserted(); }
   std::uint64_t events_cancelled() const { return events_cancelled_; }
 
-  // ---- Event-record pool stats (wheel core; zero under the pq core) ----
-  std::size_t pool_allocated() const {
-    return core_ == Core::kWheel ? wheel_.pool_allocated() : 0;
-  }
-  std::uint64_t pool_reused() const {
-    return core_ == Core::kWheel ? wheel_.pool_reused() : 0;
-  }
+  // ---- Event-record pool stats ----
+  std::size_t pool_allocated() const { return wheel_.allocated(); }
+  std::uint64_t pool_reused() const { return wheel_.reused(); }
 
  private:
   struct Event {
-    TimePoint at;
-    EventId id;
     EventTag tag;
     std::function<void()> fn;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;
-    }
-  };
+  using Wheel = TimerWheel<Event>;
+  using Record = Wheel::Record;
 
-  std::size_t StoredCount() const {
-    return core_ == Core::kWheel ? wheel_.size() : queue_.size();
-  }
-
-  // Front of the event store (including cancelled entries), nullptr when
-  // the store is empty. Non-const: the wheel may cascade to find it.
-  const Event* Peek() {
-    if (core_ == Core::kWheel) return wheel_.PeekMin();
-    return queue_.empty() ? nullptr : &queue_.top();
-  }
-
-  Event PopTop() {
-    // const_cast to move out of the priority_queue top; the element is
-    // removed immediately afterwards.
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    return ev;
-  }
-
-  // Returns a pooled record, dropping its closure first so captured
-  // state is freed now rather than at the next reuse.
-  void ReleaseRecord(Event* e) {
-    e->fn = nullptr;
-    wheel_.Release(e);
-  }
-
-  // True (and accounted) when the popped event was cancelled.
-  bool Cancelled(EventId id) {
-    auto it = cancelled_.find(id);
-    if (it == cancelled_.end()) return false;
-    cancelled_.erase(it);
-    --cancelled_live_;
-    pending_ids_.erase(id);
-    ++events_cancelled_;
-    return true;
-  }
-
-  void DiscardCancelledTop() {
-    while (true) {
-      const Event* e = Peek();
-      if (e == nullptr || !Cancelled(e->id)) return;
-      if (core_ == Core::kWheel) {
-        ReleaseRecord(wheel_.RemoveMin());
-      } else {
-        queue_.pop();
-      }
-    }
-  }
-
-  void Fire(Event ev) {
-    pending_ids_.erase(ev.id);
-    now_ = ev.at;
-    ev.fn();
-    ++events_run_;
-  }
-
-  // Wheel-core firing: the record returns to the pool before the
-  // callback runs, so work the callback schedules reuses it.
-  void FireRecord(Event* e) {
-    pending_ids_.erase(e->id);
-    now_ = e->at;
-    std::function<void()> fn = std::move(e->fn);
-    ReleaseRecord(e);
+  // The record returns to the pool before the callback runs, so work
+  // the callback schedules reuses it.
+  void Fire(Record* r) {
+    now_ = r->at;
+    current_ = Wheel::HandleOf(*r);
+    std::function<void()> fn = wheel_.Release(r).fn;
     fn();
     ++events_run_;
   }
 
   bool RunOneWithStrategy() {
-    return core_ == Core::kWheel ? RunOneWithStrategyWheel()
-                                 : RunOneWithStrategyPq();
-  }
-
-  bool RunOneWithStrategyWheel() {
-    while (true) {
-      DiscardCancelledTop();
-      if (wheel_.empty()) return false;
-      const TimePoint t = wheel_.PeekMin()->at;
-      // Pop every live event enabled at the minimal time; the wheel
-      // yields them id-ascending at equal times.
-      std::vector<Event*> enabled;
-      while (!wheel_.empty() && wheel_.PeekMin()->at == t) {
-        Event* e = wheel_.RemoveMin();
-        if (Cancelled(e->id)) {
-          ReleaseRecord(e);
-          continue;
-        }
-        enabled.push_back(e);
-      }
-      if (enabled.empty()) continue;
-      const std::size_t pick = PickIndex(enabled);
-      // Reinsert the rest; ids are unchanged, so the sorted current slot
-      // restores their relative order and the default tie-break.
-      for (std::size_t i = 0; i < enabled.size(); ++i) {
-        if (i != pick) wheel_.Insert(enabled[i]);
-      }
-      FireRecord(enabled[pick]);
-      return true;
+    Record* first = wheel_.TakeMin();
+    if (first == nullptr) return false;
+    // Take every live event enabled at the minimal time; the wheel
+    // yields them in insertion order.
+    std::vector<Record*> enabled{first};
+    for (const Record* r = wheel_.PeekMin(); r != nullptr && r->at == first->at;
+         r = wheel_.PeekMin()) {
+      enabled.push_back(wheel_.TakeMin());
     }
-  }
-
-  bool RunOneWithStrategyPq() {
-    DiscardCancelledTop();
-    if (queue_.empty()) return false;
-    const TimePoint t = queue_.top().at;
-    // Pop every live event enabled at the minimal time. Insertion order
-    // is preserved (the heap yields them id-ascending at equal times).
-    std::vector<Event> enabled;
-    while (!queue_.empty() && queue_.top().at == t) {
-      Event ev = PopTop();
-      if (Cancelled(ev.id)) continue;
-      enabled.push_back(std::move(ev));
-    }
-    if (enabled.empty()) return RunOneWithStrategyPq();
     std::size_t pick = 0;
     if (enabled.size() > 1) {
       std::vector<EventInfo> infos;
       infos.reserve(enabled.size());
-      for (const Event& ev : enabled) infos.push_back({ev.id, ev.at, ev.tag});
+      for (const Record* r : enabled) {
+        infos.push_back({r->seq, r->at, r->value.tag});
+      }
       pick = strategy_->PickNext(infos);
       if (pick >= enabled.size()) pick = 0;
     }
-    Event chosen = std::move(enabled[pick]);
-    // Push the rest back; their ids (still in pending_ids_) are unchanged
-    // so relative order and the default tie-break stay stable.
+    // Relink the rest; their sequences are unchanged, so the sorted
+    // current slot restores their relative order and the default
+    // tie-break.
     for (std::size_t i = 0; i < enabled.size(); ++i) {
-      if (i != pick) queue_.push(std::move(enabled[i]));
+      if (i != pick) wheel_.Relink(enabled[i]);
     }
-    Fire(std::move(chosen));
+    Fire(enabled[pick]);
     return true;
   }
 
-  std::size_t PickIndex(const std::vector<Event*>& enabled) {
-    if (enabled.size() <= 1) return 0;
-    std::vector<EventInfo> infos;
-    infos.reserve(enabled.size());
-    for (const Event* e : enabled) infos.push_back({e->id, e->at, e->tag});
-    const std::size_t pick = strategy_->PickNext(infos);
-    return pick >= enabled.size() ? 0 : pick;
-  }
-
   TimePoint now_{0};
-  EventId next_id_ = 0;
-  Core core_ = Core::kWheel;
-  TimerWheel<Event> wheel_;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<EventId> cancelled_;
-  // Ids scheduled but not yet fired/cancelled. Cancel consults it so a
-  // stale cancellation (id already ran, or never existed) cannot inflate
-  // cancelled_live_ and make empty() lie about live events.
-  std::unordered_set<EventId> pending_ids_;
-  // Cancelled-but-unpopped entries still sitting in the store. Kept in
-  // sync by Cancel/RunOne so empty() can subtract them without draining.
-  std::size_t cancelled_live_ = 0;
+  Wheel wheel_;
   Strategy* strategy_ = nullptr;
+  EventId current_ = 0;
   std::uint64_t events_run_ = 0;
   std::uint64_t events_cancelled_ = 0;
 };

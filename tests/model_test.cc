@@ -160,5 +160,96 @@ TEST(SimTimers, TimerSurvivesAndDefersAcrossDowntime) {
   EXPECT_EQ(fire_ms[2], 45);
 }
 
+TEST(SimTimers, TimerCancelledWhileDownDoesNotFireOnResume) {
+  sim::SimNetwork net;
+  auto& node = net.AddNode();
+  node.BindProtocol(std::make_unique<TimerHarness>());
+  net.StartAll();
+
+  std::vector<int> fired;
+  TimerId expired_then_cancelled = kNoTimer, cancelled_before_expiry = kNoTimer;
+  node.ExecuteAt(net.now(), Duration{0}, [&] {
+    expired_then_cancelled =
+        node.SetTimer(Millis(10), [&fired] { fired.push_back(1); });
+    node.SetTimer(Millis(20), [&fired] { fired.push_back(2); });
+    cancelled_before_expiry =
+        node.SetTimer(Millis(40), [&fired] { fired.push_back(3); });
+  });
+  net.RunFor(Millis(5));
+  node.SetDown(true);
+  net.RunFor(Millis(25));  // timers 1 and 2 expire while down
+  node.CancelTimer(expired_then_cancelled);
+  node.CancelTimer(cancelled_before_expiry);
+  net.RunFor(Millis(20));
+  EXPECT_TRUE(fired.empty());
+  node.SetDown(false);
+  net.RunFor(Millis(20));
+  EXPECT_EQ(fired, (std::vector<int>{2}));
+}
+
+TEST(SimTimers, ReplaceProtocolDropsOldTimers) {
+  sim::SimNetwork net;
+  auto& node = net.AddNode();
+  node.BindProtocol(std::make_unique<TimerHarness>());
+  net.StartAll();
+
+  std::vector<int> fired;
+  node.ExecuteAt(net.now(), Duration{0}, [&] {
+    node.SetTimer(Millis(2), [&fired] { fired.push_back(1); });
+    node.SetTimer(Millis(10), [&fired] { fired.push_back(2); });
+    node.SetTimer(Millis(20), [&fired] { fired.push_back(3); });
+  });
+  net.RunFor(Millis(5));  // timer 1 fires; timer 2 will expire while down
+  node.SetDown(true);
+  net.RunFor(Millis(10));
+  node.ReplaceProtocol(std::make_unique<TimerHarness>());
+  node.SetDown(false);
+  node.ExecuteAt(net.now(), Duration{0}, [&] {
+    node.SetTimer(Millis(1), [&fired] { fired.push_back(4); });
+  });
+  net.RunFor(Millis(30));
+  EXPECT_EQ(fired, (std::vector<int>{1, 4}));
+}
+
+TEST(SimTimers, CancelAfterFireIsNoOp) {
+  sim::SimNetwork net;
+  auto& node = net.AddNode();
+  node.BindProtocol(std::make_unique<TimerHarness>());
+  net.StartAll();
+
+  int fired = 0;
+  TimerId first = kNoTimer;
+  node.ExecuteAt(net.now(), Duration{0}, [&] {
+    first = node.SetTimer(Millis(1), [&] { fired += 1; });
+  });
+  net.RunFor(Millis(5));
+  ASSERT_EQ(fired, 1);
+  // Armed after `first` fired, so it may reuse that timer's slot.
+  TimerId second = kNoTimer;
+  node.ExecuteAt(net.now(), Duration{0}, [&] {
+    second = node.SetTimer(Millis(1), [&] { fired += 10; });
+    node.CancelTimer(first);
+  });
+  net.RunFor(Millis(5));
+  EXPECT_NE(first, second);
+  EXPECT_EQ(fired, 11);
+}
+
+TEST(SimTimers, CancelNoTimerIsNoOp) {
+  sim::SimNetwork net;
+  auto& node = net.AddNode();
+  node.BindProtocol(std::make_unique<TimerHarness>());
+  net.StartAll();
+
+  int fired = 0;
+  node.ExecuteAt(net.now(), Duration{0}, [&] {
+    node.SetTimer(Millis(1), [&] { fired += 1; });
+    node.CancelTimer(kNoTimer);
+  });
+  node.CancelTimer(kNoTimer);
+  net.RunFor(Millis(5));
+  EXPECT_EQ(fired, 1);
+}
+
 }  // namespace
 }  // namespace mrp

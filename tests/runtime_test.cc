@@ -137,6 +137,92 @@ TEST(EventLoop, TasksAndTimers) {
   loop.Stop();
 }
 
+// Polls `pred` every millisecond until it holds or about `timeout` has
+// passed.
+template <typename Pred>
+bool WaitFor(Pred pred,
+             std::chrono::milliseconds timeout = std::chrono::seconds(5)) {
+  for (auto waited = std::chrono::milliseconds(0); !pred();
+       waited += std::chrono::milliseconds(1)) {
+    if (waited > timeout) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(EventLoop, CancelOneOfManyPendingTimers) {
+  EventLoop loop;
+  loop.Start();
+  std::atomic<int> fired_mask{0};
+  std::vector<TimerId> ids;
+  for (int i = 0; i < 10; ++i) {
+    ids.push_back(loop.SetTimer(Millis(100 + i), [&fired_mask, i] {
+      fired_mask.fetch_or(1 << i);
+    }));
+  }
+  loop.CancelTimer(ids[4]);
+  constexpr int kAllButFour = 0x3ff & ~(1 << 4);
+  EXPECT_TRUE(WaitFor([&] { return fired_mask.load() == kAllButFour; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(fired_mask.load(), kAllButFour);
+  loop.Stop();
+}
+
+TEST(EventLoop, StaleCancelIsNoOp) {
+  EventLoop loop;
+  loop.Start();
+  std::atomic<int> counter{0};
+  const TimerId first = loop.SetTimer(Millis(1), [&] { counter += 1; });
+  ASSERT_TRUE(WaitFor([&] { return counter.load() == 1; }));
+  // Armed after `first` fired, so it may reuse that timer's record.
+  const TimerId second = loop.SetTimer(Millis(10), [&] { counter += 10; });
+  loop.CancelTimer(first);
+  EXPECT_NE(first, second);
+  EXPECT_TRUE(WaitFor([&] { return counter.load() == 11; }));
+  loop.Stop();
+}
+
+TEST(EventLoop, CancelFromAnotherTimersCallback) {
+  EventLoop loop;
+  loop.Start();
+  std::atomic<int> counter{0};
+  std::atomic<TimerId> victim{kNoTimer};
+  // Same delay: the canceller (armed first) runs first and must stop the
+  // victim, which is already due by then.
+  loop.SetTimer(Millis(100), [&] {
+    loop.CancelTimer(victim.load());
+    counter += 1;
+  });
+  victim = loop.SetTimer(Millis(100), [&] { counter += 100; });
+  loop.SetTimer(Millis(150), [&] { counter += 10; });
+  EXPECT_TRUE(WaitFor([&] { return counter.load() >= 11; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(counter.load(), 11);
+  loop.Stop();
+}
+
+TEST(EventLoop, EarlierTimerFromAnotherThreadWakesLoop) {
+  EventLoop loop;
+  loop.Start();
+  std::atomic<bool> late_fired{false};
+  std::atomic<bool> early_fired{false};
+  loop.SetTimer(Seconds(10), [&] { late_fired = true; });
+  // Let the loop go to sleep until the 10 s deadline.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const TimePoint armed = loop.now();
+  std::atomic<std::int64_t> fired_at{0};
+  loop.SetTimer(Millis(20), [&] {
+    fired_at = loop.now().count();
+    early_fired = true;
+  });
+  ASSERT_TRUE(WaitFor([&] { return early_fired.load(); }));
+  const Duration waited = Duration{fired_at.load()} - armed;
+  EXPECT_GE(waited, Millis(20));
+  EXPECT_LT(waited, Seconds(2));
+  EXPECT_FALSE(late_fired.load());
+  loop.Stop();
+}
+
 // ---- Full cluster over real threads ----
 
 struct ClusterResult {

@@ -6,7 +6,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <queue>
 #include <string>
+#include <type_traits>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rand.h"
@@ -29,42 +32,140 @@ TEST(Scheduler, FiresInTimeThenInsertionOrder) {
   EXPECT_EQ(s.now(), Millis(2));
 }
 
-// The Cancel accounting contract must hold on both scheduler cores:
-// the default timer wheel and the reference priority queue.
-class SchedulerCore : public ::testing::TestWithParam<Scheduler::Core> {};
+// Reference scheduler for the differential tests: a std::priority_queue
+// with hash-set cancellation, simple enough to trust by reading. It
+// keeps the Scheduler contract: (time, insertion sequence) order, stale
+// cancels are no-ops, pending()/empty() count live events, and
+// events_cancelled() counts each cancelled live event once.
+class ReferenceScheduler {
+ public:
+  using EventId = std::uint64_t;
+
+  TimePoint now() const { return now_; }
+
+  EventId At(TimePoint t, std::function<void()> fn) {
+    const EventId id = ++next_id_;
+    queue_.push(Event{t < now_ ? now_ : t, id, std::move(fn)});
+    live_.insert(id);
+    return id;
+  }
+  EventId After(Duration d, std::function<void()> fn) {
+    return At(now_ + d, std::move(fn));
+  }
+
+  void Cancel(EventId id) {
+    if (live_.erase(id) != 0) ++events_cancelled_;
+  }
+
+  bool empty() const { return live_.empty(); }
+  std::size_t pending() const { return live_.size(); }
+
+  TimePoint NextEventTime(TimePoint fallback) {
+    DropCancelledTop();
+    return queue_.empty() ? fallback : queue_.top().at;
+  }
+
+  bool RunOne() {
+    DropCancelledTop();
+    if (queue_.empty()) return false;
+    // const_cast to move out of the top; it is popped immediately.
+    Event ev = std::move(const_cast<Event&>(queue_.top()));
+    queue_.pop();
+    live_.erase(ev.id);
+    now_ = ev.at;
+    ev.fn();
+    ++events_run_;
+    return true;
+  }
+
+  void RunUntil(TimePoint t) {
+    while (NextEventTime(TimePoint::max()) <= t && RunOne()) {
+    }
+    if (now_ < t) now_ = t;
+  }
+  void RunFor(Duration d) { RunUntil(now_ + d); }
+  void RunAll() {
+    while (RunOne()) {
+    }
+  }
+
+  std::uint64_t events_run() const { return events_run_; }
+  std::uint64_t events_cancelled() const { return events_cancelled_; }
+
+ private:
+  struct Event {
+    TimePoint at;
+    EventId id;
+    std::function<void()> fn;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.at != b.at) return a.at > b.at;
+      return a.id > b.id;
+    }
+  };
+
+  void DropCancelledTop() {
+    while (!queue_.empty() && !live_.contains(queue_.top().id)) queue_.pop();
+  }
+
+  TimePoint now_{0};
+  EventId next_id_ = 0;
+  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::unordered_set<EventId> live_;
+  std::uint64_t events_run_ = 0;
+  std::uint64_t events_cancelled_ = 0;
+};
+
+// The Cancel accounting contract must hold on the wheel-backed Scheduler
+// and on the reference it is checked against.
+enum class Core : std::uint8_t { kWheel = 0, kPq = 1 };
+
+template <typename Body>
+void OnCore(Core core, Body body) {
+  if (core == Core::kWheel) {
+    Scheduler s;
+    body(s);
+  } else {
+    ReferenceScheduler s;
+    body(s);
+  }
+}
+
+class SchedulerCore : public ::testing::TestWithParam<Core> {};
 
 INSTANTIATE_TEST_SUITE_P(Cores, SchedulerCore,
-                         ::testing::Values(Scheduler::Core::kWheel,
-                                           Scheduler::Core::kPq),
+                         ::testing::Values(Core::kWheel, Core::kPq),
                          [](const auto& info) {
-                           return info.param == Scheduler::Core::kWheel
-                                      ? "Wheel"
-                                      : "Pq";
+                           return info.param == Core::kWheel ? "Wheel" : "Pq";
                          });
 
 TEST_P(SchedulerCore, CancelSuppressesEvent) {
-  Scheduler s(GetParam());
-  int fired = 0;
-  auto id = s.At(Millis(1), [&] { ++fired; });
-  s.At(Millis(2), [&] { ++fired; });
-  s.Cancel(id);
-  s.RunAll();
-  EXPECT_EQ(fired, 1);
+  OnCore(GetParam(), [](auto& s) {
+    int fired = 0;
+    auto id = s.At(Millis(1), [&] { ++fired; });
+    s.At(Millis(2), [&] { ++fired; });
+    s.Cancel(id);
+    s.RunAll();
+    EXPECT_EQ(fired, 1);
+  });
 }
 
 TEST_P(SchedulerCore, EmptyTracksCancelledEvents) {
-  Scheduler s(GetParam());
-  EXPECT_TRUE(s.empty());
-  auto a = s.At(Millis(1), [] {});
-  auto b = s.At(Millis(2), [] {});
-  EXPECT_FALSE(s.empty());
-  s.Cancel(a);
-  s.Cancel(a);  // double-cancel must not double-count
-  s.Cancel(b);
-  EXPECT_TRUE(s.empty());  // only cancelled entries remain
-  s.RunAll();
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.events_cancelled(), 2u);
+  OnCore(GetParam(), [](auto& s) {
+    EXPECT_TRUE(s.empty());
+    auto a = s.At(Millis(1), [] {});
+    auto b = s.At(Millis(2), [] {});
+    EXPECT_FALSE(s.empty());
+    s.Cancel(a);
+    s.Cancel(a);  // double-cancel must not double-count
+    s.Cancel(b);
+    EXPECT_TRUE(s.empty());  // only cancelled entries remain
+    EXPECT_EQ(s.pending(), 0u);
+    s.RunAll();
+    EXPECT_TRUE(s.empty());
+    EXPECT_EQ(s.events_cancelled(), 2u);
+  });
 }
 
 TEST_P(SchedulerCore, CancelOfFiredOrUnknownIdKeepsEmptyTruthful) {
@@ -72,45 +173,71 @@ TEST_P(SchedulerCore, CancelOfFiredOrUnknownIdKeepsEmptyTruthful) {
   // scheduled) used to bump the cancelled-live count forever, so empty()
   // claimed the queue was drained while live events remained and
   // RunAll-style loops terminated early.
-  Scheduler s(GetParam());
-  int fired = 0;
-  auto a = s.At(Millis(1), [&] { ++fired; });
-  ASSERT_TRUE(s.RunOne());  // `a` has fired
-  s.Cancel(a);              // stale cancel: must be a no-op
-  s.Cancel(12345);          // never-scheduled id: must be a no-op
-  EXPECT_TRUE(s.empty());
-  s.At(Millis(2), [&] { ++fired; });
-  EXPECT_FALSE(s.empty());  // the live event must be visible
-  s.RunAll();
-  EXPECT_EQ(fired, 2);
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.events_cancelled(), 0u);
+  OnCore(GetParam(), [](auto& s) {
+    int fired = 0;
+    auto a = s.At(Millis(1), [&] { ++fired; });
+    ASSERT_TRUE(s.RunOne());  // `a` has fired
+    s.Cancel(a);              // stale cancel: must be a no-op
+    s.Cancel(12345);          // never-issued id: must be a no-op
+    s.Cancel(0);
+    s.Cancel(~std::uint64_t{0});
+    EXPECT_TRUE(s.empty());
+    s.At(Millis(2), [&] { ++fired; });
+    EXPECT_FALSE(s.empty());  // the live event must be visible
+    s.RunAll();
+    EXPECT_EQ(fired, 2);
+    EXPECT_TRUE(s.empty());
+    EXPECT_EQ(s.events_cancelled(), 0u);
+  });
+}
+
+TEST_P(SchedulerCore, StaleHandleDoesNotCancelReusedRecord) {
+  // The wheel recycles event records LIFO, so the event scheduled right
+  // after `a` fires lands in a's record. A's handle must still miss it:
+  // a wheel that checked only the record slot would cancel `b`.
+  OnCore(GetParam(), [](auto& s) {
+    int fired = 0;
+    auto a = s.At(Millis(1), [&] { ++fired; });
+    ASSERT_TRUE(s.RunOne());
+    auto b = s.At(Millis(2), [&] { fired += 10; });
+    if constexpr (std::is_same_v<std::decay_t<decltype(s)>, Scheduler>) {
+      ASSERT_EQ(s.pool_allocated(), 1u);  // b reuses a's record
+    }
+    EXPECT_NE(a, b);
+    s.Cancel(a);
+    EXPECT_EQ(s.pending(), 1u);
+    s.RunAll();
+    EXPECT_EQ(fired, 11);
+    EXPECT_EQ(s.events_cancelled(), 0u);
+  });
 }
 
 TEST_P(SchedulerCore, RunUntilSkipsCancelledHeadWithoutOverrunning) {
   // A cancelled event at the head of the queue inside the RunUntil
   // horizon must not let a live event beyond the horizon fire early.
-  Scheduler s(GetParam());
-  int fired = 0;
-  auto a = s.At(Millis(1), [&] { ++fired; });
-  s.At(Millis(5), [&] { ++fired; });
-  s.Cancel(a);
-  s.RunUntil(Millis(2));
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(s.now(), Millis(2));
-  s.RunUntil(Millis(5));
-  EXPECT_EQ(fired, 1);
+  OnCore(GetParam(), [](auto& s) {
+    int fired = 0;
+    auto a = s.At(Millis(1), [&] { ++fired; });
+    s.At(Millis(5), [&] { ++fired; });
+    s.Cancel(a);
+    s.RunUntil(Millis(2));
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(s.now(), Millis(2));
+    s.RunUntil(Millis(5));
+    EXPECT_EQ(fired, 1);
+  });
 }
 
 TEST_P(SchedulerCore, NextEventTimeSkipsCancelledOnBothCores) {
-  Scheduler s(GetParam());
-  auto a = s.At(Millis(1), [] {});
-  s.At(Millis(3), [] {});
-  EXPECT_EQ(s.NextEventTime(Millis(99)), Millis(1));
-  s.Cancel(a);
-  EXPECT_EQ(s.NextEventTime(Millis(99)), Millis(3));
-  s.RunAll();
-  EXPECT_EQ(s.NextEventTime(Millis(99)), Millis(99));
+  OnCore(GetParam(), [](auto& s) {
+    auto a = s.At(Millis(1), [] {});
+    s.At(Millis(3), [] {});
+    EXPECT_EQ(s.NextEventTime(Millis(99)), Millis(1));
+    s.Cancel(a);
+    EXPECT_EQ(s.NextEventTime(Millis(99)), Millis(3));
+    s.RunAll();
+    EXPECT_EQ(s.NextEventTime(Millis(99)), Millis(99));
+  });
 }
 
 TEST(Scheduler, StrategyPicksAmongSameTimeEvents) {
@@ -184,7 +311,7 @@ TEST(Scheduler, EventsScheduledInPastFireNow) {
 }
 
 TEST(Scheduler, WheelPoolsEventRecords) {
-  Scheduler s(Scheduler::Core::kWheel);
+  Scheduler s;
   // A self-rescheduling chain should reuse one pooled record, not
   // allocate per event.
   std::function<void()> tick;
@@ -203,7 +330,7 @@ TEST(Scheduler, WheelHandlesFarFutureAndSameTickMixes) {
   // Events far past the wheel horizon (overflow heap) must interleave
   // exactly with near ones, and same-timestamp events keep insertion
   // order.
-  Scheduler s(Scheduler::Core::kWheel);
+  Scheduler s;
   std::vector<int> order;
   s.At(Seconds(400), [&] { order.push_back(4); });  // beyond ~17s horizon
   s.At(Millis(1), [&] { order.push_back(1); });
@@ -215,20 +342,19 @@ TEST(Scheduler, WheelHandlesFarFutureAndSameTickMixes) {
   EXPECT_EQ(s.now(), Seconds(400));
 }
 
-// Differential parity: both cores must agree on firing order, clock,
-// pending accounting and NextEventTime across randomized schedules with
-// nested scheduling, cancels (live and stale), same-time bursts and
-// far-future overflow times. Any divergence would silently re-order a
-// simulation, so this is the gate that lets the wheel replace the heap.
+// Differential parity: the wheel-backed Scheduler and the reference
+// must agree on firing order, clock, pending accounting and
+// NextEventTime across randomized schedules with nested scheduling,
+// cancels (live and stale — stale handles often point at recycled
+// records), same-time bursts and far-future overflow times. Any
+// divergence would silently re-order a simulation.
 TEST(Scheduler, WheelMatchesPriorityQueueOnRandomSchedules) {
-  struct Probe {
-    std::vector<std::int64_t> log;
-  };
-  auto run = [](Scheduler::Core core, std::uint64_t seed) {
+  auto run = [](auto core, std::uint64_t seed) {
+    using Sched = typename decltype(core)::type;
     Rng rng(seed);
-    Scheduler s(core);
-    Probe p;
-    std::vector<Scheduler::EventId> ids;
+    Sched s;
+    std::vector<std::int64_t> log;
+    std::vector<std::uint64_t> ids;
     std::function<void()> make = [&] {
       const std::uint64_t kind = rng.below(100);
       Duration d{0};
@@ -241,7 +367,7 @@ TEST(Scheduler, WheelMatchesPriorityQueueOnRandomSchedules) {
         d = Duration{static_cast<std::int64_t>(rng.below(40'000'000'000))};
       }
       ids.push_back(s.After(d, [&] {
-        p.log.push_back(s.now().count());
+        log.push_back(s.now().count());
         if (rng.chance(0.3)) make();
       }));
     };
@@ -257,22 +383,22 @@ TEST(Scheduler, WheelMatchesPriorityQueueOnRandomSchedules) {
       if (op < 20) {
         s.RunFor(Duration{static_cast<std::int64_t>(rng.below(5'000'000))});
       } else if (op < 25) {
-        p.log.push_back(s.NextEventTime(s.now()).count());
+        log.push_back(s.NextEventTime(s.now()).count());
         continue;
       } else {
         s.RunOne();
       }
-      p.log.push_back(static_cast<std::int64_t>(s.pending()));
-      p.log.push_back(s.empty() ? 1 : 0);
+      log.push_back(static_cast<std::int64_t>(s.pending()));
+      log.push_back(s.empty() ? 1 : 0);
     }
-    p.log.push_back(static_cast<std::int64_t>(s.events_run()));
-    p.log.push_back(static_cast<std::int64_t>(s.events_cancelled()));
-    return p.log;
+    log.push_back(static_cast<std::int64_t>(s.events_run()));
+    log.push_back(static_cast<std::int64_t>(s.events_cancelled()));
+    return log;
   };
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    EXPECT_EQ(run(Scheduler::Core::kWheel, seed),
-              run(Scheduler::Core::kPq, seed))
-        << "cores diverged at seed " << seed;
+    EXPECT_EQ(run(std::type_identity<Scheduler>{}, seed),
+              run(std::type_identity<ReferenceScheduler>{}, seed))
+        << "wheel and reference diverged at seed " << seed;
   }
 }
 
