@@ -100,7 +100,7 @@ ScenarioResult CodecEncode(bool quick) {
     const std::uint64_t c0 = WallNowNs();
     for (int i = 0; i < per_chunk; ++i) {
       Bytes frame = net::EncodeMessage(msg);
-      g_sink += frame.size();
+      g_sink = g_sink + frame.size();
     }
     const std::uint64_t c1 = WallNowNs();
     per_op.RecordValue((c1 - c0) / per_chunk);
@@ -129,7 +129,7 @@ ScenarioResult CodecDecode(bool quick, bool view) {
     for (int i = 0; i < per_chunk; ++i) {
       MessagePtr msg = view ? net::DecodeMessage(shared)
                             : net::DecodeMessage(std::span<const std::uint8_t>(frame));
-      g_sink += msg != nullptr ? 1 : 0;
+      g_sink = g_sink + (msg != nullptr ? 1 : 0);
     }
     const std::uint64_t c1 = WallNowNs();
     per_op.RecordValue((c1 - c0) / per_chunk);

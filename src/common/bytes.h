@@ -138,8 +138,9 @@ class ByteWriter {
 
  private:
   void AppendLe(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);  // little-endian hosts only
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, p, n);  // little-endian hosts only
   }
 
   Bytes buf_;

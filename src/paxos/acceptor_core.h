@@ -88,6 +88,7 @@ class AcceptorCore {
   }
   Round min_promised() const { return min_promised_; }
   Storage& storage() { return storage_; }
+  const Storage& storage() const { return storage_; }
 
   // Digest of the acceptor's durable decision state: the open-ended
   // promise plus every retained (instance, rnd, vrnd, vval) record, in

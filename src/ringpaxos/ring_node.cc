@@ -134,19 +134,17 @@ void RingNode::OnP2A(Env& env, const P2A& msg) {
   const ValueId vid = msg.vid;
   core_.HandlePhase2(instance, round, msg.value, [this, &env, instance, round, vid](bool ok) {
     if (!ok) return;
-    auto& mark = accept_marks_[instance];
-    mark.round = round;
-    mark.vid = vid;
-    mark.durable = true;
-    ForwardP2B(env, instance);
+    InstanceState& st = instances_[instance];
+    st.has_mark = true;
+    st.mark_round = round;
+    st.mark_vid = vid;
+    ForwardP2B(env, instance, st);
   });
 }
 
-void RingNode::ForwardP2B(Env& env, InstanceId instance) {
-  auto mit = accept_marks_.find(instance);
-  if (mit == accept_marks_.end() || !mit->second.durable) return;
-  const AcceptMark& mark = mit->second;
-  const std::vector<NodeId>* layout = LayoutFor(mark.round);
+void RingNode::ForwardP2B(Env& env, InstanceId instance, InstanceState& st) {
+  if (!st.has_mark) return;
+  const std::vector<NodeId>* layout = LayoutFor(st.mark_round);
   if (layout == nullptr) return;
   const int pos = PositionIn(*layout, self_);
   if (pos <= 0) return;  // not a ring member, or the coordinator itself
@@ -154,16 +152,15 @@ void RingNode::ForwardP2B(Env& env, InstanceId instance) {
   const NodeId next = (*layout)[(static_cast<std::size_t>(pos) + 1) % n];
   if (pos == 1) {
     // First acceptor after the coordinator: originate the Phase 2B.
-    env.Send(next, MakeMessage<P2B>(cfg_.ring, mark.round, instance, mark.vid, 1));
+    env.Send(next, MakeMessage<P2B>(cfg_.ring, st.mark_round, instance, st.mark_vid, 1));
     return;
   }
-  auto pit = pending_p2b_.find(instance);
-  if (pit == pending_p2b_.end()) return;
-  const P2B& prev = pit->second;
-  if (prev.round != mark.round || prev.vid != mark.vid) return;
-  env.Send(next,
-           MakeMessage<P2B>(cfg_.ring, mark.round, instance, mark.vid, prev.votes + 1));
-  pending_p2b_.erase(pit);
+  if (!st.has_p2b || st.p2b_round != st.mark_round || st.p2b_vid != st.mark_vid) {
+    return;
+  }
+  st.has_p2b = false;
+  env.Send(next, MakeMessage<P2B>(cfg_.ring, st.mark_round, instance, st.mark_vid,
+                                  st.p2b_votes + 1));
 }
 
 void RingNode::OnP2B(Env& env, NodeId /*from*/, const P2B& msg) {
@@ -188,28 +185,33 @@ void RingNode::OnP2B(Env& env, NodeId /*from*/, const P2B& msg) {
   }
   // Acceptor in the middle of the ring: keep the highest-vote copy and
   // forward once our own acceptance is durable.
-  auto [it, inserted] = pending_p2b_.try_emplace(msg.instance, msg);
-  if (!inserted &&
-      (msg.round > it->second.round ||
-       (msg.round == it->second.round && msg.votes > it->second.votes))) {
-    it->second = msg;
+  InstanceState& st = instances_[msg.instance];
+  if (!st.has_p2b || msg.round > st.p2b_round ||
+      (msg.round == st.p2b_round && msg.votes > st.p2b_votes)) {
+    st.has_p2b = true;
+    st.p2b_round = msg.round;
+    st.p2b_vid = msg.vid;
+    st.p2b_votes = msg.votes;
   }
-  ForwardP2B(env, msg.instance);
+  ForwardP2B(env, msg.instance, st);
 }
 
 void RingNode::NoteDecided(const std::vector<Decided>& decided) {
   if (decided.empty()) return;
   for (const auto& d : decided) {
-    if (d.instance >= decided_watermark_) decided_vids_[d.instance] = d.vid;
+    if (d.instance < decided_watermark_) continue;
+    InstanceState& st = instances_[d.instance];
+    st.decided = true;
+    st.decided_vid = d.vid;
   }
   AdvanceDecidedWatermark();
 }
 
 void RingNode::AdvanceDecidedWatermark() {
   while (true) {
-    auto it = decided_vids_.find(decided_watermark_);
-    if (it == decided_vids_.end()) break;
-    const paxos::AcceptorRecord* rec = core_.storage().Get(decided_watermark_);
+    const InstanceState* st = instances_.Find(decided_watermark_);
+    if (st == nullptr || !st->decided) break;
+    const paxos::AcceptorRecord* rec = core_.Get(decided_watermark_);
     if (rec == nullptr || !rec->accepted) break;  // span unknown yet
     decided_watermark_ += rec->accepted->LogicalInstances();
   }
@@ -224,9 +226,7 @@ void RingNode::AdvanceDecidedWatermark() {
     }
     if (below == 0) return;
     core_.storage().Trim(below);
-    decided_vids_.erase(decided_vids_.begin(), decided_vids_.lower_bound(below));
-    accept_marks_.erase(accept_marks_.begin(), accept_marks_.lower_bound(below));
-    pending_p2b_.erase(pending_p2b_.begin(), pending_p2b_.lower_bound(below));
+    instances_.Trim(below);
   }
 }
 
@@ -244,15 +244,14 @@ void RingNode::OnLearnReq(Env& env, NodeId from, const LearnReq& msg) {
   }
   std::vector<LearnRep::Entry> entries;
   std::size_t bytes = 0;
-  for (auto it = decided_vids_.lower_bound(msg.from_instance);
-       it != decided_vids_.end() && entries.size() < msg.max_values &&
+  for (auto it = instances_.LowerBound(msg.from_instance);
+       it != instances_.end() && entries.size() < msg.max_values &&
        bytes < 512 * 1024;
        ++it) {
-    const paxos::AcceptorRecord* rec = core_.storage().Get(it->first);
-    auto mit = accept_marks_.find(it->first);
-    if (rec == nullptr || !rec->accepted || mit == accept_marks_.end()) {
-      continue;
-    }
+    const InstanceState& st = it->value;
+    if (!st.decided || !st.has_mark) continue;
+    const paxos::AcceptorRecord* rec = core_.Get(it->id);
+    if (rec == nullptr || !rec->accepted) continue;
     // Serve only when our accepted value provably equals the decision:
     // the vid matches the decided label exactly, or our mark is from a
     // LATER round — a post-decision Phase 1 quorum intersects the
@@ -265,12 +264,10 @@ void RingNode::OnLearnReq(Env& env, NodeId from, const LearnReq& msg) {
     // starves forever. A stale accepted value from a round at or below
     // the decided round (minus the exact deciding vid) must still never
     // be served.
-    const Round decided_round = static_cast<Round>(it->second >> 40);
-    if (mit->second.vid != it->second && mit->second.round <= decided_round) {
-      continue;
-    }
+    const Round decided_round = static_cast<Round>(st.decided_vid >> 40);
+    if (st.mark_vid != st.decided_vid && st.mark_round <= decided_round) continue;
     bytes += rec->accepted->WireSize();
-    entries.push_back({it->first, it->second, *rec->accepted});
+    entries.push_back({it->id, st.decided_vid, *rec->accepted});
   }
   if (!entries.empty()) {
     env.Send(from, MakeMessage<LearnRep>(cfg_.ring, std::move(entries)));
@@ -296,18 +293,8 @@ void RingNode::OnSubmit(Env& env, const Submit& msg) {
 void RingNode::OnBatchTimer(Env& env) {
   batch_timer_ = kNoTimer;
   if (role_ != Role::kLeader) return;
-  if (!pending_.empty() && outstanding_.size() < cfg_.window) {
-    // Timeout fired: propose a partial batch.
-    std::vector<paxos::ClientMsg> batch;
-    std::size_t bytes = 0;
-    while (!pending_.empty() && bytes < cfg_.batch_bytes) {
-      bytes += pending_.front().WireSize();
-      batch.push_back(std::move(pending_.front()));
-      pending_.pop_front();
-    }
-    pending_bytes_ -= std::min(pending_bytes_, bytes);
-    ProposeValue(env, Value::Batch(std::move(batch)));
-  }
+  // Timeout fired: propose a partial batch.
+  if (!pending_.empty() && outstanding_.size() < cfg_.window) ProposeBatch(env);
   if (!pending_.empty()) {
     batch_timer_ = env.SetTimer(cfg_.batch_timeout, [this, &env] { OnBatchTimer(env); });
   }
@@ -316,19 +303,24 @@ void RingNode::OnBatchTimer(Env& env) {
 void RingNode::TryProposeBatches(Env& env) {
   while (role_ == Role::kLeader && pending_bytes_ >= cfg_.batch_bytes &&
          outstanding_.size() < cfg_.window) {
-    std::vector<paxos::ClientMsg> batch;
-    std::size_t bytes = 0;
-    while (!pending_.empty() && bytes < cfg_.batch_bytes) {
-      bytes += pending_.front().WireSize();
-      batch.push_back(std::move(pending_.front()));
-      pending_.pop_front();
-    }
-    pending_bytes_ -= std::min(pending_bytes_, bytes);
-    ProposeValue(env, Value::Batch(std::move(batch)));
+    ProposeBatch(env);
   }
   if (!pending_.empty() && batch_timer_ == kNoTimer) {
     batch_timer_ = env.SetTimer(cfg_.batch_timeout, [this, &env] { OnBatchTimer(env); });
   }
+}
+
+// Proposes the oldest pending messages, up to batch_bytes, as one value.
+void RingNode::ProposeBatch(Env& env) {
+  std::vector<paxos::ClientMsg> batch;
+  std::size_t bytes = 0;
+  while (!pending_.empty() && bytes < cfg_.batch_bytes) {
+    bytes += pending_.front().WireSize();
+    batch.push_back(std::move(pending_.front()));
+    pending_.pop_front();
+  }
+  pending_bytes_ -= std::min(pending_bytes_, bytes);
+  ProposeValue(env, Value::Batch(std::move(batch)));
 }
 
 std::vector<Decided> RingNode::TakePiggyback() {
@@ -358,25 +350,18 @@ void RingNode::ProposeValue(Env& env, Value value) {
   out.proposed_at = env.now();
   outstanding_.emplace(instance, std::move(out));
 
-  {
-    auto p2a = MakeMessage<P2A>(cfg_.ring, round_, instance, vid, value,
-                                TakePiggyback(), layouts_.at(round_));
-    if (cfg_.unicast_fanout) {
-      for (NodeId to : cfg_.fanout_targets) env.Send(to, p2a);
-    } else {
-      env.Multicast(cfg_.data_channel, std::move(p2a));
-    }
-  }
+  SendP2A(env, MakeMessage<P2A>(cfg_.ring, round_, instance, vid, value, TakePiggyback(),
+                                layouts_.at(round_)));
 
   // The coordinator is itself an acceptor: accept locally.
   const Round round = round_;
   core_.HandlePhase2(instance, round, std::move(value),
                      [this, &env, instance, round, vid](bool ok) {
                        if (!ok) return;
-                       auto& mark = accept_marks_[instance];
-                       mark.round = round;
-                       mark.vid = vid;
-                       mark.durable = true;
+                       InstanceState& st = instances_[instance];
+                       st.has_mark = true;
+                       st.mark_round = round;
+                       st.mark_vid = vid;
                        auto it = outstanding_.find(instance);
                        if (it != outstanding_.end() && it->second.vid == vid &&
                            role_ == Role::kLeader && round_ == round) {
@@ -384,6 +369,11 @@ void RingNode::ProposeValue(Env& env, Value value) {
                          CheckInstanceDecided(env, instance);
                        }
                      });
+}
+
+void RingNode::SendP2A(Env& env, MessagePtr p2a) {
+  if (!cfg_.unicast_fanout) return env.Multicast(cfg_.data_channel, std::move(p2a));
+  for (NodeId to : cfg_.fanout_targets) env.Send(to, p2a);
 }
 
 void RingNode::CheckInstanceDecided(Env& env, InstanceId instance) {
@@ -409,7 +399,9 @@ void RingNode::InstanceDecided(Env& env, InstanceId instance) {
   outstanding_.erase(it);
 
   decide_latency_.Record(env.now() - out.proposed_at);
-  decided_vids_[instance] = out.vid;
+  InstanceState& st = instances_[instance];
+  st.decided = true;
+  st.decided_vid = out.vid;
   AdvanceDecidedWatermark();
   ++decided_instances_;
   decided_msgs_ += out.value.msgs.size();
@@ -551,13 +543,8 @@ void RingNode::OnRetryTimer(Env& env) {
       TraceProtocolEvent(env.now(), self_, cfg_.ring, instance, "coordinator",
                          "p2_retransmit", static_cast<std::uint64_t>(out.retries));
       out.proposed_at = env.now();
-      auto p2a = MakeMessage<P2A>(cfg_.ring, round_, instance, out.vid, out.value,
-                                  std::vector<Decided>{}, layouts_.at(round_));
-      if (cfg_.unicast_fanout) {
-        for (NodeId to : cfg_.fanout_targets) env.Send(to, p2a);
-      } else {
-        env.Multicast(cfg_.data_channel, std::move(p2a));
-      }
+      SendP2A(env, MakeMessage<P2A>(cfg_.ring, round_, instance, out.vid, out.value,
+                                    std::vector<Decided>{}, layouts_.at(round_)));
     }
   }
   FlushDecisions(env);

@@ -25,6 +25,7 @@
 
 #include "common/env.h"
 #include "common/fingerprint.h"
+#include "common/instance_window.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "paxos/acceptor_core.h"
@@ -87,6 +88,10 @@ class RingNode final : public Protocol {
     }
     return base;
   }
+  // Entries in the acceptor's two per-instance tables: its own instance
+  // state and the durable records (one each per physical instance).
+  std::size_t instance_table_size() const { return instances_.size(); }
+  std::size_t record_count() const { return core_.storage().size(); }
   // Debug/diagnostic view of one instance's acceptor-side state.
   struct InstanceDebug {
     bool has_decided_vid = false;
@@ -111,25 +116,31 @@ class RingNode final : public Protocol {
       for (NodeId n : lay) f.U32(n);
     }
     f.U64(core_.Fingerprint());
-    f.U64(accept_marks_.size());
-    for (const auto& [i, mark] : accept_marks_) {
-      f.U64(i);
-      f.U32(mark.round);
-      f.U64(mark.vid);
-      f.Bool(mark.durable);
-    }
-    f.U64(pending_p2b_.size());
-    for (const auto& [i, p2b] : pending_p2b_) {
-      f.U64(i);
-      f.U32(p2b.round);
-      f.U64(p2b.vid);
-      f.U32(p2b.votes);
-    }
-    f.U64(decided_vids_.size());
-    for (const auto& [i, vid] : decided_vids_) {
-      f.U64(i);
-      f.U64(vid);
-    }
+    // The instance table folds as three instance-ordered lists: accept
+    // marks, pending Phase 2Bs and decided vids. A mark folds durable =
+    // true: it is only recorded once its accept is durable.
+    const auto fold = [&](auto has, auto fields) {
+      std::uint64_t n = 0;
+      for (const auto& e : instances_) n += has(e.value);
+      f.U64(n);
+      for (const auto& [i, st] : instances_) {
+        if (!has(st)) continue;
+        f.U64(i);
+        fields(st);
+      }
+    };
+    fold([](const InstanceState& st) { return st.has_mark; }, [&f](const InstanceState& st) {
+      f.U32(st.mark_round);
+      f.U64(st.mark_vid);
+      f.Bool(true);
+    });
+    fold([](const InstanceState& st) { return st.has_p2b; }, [&f](const InstanceState& st) {
+      f.U32(st.p2b_round);
+      f.U64(st.p2b_vid);
+      f.U32(st.p2b_votes);
+    });
+    fold([](const InstanceState& st) { return st.decided; },
+         [&f](const InstanceState& st) { f.U64(st.decided_vid); });
     f.U64(decided_watermark_);
     f.U64(stable_frontier_);
     f.U64(pending_.size());
@@ -165,15 +176,12 @@ class RingNode final : public Protocol {
   }
 
   InstanceDebug DebugInstance(InstanceId i) const {
-    InstanceDebug d;
-    auto it = decided_vids_.find(i);
-    d.has_decided_vid = it != decided_vids_.end();
-    if (d.has_decided_vid) d.decided_vid = it->second;
-    d.has_record = core_.Get(i) != nullptr && core_.Get(i)->accepted.has_value();
-    auto mit = accept_marks_.find(i);
-    d.has_mark = mit != accept_marks_.end();
-    if (d.has_mark) d.mark_vid = mit->second.vid;
-    return d;
+    static const InstanceState kNone;
+    const InstanceState* st = instances_.Find(i);
+    if (st == nullptr) st = &kNone;
+    const paxos::AcceptorRecord* rec = core_.Get(i);
+    return {st->decided, st->decided_vid, rec != nullptr && rec->accepted.has_value(),
+            st->has_mark, st->mark_vid};
   }
 
  private:
@@ -188,10 +196,20 @@ class RingNode final : public Protocol {
     bool ring_voted = false;  // P2B with full votes received
   };
 
-  struct AcceptMark {
-    Round round = 0;
-    ValueId vid = kNoValueId;
-    bool durable = false;
+  // Acceptor-side state of one physical instance: this node's durable
+  // acceptance (mark), the highest-vote Phase 2B waiting for it, and the
+  // decided value-ID. Flat rather than three optionals to keep the
+  // table's entries small.
+  struct InstanceState {
+    Round mark_round = 0;
+    Round p2b_round = 0;
+    ValueId mark_vid = kNoValueId;
+    ValueId p2b_vid = kNoValueId;
+    ValueId decided_vid = kNoValueId;
+    std::uint32_t p2b_votes = 0;
+    bool has_mark = false;
+    bool has_p2b = false;
+    bool decided = false;
   };
 
   // ---- Acceptor side ----
@@ -199,7 +217,7 @@ class RingNode final : public Protocol {
   void OnP2B(Env& env, NodeId from, const P2B& msg);
   void OnP1A(Env& env, NodeId from, const P1A& msg);
   void OnLearnReq(Env& env, NodeId from, const LearnReq& msg);
-  void ForwardP2B(Env& env, InstanceId instance);
+  void ForwardP2B(Env& env, InstanceId instance, InstanceState& st);
   void NoteDecided(const std::vector<Decided>& decided);
   void AdvanceDecidedWatermark();
   const std::vector<NodeId>* LayoutFor(Round r) const;
@@ -208,7 +226,9 @@ class RingNode final : public Protocol {
   // ---- Coordinator side ----
   void OnSubmit(Env& env, const Submit& msg);
   void TryProposeBatches(Env& env);
+  void ProposeBatch(Env& env);
   void ProposeValue(Env& env, paxos::Value value);
+  void SendP2A(Env& env, MessagePtr p2a);
   void CheckInstanceDecided(Env& env, InstanceId instance);
   void InstanceDecided(Env& env, InstanceId instance);
   void MaybeApplySwap(Env& env, const paxos::Value& value);
@@ -242,9 +262,7 @@ class RingNode final : public Protocol {
   std::map<Round, std::vector<NodeId>> layouts_;
 
   // Acceptor state.
-  std::map<InstanceId, AcceptMark> accept_marks_;
-  std::map<InstanceId, P2B> pending_p2b_;
-  std::map<InstanceId, ValueId> decided_vids_;
+  InstanceLog<InstanceState> instances_;
   InstanceId decided_watermark_ = 0;  // everything below is decided
   // Highest stable checkpoint frontier advertised by the coordinator
   // (monotone; trimming is capped by it when frontier_gated_trim).

@@ -115,28 +115,19 @@ std::size_t FileStorage::Load() {
   return loaded;
 }
 
-void FileStorage::Append(InstanceId instance, const paxos::AcceptorRecord& rec) {
-  if (file_ == nullptr) return;
-  const Bytes payload = EncodeRecord(instance, rec);
-  const auto size = static_cast<std::uint32_t>(payload.size());
-  std::fwrite(&size, sizeof size, 1, file_);
-  std::fwrite(payload.data(), 1, payload.size(), file_);
-  bytes_written_ += sizeof size + payload.size();
-  bytes_in_log_ += sizeof size + payload.size();
-  ++appends_in_log_;
-}
-
-void FileStorage::Put(InstanceId instance, paxos::AcceptorRecord record,
-                      std::size_t /*wire_bytes*/, std::function<void()> done) {
-  Append(instance, record);
-  records_[instance] = std::move(record);
+void FileStorage::Persist(InstanceId instance, const paxos::AcceptorRecord& rec,
+                          std::size_t /*wire_bytes*/, std::function<void()> done) {
+  if (file_ != nullptr) {
+    const Bytes payload = EncodeRecord(instance, rec);
+    const auto size = static_cast<std::uint32_t>(payload.size());
+    std::fwrite(&size, sizeof size, 1, file_);
+    std::fwrite(payload.data(), 1, payload.size(), file_);
+    bytes_written_ += sizeof size + payload.size();
+    bytes_in_log_ += sizeof size + payload.size();
+    ++appends_in_log_;
+  }
   // Buffered mode: the write is "stable" once handed to the OS buffer.
   if (done) done();
-}
-
-const paxos::AcceptorRecord* FileStorage::Get(InstanceId instance) const {
-  auto it = records_.find(instance);
-  return it == records_.end() ? nullptr : &it->second;
 }
 
 void FileStorage::Trim(InstanceId below) {
@@ -151,15 +142,7 @@ void FileStorage::Trim(InstanceId below) {
   }
   // In-memory trim; the on-disk log keeps superseded records until
   // Compact() rewrites it with only the retained state.
-  records_.erase(records_.begin(), records_.lower_bound(below));
-}
-
-void FileStorage::ForEachFrom(
-    InstanceId from,
-    const std::function<void(InstanceId, paxos::AcceptorRecord&)>& fn) {
-  for (auto it = records_.lower_bound(from); it != records_.end(); ++it) {
-    fn(it->first, it->second);
-  }
+  paxos::Storage::Trim(below);
 }
 
 void FileStorage::Flush() {
@@ -198,14 +181,14 @@ bool FileStorage::Compact() {
   file_ = std::fopen(path_.c_str(), "ab+");
   ++compactions_;
   // The rewritten log holds exactly the live records, zero garbage.
-  appends_in_log_ = records_.size();
+  appends_in_log_ = size();
   bytes_in_log_ = new_bytes;
   return file_ != nullptr;
 }
 
 bool FileStorage::MaybeCompact(std::uint64_t min_bytes) {
   if (bytes_in_log_ < min_bytes) return false;
-  if (appends_in_log_ <= 2 * records_.size()) return false;
+  if (appends_in_log_ <= 2 * size()) return false;
   return Compact();
 }
 

@@ -2,13 +2,13 @@
 // append-only log with buffered writes (the paper's Recoverable Ring
 // Paxos uses buffered disk writes and assumes a majority of acceptors
 // stays up, Section VI-A). Records are length-prefixed and replayable:
-// Load() rebuilds the in-memory map from the log after a restart.
+// Load() rebuilds the in-memory record table (owned by paxos::Storage)
+// from the log after a restart.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <map>
 #include <string>
 
 #include "paxos/storage.h"
@@ -28,15 +28,8 @@ class FileStorage final : public paxos::Storage {
   // recovered. Call before serving.
   std::size_t Load();
 
-  // ---- paxos::Storage ----
-  void Put(InstanceId instance, paxos::AcceptorRecord record,
-           std::size_t wire_bytes, std::function<void()> done) override;
-  const paxos::AcceptorRecord* Get(InstanceId instance) const override;
+  // Drops records below `below`, clamped to the checkpoint frontier.
   void Trim(InstanceId below) override;
-  void ForEachFrom(InstanceId from,
-                   const std::function<void(InstanceId, paxos::AcceptorRecord&)>& fn)
-      override;
-  std::size_t size() const override { return records_.size(); }
 
   // Flushes buffered writes to the OS (no fsync: buffered mode).
   void Flush();
@@ -76,16 +69,19 @@ class FileStorage final : public paxos::Storage {
   std::uint64_t compactions() const { return compactions_; }
   std::uint64_t trims_clamped() const { return trims_clamped_; }
 
- private:
-  void Append(InstanceId instance, const paxos::AcceptorRecord& record);
+ protected:
+  // Appends the record to the log; buffered mode counts it stable once
+  // handed to the OS buffer.
+  void Persist(InstanceId instance, const paxos::AcceptorRecord& record,
+               std::size_t wire_bytes, std::function<void()> done) override;
 
+ private:
   std::string path_;
   std::FILE* file_ = nullptr;
-  std::map<InstanceId, paxos::AcceptorRecord> records_;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t compactions_ = 0;
   // Appends landed in the current log file (resets on Compact): the
-  // garbage fraction is appends_in_log_ vs live records_.size().
+  // garbage fraction is appends_in_log_ vs live size().
   std::uint64_t appends_in_log_ = 0;
   std::uint64_t bytes_in_log_ = 0;
   // Stable checkpoint frontier guard (docs/RECOVERY.md).

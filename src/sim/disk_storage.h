@@ -5,7 +5,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <utility>
 
 #include "paxos/storage.h"
@@ -17,9 +16,17 @@ class SimDiskStorage final : public paxos::Storage {
  public:
   explicit SimDiskStorage(SimNode& node) : node_(node) {}
 
-  void Put(InstanceId instance, paxos::AcceptorRecord record,
-           std::size_t wire_bytes, std::function<void()> done) override {
-    records_[instance] = std::move(record);
+  std::uint64_t total_bytes_written() const { return total_bytes_; }
+
+  // Fault injection: no write issued before `until` completes earlier
+  // than it (a stalled controller). Queued writes push out behind it.
+  void StallUntil(TimePoint until) {
+    disk_free_at_ = std::max(disk_free_at_, until);
+  }
+
+ protected:
+  void Persist(InstanceId, const paxos::AcceptorRecord&, std::size_t wire_bytes,
+               std::function<void()> done) override {
     const auto& spec = node_.spec();
     const Duration write = spec.disk_op_latency +
                            Duration(static_cast<std::int64_t>(
@@ -35,35 +42,8 @@ class SimDiskStorage final : public paxos::Storage {
     }
   }
 
-  const paxos::AcceptorRecord* Get(InstanceId instance) const override {
-    auto it = records_.find(instance);
-    return it == records_.end() ? nullptr : &it->second;
-  }
-
-  void Trim(InstanceId below) override {
-    records_.erase(records_.begin(), records_.lower_bound(below));
-  }
-
-  void ForEachFrom(InstanceId from,
-                   const std::function<void(InstanceId, paxos::AcceptorRecord&)>& fn) override {
-    for (auto it = records_.lower_bound(from); it != records_.end(); ++it) {
-      fn(it->first, it->second);
-    }
-  }
-
-  std::size_t size() const override { return records_.size(); }
-
-  std::uint64_t total_bytes_written() const { return total_bytes_; }
-
-  // Fault injection: no write issued before `until` completes earlier
-  // than it (a stalled controller). Queued writes push out behind it.
-  void StallUntil(TimePoint until) {
-    disk_free_at_ = std::max(disk_free_at_, until);
-  }
-
  private:
   SimNode& node_;
-  std::map<InstanceId, paxos::AcceptorRecord> records_;
   TimePoint disk_free_at_{0};
   std::uint64_t total_bytes_ = 0;
 };

@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: byte codec, histogram, rate
-// meters, RNG and the instance window.
+// meters, RNG, the instance window and the instance log.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -201,6 +201,88 @@ TEST(InstanceWindow, SkipAdvancesPastBufferedAndEmpty) {
   EXPECT_EQ(w.Pop(), 15);
   w.Skip(10);  // beyond everything
   EXPECT_EQ(w.next(), 16u);
+}
+
+// Ids the log holds, front to back.
+std::vector<InstanceId> Ids(const InstanceLog<int>& log) {
+  std::vector<InstanceId> ids;
+  for (const auto& e : log) ids.push_back(e.id);
+  return ids;
+}
+
+TEST(InstanceLog, InOrderAppend) {
+  InstanceLog<int> log;
+  EXPECT_TRUE(log.empty());
+  for (InstanceId i = 0; i < 10; ++i) log[i * 3] = static_cast<int>(i);
+  EXPECT_EQ(log.size(), 10u);
+  ASSERT_NE(log.Find(27), nullptr);
+  EXPECT_EQ(*log.Find(27), 9);
+  EXPECT_EQ(*log.Find(0), 0);
+  EXPECT_EQ(log.Find(1), nullptr);  // between entries
+  log[27] = 99;                     // existing entry: no new slot
+  EXPECT_EQ(log.size(), 10u);
+  EXPECT_EQ(*log.Find(27), 99);
+}
+
+TEST(InstanceLog, InsertBehindTheBack) {
+  InstanceLog<int> log;
+  log[10] = 10;
+  log[11] = 11;
+  log[14] = 14;
+  log[15] = 15;
+  log[12] = 12;  // a few entries behind the back
+  log[13] = 13;
+  EXPECT_EQ(Ids(log), (std::vector<InstanceId>{10, 11, 12, 13, 14, 15}));
+  for (InstanceId i = 10; i <= 15; ++i) {
+    ASSERT_NE(log.Find(i), nullptr) << i;
+    EXPECT_EQ(*log.Find(i), static_cast<int>(i));
+  }
+  // Far behind the back of a longer table.
+  for (InstanceId i = 100; i < 400; ++i) log[i] = 0;
+  log[50] = 50;
+  EXPECT_EQ(*log.Find(50), 50);
+  EXPECT_EQ(log.LowerBound(16)->id, 50u);
+  EXPECT_EQ(log.size(), 307u);
+}
+
+TEST(InstanceLog, FindOutsideTheLiveRange) {
+  InstanceLog<int> log;
+  EXPECT_EQ(log.Find(0), nullptr);
+  for (InstanceId i = 20; i < 30; ++i) log[i] = 1;
+  log.Trim(25);
+  EXPECT_EQ(log.Find(24), nullptr);  // trimmed
+  EXPECT_EQ(log.Find(3), nullptr);   // below the front
+  EXPECT_EQ(log.Find(30), nullptr);  // above the back
+  EXPECT_EQ(log.Find(1000), nullptr);
+  EXPECT_NE(log.Find(25), nullptr);
+  EXPECT_NE(log.Find(29), nullptr);
+  // A stale insert below the front is kept in order (map semantics).
+  log[7] = 7;
+  EXPECT_EQ(Ids(log), (std::vector<InstanceId>{7, 25, 26, 27, 28, 29}));
+}
+
+TEST(InstanceLog, TrimAndLowerBoundIteration) {
+  InstanceLog<int> log;
+  for (InstanceId i = 0; i < 1000; i += 2) log[i] = static_cast<int>(i);
+  log.Trim(0);  // no-op
+  EXPECT_EQ(log.size(), 500u);
+  log.Trim(501);  // pops 0..500
+  EXPECT_EQ(log.size(), 249u);
+  EXPECT_EQ(log.begin()->id, 502u);
+  log.Trim(400);  // below the front: no-op
+  EXPECT_EQ(log.size(), 249u);
+
+  std::vector<InstanceId> from;
+  for (auto it = log.LowerBound(991); it != log.end(); ++it) from.push_back(it->id);
+  EXPECT_EQ(from, (std::vector<InstanceId>{992, 994, 996, 998}));
+  EXPECT_EQ(log.LowerBound(0), log.begin());
+  EXPECT_EQ(log.LowerBound(999), log.end());
+  EXPECT_EQ(log.LowerBound(600)->id, 600u);
+
+  log.Trim(5000);  // everything
+  EXPECT_TRUE(log.empty());
+  log[3] = 3;  // usable after emptying
+  EXPECT_EQ(Ids(log), (std::vector<InstanceId>{3}));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Model-based randomized tests: drive InstanceWindow and the simulator
-// Env timer semantics with random operation sequences and compare
-// against simple reference models.
+// Model-based randomized tests: drive InstanceWindow, InstanceLog and
+// the simulator Env timer semantics with random operation sequences and
+// compare against simple reference models.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -89,6 +89,60 @@ TEST_P(WindowModelProperty, RandomOpsMatchReferenceModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WindowModelProperty, ::testing::Values(1, 2, 3, 4));
+
+// InstanceLog against a std::map: inserts mostly append or land within a
+// window of the back (as Phase 2 does), some land far behind or below
+// the front (stale retransmissions); Trim follows a rising watermark.
+class LogModelProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(LogModelProperty, RandomOpsMatchStdMap) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()));
+  InstanceLog<int> real;
+  std::map<InstanceId, int> model;
+  InstanceId back = 0, trimmed = 0;
+
+  for (int step = 0; step < 20000; ++step) {
+    const auto op = rng.below(100);
+    const int v = static_cast<int>(step);
+    if (op < 40) {
+      back += 1 + rng.below(20);  // skips leave gaps
+      real[back] = v;
+      model[back] = v;
+    } else if (op < 60) {
+      const InstanceId id = back - std::min<InstanceId>(back, rng.below(64));
+      real[id] = v;
+      model[id] = v;
+    } else if (op < 63) {
+      const InstanceId id = rng.below(back + 1);
+      real[id] = v;
+      model[id] = v;
+    } else if (op < 80) {
+      const InstanceId id = rng.below(back + 30);
+      const int* got = real.Find(id);
+      auto it = model.find(id);
+      ASSERT_EQ(got != nullptr, it != model.end()) << "step " << step;
+      if (got != nullptr) {
+        ASSERT_EQ(*got, it->second) << "step " << step;
+      }
+    } else if (op < 92) {
+      trimmed = std::max(trimmed, back > 400 ? back - 400 + rng.below(100) : 0);
+      real.Trim(trimmed);
+      model.erase(model.begin(), model.lower_bound(trimmed));
+    } else {
+      const InstanceId from = rng.below(back + 10);
+      auto it = real.LowerBound(from);
+      for (auto mit = model.lower_bound(from); mit != model.end(); ++mit, ++it) {
+        ASSERT_NE(it, real.end()) << "step " << step;
+        ASSERT_EQ(it->id, mit->first) << "step " << step;
+        ASSERT_EQ(it->value, mit->second) << "step " << step;
+      }
+      ASSERT_EQ(it, real.end()) << "step " << step;
+    }
+    ASSERT_EQ(real.size(), model.size()) << "step " << step;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LogModelProperty, ::testing::Values(1, 2, 3, 4));
 
 // ---- Env timer semantics on the simulator ----
 

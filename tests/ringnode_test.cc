@@ -1,7 +1,9 @@
 // Focused RingNode behaviour tests: leadership hand-off rules, value-ID
-// uniqueness across rounds, decided-watermark trimming, batch-timeout
-// partial batches, recoverable-mode fail-over, the skip schedule under
-// slow sends, and proposer window accounting under think-time jitter.
+// uniqueness across rounds, decided-watermark trimming and the size of
+// the acceptor tables, a lost P2A filled in behind the back of them,
+// batch-timeout partial batches, recoverable-mode fail-over, the skip
+// schedule under slow sends, and proposer window accounting under
+// think-time jitter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -77,6 +79,20 @@ TEST(RingNode, PartialBatchProposedOnTimeout) {
   EXPECT_GT(learner->delivered_msgs(), 5u);
 }
 
+// Largest instance-table and record-table sizes of ring 0's first
+// `members` acceptors, sampled every 10 ms over `run`.
+std::size_t MaxAcceptorTables(SimDeployment& d, int members, Duration run) {
+  std::size_t most = 0;
+  for (Duration t{0}; t < run; t += Millis(10)) {
+    d.RunFor(Millis(10));
+    for (int i = 0; i < members; ++i) {
+      const auto* node = d.acceptor_node(0, i)->protocol_as<RingNode>();
+      most = std::max({most, node->instance_table_size(), node->record_count()});
+    }
+  }
+  return most;
+}
+
 TEST(RingNode, DecidedWatermarkTrimsAcceptorState) {
   DeploymentOptions opts;
   opts.lambda_per_sec = 0;
@@ -87,11 +103,38 @@ TEST(RingNode, DecidedWatermarkTrimsAcceptorState) {
   pc.max_outstanding = 8;
   d.AddProposer(0, pc);
   d.Start();
-  d.RunFor(Seconds(1));
+  // Coordinator and follower: the acceptor tables hold the trim_keep
+  // retained instances plus at most one window in flight.
+  const std::size_t most = MaxAcceptorTables(d, 2, Seconds(1));
   auto* coord = d.coordinator(0);
   ASSERT_GT(coord->decided_instances(), 1000u);
-  // The acceptor log holds roughly trim_keep records, not thousands.
-  EXPECT_LT(coord->config().trim_keep + 200, coord->decided_instances());
+  EXPECT_GT(coord->decided_instances(), coord->config().trim_keep + 200);
+  EXPECT_LE(most, opts.trim_keep + opts.window);
+  EXPECT_GE(most, opts.trim_keep);
+}
+
+TEST(RingNode, IdleRingTablesHoldOneEntryPerSkip) {
+  // An idle ring with lambda > 0 decides only skips spanning ~lambda*Delta
+  // logical ids each; the acceptor tables keep one entry per skip, so
+  // trim_keep logical ids cost trim_keep / span entries, not trim_keep.
+  DeploymentOptions opts;
+  opts.lambda_per_sec = 20'000;
+  opts.delta = Millis(1);
+  opts.trim_keep = 2000;
+  SimDeployment d(opts);
+  d.Start();
+  const std::size_t most = MaxAcceptorTables(d, 2, Seconds(1));
+  auto* coord = d.coordinator(0);
+  ASSERT_GT(coord->skip_proposals(), 500u);
+  ASSERT_EQ(coord->decided_msgs(), 0u);
+  ASSERT_GT(coord->decided_watermark(), 4 * opts.trim_keep);
+  const double span = static_cast<double>(coord->skipped_logical()) /
+                      static_cast<double>(coord->skip_proposals());
+  EXPECT_NEAR(span, 20.0, 1.0);
+  EXPECT_LE(static_cast<double>(most),
+            static_cast<double>(opts.trim_keep) / span + opts.window + 2);
+  // The skip straddling the trim point is dropped with the ones below it.
+  EXPECT_GE(static_cast<double>(most), static_cast<double>(opts.trim_keep) / span - 1);
 }
 
 TEST(RingNode, RecoverableModeSurvivesCoordinatorFailover) {
@@ -158,14 +201,15 @@ TEST(RingNode, VidsUniqueAcrossRoundsAndInstances) {
 }
 
 // Env whose clock advances by `send_cost` on every multicast, as a real
-// send syscall does, and which fires its timers in deadline order.
+// send syscall does, which fires its timers in deadline order and
+// records unicast sends.
 class SlowSendEnv final : public Env {
  public:
   explicit SlowSendEnv(Duration send_cost) : send_cost_(send_cost), rng_(7) {}
 
   NodeId self() const override { return 1; }
   TimePoint now() const override { return now_; }
-  void Send(NodeId, MessagePtr) override {}
+  void Send(NodeId to, MessagePtr m) override { sent.emplace_back(to, std::move(m)); }
   void Multicast(ChannelId, MessagePtr) override { now_ += send_cost_; }
   TimerId SetTimer(Duration delay, std::function<void()> cb) override {
     timers_.emplace(++next_id_, Timer{now_ + delay, delay, std::move(cb)});
@@ -188,6 +232,8 @@ class SlowSendEnv final : public Env {
     t.cb();
     return {t.delay, fired_at};
   }
+
+  std::vector<std::pair<NodeId, MessagePtr>> sent;
 
  private:
   struct Timer {
@@ -228,6 +274,75 @@ TEST(RingNode, SkipScheduleCountsTimeSpentProposing) {
   const double expected = cfg.lambda_per_sec * ToSeconds(last_tick);
   EXPECT_NEAR(static_cast<double>(node.next_instance()), expected, 1.0)
       << "lambda schedule drifted over " << ToSeconds(last_tick) << " s";
+}
+
+TEST(RingNode, LostP2AInsertedBehindTheBackIsDecidedAndServed) {
+  // A follower misses the P2A for instance k but accepts k+1..k+5; the
+  // decisions arrive, then the retransmitted P2A for k lands behind the
+  // back of the acceptor tables.
+  RingConfig cfg;
+  cfg.ring_members = {2, 1, 3};  // node 1 (the env's self) follows node 2
+  cfg.data_channel = 1;
+  cfg.control_channel = 2;
+  cfg.lambda_per_sec = 0;
+  RingNode node(cfg);
+  SlowSendEnv env(Duration{0});
+  node.OnStart(env);
+  ASSERT_FALSE(node.is_coordinator());
+
+  constexpr InstanceId k = 5;
+  const auto vid = [](InstanceId i) { return ValueId{i + 1}; };
+  const auto value = [](InstanceId i) {
+    paxos::ClientMsg m;
+    m.proposer = 7;
+    m.seq = i;
+    return paxos::Value::Batch({m});
+  };
+  const auto p2a = [&](InstanceId i) {
+    return MakeMessage<P2A>(cfg.ring, 0, i, vid(i), value(i), std::vector<Decided>{},
+                            cfg.ring_members);
+  };
+  const auto decide = [&](InstanceId from, InstanceId to) {
+    std::vector<Decided> ds;
+    for (InstanceId i = from; i <= to; ++i) ds.push_back({i, vid(i)});
+    node.OnMessage(env, 2, MakeMessage<DecisionMsg>(cfg.ring, std::move(ds)));
+  };
+
+  for (InstanceId i = 0; i <= k + 5; ++i) {
+    if (i != k) node.OnMessage(env, 2, p2a(i));
+  }
+  decide(0, k + 5);
+  EXPECT_EQ(node.decided_watermark(), k) << "watermark passed a missing value";
+  EXPECT_TRUE(node.DebugInstance(k).has_decided_vid);
+  EXPECT_FALSE(node.DebugInstance(k).has_record);
+
+  node.OnMessage(env, 2, p2a(k));  // retransmission, behind the back
+  const auto dbg = node.DebugInstance(k);
+  EXPECT_TRUE(dbg.has_record);
+  EXPECT_TRUE(dbg.has_mark);
+  EXPECT_EQ(dbg.mark_vid, vid(k));
+  EXPECT_EQ(dbg.decided_vid, vid(k));
+  EXPECT_EQ(node.instance_table_size(), k + 6);
+  EXPECT_EQ(node.record_count(), k + 6);
+
+  // The next decision moves the watermark past k.
+  node.OnMessage(env, 2, p2a(k + 6));
+  decide(k + 6, k + 6);
+  EXPECT_EQ(node.decided_watermark(), k + 7);
+
+  // A learner asking from k is served k first, then the rest in order.
+  env.sent.clear();
+  node.OnMessage(env, 9, MakeMessage<LearnReq>(cfg.ring, k, 100));
+  ASSERT_EQ(env.sent.size(), 1u);
+  EXPECT_EQ(env.sent[0].first, 9u);
+  const auto* rep = Cast<LearnRep>(env.sent[0].second);
+  ASSERT_NE(rep, nullptr);
+  ASSERT_EQ(rep->entries.size(), 7u);
+  for (InstanceId i = 0; i < 7; ++i) {
+    EXPECT_EQ(rep->entries[i].instance, k + i);
+    EXPECT_EQ(rep->entries[i].vid, vid(k + i));
+    EXPECT_EQ(rep->entries[i].value, value(k + i));
+  }
 }
 
 TEST(Proposer, WindowNeverExceededWithThinkJitter) {
