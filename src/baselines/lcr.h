@@ -60,7 +60,8 @@ struct LcrData final : MessageBase {
   std::size_t WireSize() const override {
     return 4 + 8 + ts.size() * 4 + 8 + 4 + 8 + payload_size + value.WireSize();
   }
-  const char* TypeName() const override { return "lcr.Data"; }
+  static constexpr MessageType kType{0, "lcr.Data"};
+  const MessageType& type() const override { return kType; }
 };
 
 // Client -> LCR member: broadcast this message on my behalf (LCR itself
@@ -71,7 +72,8 @@ struct LcrSubmit final : MessageBase {
 
   LcrSubmit(GroupId g, paxos::ClientMsg m) : group(g), msg(std::move(m)) {}
   std::size_t WireSize() const override { return 8 + 4 + msg.WireSize(); }
-  const char* TypeName() const override { return "lcr.Submit"; }
+  static constexpr MessageType kType{0, "lcr.Submit"};
+  const MessageType& type() const override { return kType; }
 };
 
 struct LcrAck final : MessageBase {
@@ -81,7 +83,8 @@ struct LcrAck final : MessageBase {
 
   LcrAck(NodeId s, std::uint64_t q, std::uint32_t h) : sender(s), seq(q), hops(h) {}
   std::size_t WireSize() const override { return 4 + 8 + 4 + 8; }
-  const char* TypeName() const override { return "lcr.Ack"; }
+  static constexpr MessageType kType{0, "lcr.Ack"};
+  const MessageType& type() const override { return kType; }
 };
 
 class LcrNode final : public Protocol {

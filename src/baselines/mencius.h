@@ -47,7 +47,8 @@ struct MenciusSubmit final : MessageBase {
 
   explicit MenciusSubmit(paxos::ClientMsg m) : msg(std::move(m)) {}
   std::size_t WireSize() const override { return 8 + msg.WireSize(); }
-  const char* TypeName() const override { return "mencius.Submit"; }
+  static constexpr MessageType kType{0, "mencius.Submit"};
+  const MessageType& type() const override { return kType; }
 };
 
 // Owner -> all servers (ip-multicast): the owner's proposal for one of
@@ -58,7 +59,8 @@ struct MenciusPropose final : MessageBase {
 
   MenciusPropose(InstanceId i, paxos::Value v) : instance(i), value(std::move(v)) {}
   std::size_t WireSize() const override { return 8 + 8 + value.WireSize(); }
-  const char* TypeName() const override { return "mencius.Propose"; }
+  static constexpr MessageType kType{0, "mencius.Propose"};
+  const MessageType& type() const override { return kType; }
 };
 
 // Server -> owner: acceptance of the proposal.
@@ -67,7 +69,8 @@ struct MenciusAck final : MessageBase {
 
   explicit MenciusAck(InstanceId i) : instance(i) {}
   std::size_t WireSize() const override { return 8 + 8; }
-  const char* TypeName() const override { return "mencius.Ack"; }
+  static constexpr MessageType kType{0, "mencius.Ack"};
+  const MessageType& type() const override { return kType; }
 };
 
 // Owner -> all servers: the instance is chosen (piggy-backing kept
@@ -77,7 +80,8 @@ struct MenciusCommit final : MessageBase {
 
   explicit MenciusCommit(std::vector<InstanceId> is) : instances(std::move(is)) {}
   std::size_t WireSize() const override { return 8 + 4 + instances.size() * 8; }
-  const char* TypeName() const override { return "mencius.Commit"; }
+  static constexpr MessageType kType{0, "mencius.Commit"};
+  const MessageType& type() const override { return kType; }
 };
 
 class MenciusServer final : public Protocol {

@@ -43,7 +43,8 @@ struct TotemSend final : MessageBase {
   TotemSend(GroupId g, NodeId c, std::uint64_t s, std::uint32_t ps, TimePoint at)
       : group(g), client(c), client_seq(s), payload_size(ps), sent_at(at) {}
   std::size_t WireSize() const override { return 4 + 4 + 8 + 4 + 8 + 8 + payload_size; }
-  const char* TypeName() const override { return "totem.Send"; }
+  static constexpr MessageType kType{0, "totem.Send"};
+  const MessageType& type() const override { return kType; }
 };
 
 // Daemon -> all daemons (ip-multicast), globally sequenced.
@@ -61,7 +62,8 @@ struct TotemData final : MessageBase {
   std::size_t WireSize() const override {
     return 8 + 4 + 4 + 8 + 4 + 8 + 8 + payload_size;
   }
-  const char* TypeName() const override { return "totem.Data"; }
+  static constexpr MessageType kType{0, "totem.Data"};
+  const MessageType& type() const override { return kType; }
 };
 
 // Daemon -> connected client (delivery).
@@ -79,7 +81,8 @@ struct TotemDeliver final : MessageBase {
   std::size_t WireSize() const override {
     return 8 + 4 + 4 + 8 + 4 + 8 + 8 + payload_size;
   }
-  const char* TypeName() const override { return "totem.Deliver"; }
+  static constexpr MessageType kType{0, "totem.Deliver"};
+  const MessageType& type() const override { return kType; }
 };
 
 // Daemon -> daemon: retransmit the globally-sequenced messages in
@@ -90,7 +93,8 @@ struct TotemNack final : MessageBase {
 
   TotemNack(std::uint64_t from, std::uint32_t n) : from_seq(from), count(n) {}
   std::size_t WireSize() const override { return 8 + 8 + 4; }
-  const char* TypeName() const override { return "totem.Nack"; }
+  static constexpr MessageType kType{0, "totem.Nack"};
+  const MessageType& type() const override { return kType; }
 };
 
 struct TotemToken final : MessageBase {
@@ -99,7 +103,8 @@ struct TotemToken final : MessageBase {
 
   TotemToken(std::uint64_t s, std::uint64_t r) : next_seq(s), rotation(r) {}
   std::size_t WireSize() const override { return 8 + 8 + 8; }
-  const char* TypeName() const override { return "totem.Token"; }
+  static constexpr MessageType kType{0, "totem.Token"};
+  const MessageType& type() const override { return kType; }
 };
 
 class TotemDaemon final : public Protocol {

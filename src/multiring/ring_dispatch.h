@@ -31,7 +31,7 @@ class RingDispatch final : public Protocol {
   }
 
   void OnMessage(Env& env, NodeId from, const MessagePtr& m) override {
-    if (const auto* rm = dynamic_cast<const ringpaxos::RingMessage*>(m.get())) {
+    if (const auto* rm = ringpaxos::AsRingMessage(*m)) {
       auto it = rings_.find(rm->ring);
       if (it != rings_.end()) it->second->OnMessage(env, from, m);
       return;

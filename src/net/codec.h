@@ -1,8 +1,9 @@
-// Wire codec for the real transports: serializes the Ring Paxos /
-// Multi-Ring Paxos message set (and the KV service response) into
-// self-describing frames. The simulator never serializes — it passes
-// messages by pointer and charges WireSize() — so this codec is the
-// boundary between protocol objects and UDP/in-proc framing.
+// Wire codec for the real transports. Frames are a one-byte tag followed
+// by the message's fields; both, and the field encodings, come from the
+// message's MRP_WIRE_MESSAGE declaration (common/wire.h), and
+// net/registry.h lists the encodable messages. The simulator never
+// serializes: it passes messages by pointer and charges WireSize(), the
+// size pass of the same field walk.
 #pragma once
 
 #include <cstdint>
@@ -18,13 +19,12 @@ namespace mrp::net {
 // (zero-copy decode below).
 using SharedFrame = std::shared_ptr<const Bytes>;
 
-// Returns an empty buffer if the concrete message type is not part of
-// the wire protocol.
+// Returns an empty buffer if the message type is not in the registry.
 Bytes EncodeMessage(const MessageBase& msg);
 
 // Appends the encoding of `msg` to `w`, so transports can frame
 // (header + message) in one buffer without an intermediate copy.
-// Returns false if the concrete type is not part of the wire protocol.
+// Returns false if the message type is not in the registry.
 bool EncodeMessageTo(ByteWriter& w, const MessageBase& msg);
 
 // Returns nullptr on malformed input. Payload bytes are copied out of

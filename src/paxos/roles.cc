@@ -193,41 +193,49 @@ void PaxosProposer::Finish(Env& env, InstanceId instance) {
 }
 
 void PaxosProposer::OnMessage(Env& env, NodeId from, const MessagePtr& m) {
-  if (const auto* submit = Cast<SubmitReq>(m)) {
-    Submit(env, submit->msg);
-    return;
-  }
-  if (const auto* p1b = Cast<Phase1B>(m)) {
-    auto it = running_.find(p1b->instance);
-    if (it == running_.end()) return;
-    Running& run = it->second;
-    if (run.phase2 || run.decided || p1b->round != run.round) return;
-    ++run.promises;
-    if (p1b->accepted && p1b->accepted_round >= run.best_vrnd) {
-      run.best_vrnd = p1b->accepted_round;
-      run.adopted = p1b->accepted;
+  switch (m->tag()) {
+    case SubmitReq::kTag: {
+      const auto* submit = static_cast<const SubmitReq*>(m.get());
+      Submit(env, submit->msg);
+      return;
     }
-    if (run.promises >= cfg_.Majority()) StartPhase2(env, p1b->instance);
-    return;
-  }
-  if (const auto* p2b = Cast<Phase2B>(m)) {
-    auto it = running_.find(p2b->instance);
-    if (it == running_.end()) return;
-    Running& run = it->second;
-    if (!run.phase2 || run.decided || p2b->round != run.round) return;
-    ++run.accepts;
-    if (run.accepts >= cfg_.Majority()) Finish(env, p2b->instance);
-    return;
-  }
-  if (const auto* req = Cast<LearnReq>(m)) {
-    // Retransmit up to a handful of decisions past the learner's gap.
-    constexpr int kMaxReplies = 32;
-    int sent = 0;
-    for (auto it = decided_log_.lower_bound(req->from_instance);
-         it != decided_log_.end() && sent < kMaxReplies; ++it, ++sent) {
-      env.Send(from, MakeMessage<DecisionMsg>(it->first, it->second, cfg_.group));
+    case Phase1B::kTag: {
+      const auto* p1b = static_cast<const Phase1B*>(m.get());
+      auto it = running_.find(p1b->instance);
+      if (it == running_.end()) return;
+      Running& run = it->second;
+      if (run.phase2 || run.decided || p1b->round != run.round) return;
+      ++run.promises;
+      if (p1b->accepted && p1b->accepted_round >= run.best_vrnd) {
+        run.best_vrnd = p1b->accepted_round;
+        run.adopted = p1b->accepted;
+      }
+      if (run.promises >= cfg_.Majority()) StartPhase2(env, p1b->instance);
+      return;
     }
-    return;
+    case Phase2B::kTag: {
+      const auto* p2b = static_cast<const Phase2B*>(m.get());
+      auto it = running_.find(p2b->instance);
+      if (it == running_.end()) return;
+      Running& run = it->second;
+      if (!run.phase2 || run.decided || p2b->round != run.round) return;
+      ++run.accepts;
+      if (run.accepts >= cfg_.Majority()) Finish(env, p2b->instance);
+      return;
+    }
+    case LearnReq::kTag: {
+      const auto* req = static_cast<const LearnReq*>(m.get());
+      // Retransmit up to a handful of decisions past the learner's gap.
+      constexpr int kMaxReplies = 32;
+      int sent = 0;
+      for (auto it = decided_log_.lower_bound(req->from_instance);
+           it != decided_log_.end() && sent < kMaxReplies; ++it, ++sent) {
+        env.Send(from, MakeMessage<DecisionMsg>(it->first, it->second, cfg_.group));
+      }
+      return;
+    }
+    default:
+      break;
   }
 }
 

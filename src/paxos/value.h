@@ -13,6 +13,7 @@
 #include "common/bytes.h"
 #include "common/fingerprint.h"
 #include "common/types.h"
+#include "common/wire.h"
 
 namespace mrp::paxos {
 
@@ -30,8 +31,11 @@ struct ClientMsg {
   // decode can view the receive frame instead of copying (net/codec.h).
   PayloadBuf payload;
 
-  static constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 4;
-  std::size_t WireSize() const { return kHeaderBytes + payload_size; }
+  MRP_WIRE_FIELDS(group, proposer, seq, sent_at, payload_size,
+                  wire::Payload(payload, payload_size))
+  bool Valid() const { return payload.empty() || payload.size() == payload_size; }
+  // Encoded size, counting an elided payload as present.
+  std::size_t WireSize() const { return wire::Size(*this); }
 
   friend bool operator==(const ClientMsg& a, const ClientMsg& b) {
     return a.group == b.group && a.proposer == b.proposer && a.seq == b.seq &&
@@ -62,6 +66,9 @@ struct Value {
   std::uint64_t skip_count = 0;
   std::vector<ClientMsg> msgs;
 
+  MRP_WIRE_FIELDS(kind, skip_count, msgs)
+  bool Valid() const { return kind <= Kind::kSkip; }
+
   static Value Batch(std::vector<ClientMsg> msgs) {
     Value v;
     v.kind = Kind::kBatch;
@@ -87,11 +94,7 @@ struct Value {
     return total;
   }
 
-  std::size_t WireSize() const {
-    std::size_t total = 1 + 8 + 4;  // kind + skip_count + msg count
-    for (const auto& m : msgs) total += m.WireSize();
-    return total;
-  }
+  std::size_t WireSize() const { return wire::Size(*this); }
 
   friend bool operator==(const Value& a, const Value& b) {
     return a.kind == b.kind && a.skip_count == b.skip_count && a.msgs == b.msgs;

@@ -17,35 +17,36 @@
 #include "common/bytes.h"
 #include "common/message.h"
 #include "common/types.h"
+#include "common/wire.h"
 
 namespace mrp::reconfig {
 
 struct RoutingUpdate final : MessageBase {
+  MRP_WIRE_MESSAGE(RoutingUpdate, 36, "reconfig.RoutingUpdate", version, config)
+
   std::uint64_t version = 0;
   Bytes config;  // RingConfiguration::Encode()
 
   RoutingUpdate(std::uint64_t v, Bytes c) : version(v), config(std::move(c)) {}
-  std::size_t WireSize() const override { return 1 + 8 + 4 + config.size(); }
-  const char* TypeName() const override { return "reconfig.RoutingUpdate"; }
 };
 
 struct HandoffRequest final : MessageBase {
+  MRP_WIRE_MESSAGE(HandoffRequest, 37, "reconfig.HandoffRequest", plan_id, target_group)
+
   std::uint64_t plan_id = 0;
   GroupId target_group = 0;
 
   HandoffRequest(std::uint64_t id, GroupId target)
       : plan_id(id), target_group(target) {}
-  std::size_t WireSize() const override { return 1 + 8 + 4; }
-  const char* TypeName() const override { return "reconfig.HandoffRequest"; }
 };
 
 struct PlanStatus final : MessageBase {
+  MRP_WIRE_MESSAGE(PlanStatus, 38, "reconfig.PlanStatus", plan_id, ok)
+
   std::uint64_t plan_id = 0;
   bool ok = false;
 
   PlanStatus(std::uint64_t id, bool okay) : plan_id(id), ok(okay) {}
-  std::size_t WireSize() const override { return 1 + 8 + 1; }
-  const char* TypeName() const override { return "reconfig.PlanStatus"; }
 };
 
 }  // namespace mrp::reconfig

@@ -23,6 +23,7 @@
 #include "common/bytes.h"
 #include "common/message.h"
 #include "common/types.h"
+#include "common/wire.h"
 
 namespace mrp::recovery {
 
@@ -31,21 +32,29 @@ namespace mrp::recovery {
 struct RingFrontier {
   RingId ring = 0;
   InstanceId next_instance = 0;
+  MRP_WIRE_FIELDS(ring, next_instance)
 
   friend bool operator==(const RingFrontier& a, const RingFrontier& b) {
     return a.ring == b.ring && a.next_instance == b.next_instance;
   }
 };
 
+// Decode-time bound on a frontier list's length.
+inline constexpr std::uint64_t kMaxFrontiers = 100'000;
+
 struct CheckpointRequest final : MessageBase {
+  MRP_WIRE_MESSAGE(CheckpointRequest, 27, "recovery.CheckpointRequest", epoch)
+
   std::uint64_t epoch = 0;
 
   explicit CheckpointRequest(std::uint64_t e) : epoch(e) {}
-  std::size_t WireSize() const override { return 1 + 8; }
-  const char* TypeName() const override { return "recovery.CheckpointRequest"; }
 };
 
 struct CheckpointReport final : MessageBase {
+  MRP_WIRE_MESSAGE(CheckpointReport, 28, "recovery.CheckpointReport",
+                   epoch, checkpoint_id,
+                   wire::Capped<kMaxFrontiers>(frontiers))
+
   std::uint64_t epoch = 0;
   std::uint64_t checkpoint_id = 0;
   std::vector<RingFrontier> frontiers;
@@ -53,36 +62,35 @@ struct CheckpointReport final : MessageBase {
   CheckpointReport(std::uint64_t e, std::uint64_t id,
                    std::vector<RingFrontier> f)
       : epoch(e), checkpoint_id(id), frontiers(std::move(f)) {}
-  std::size_t WireSize() const override {
-    return 1 + 8 + 8 + 2 + frontiers.size() * 12;
-  }
-  const char* TypeName() const override { return "recovery.CheckpointReport"; }
 };
 
 struct FrontierAdvert final : MessageBase {
+  MRP_WIRE_MESSAGE(FrontierAdvert, 29, "recovery.FrontierAdvert",
+                   epoch, wire::Capped<kMaxFrontiers>(frontiers))
+
   std::uint64_t epoch = 0;
   std::vector<RingFrontier> frontiers;  // stable (cluster-min) per ring
 
   FrontierAdvert(std::uint64_t e, std::vector<RingFrontier> f)
       : epoch(e), frontiers(std::move(f)) {}
-  std::size_t WireSize() const override {
-    return 1 + 8 + 2 + frontiers.size() * 12;
-  }
-  const char* TypeName() const override { return "recovery.FrontierAdvert"; }
 };
 
 struct SnapshotRequest final : MessageBase {
+  MRP_WIRE_MESSAGE(SnapshotRequest, 17, "recovery.SnapshotRequest",
+                   checkpoint_id, from_chunk, max_chunks)
+
   std::uint64_t checkpoint_id = 0;  // 0 = the peer's latest checkpoint
   std::uint32_t from_chunk = 0;
   std::uint32_t max_chunks = 0;  // flow-control window per request
 
   SnapshotRequest(std::uint64_t id, std::uint32_t from, std::uint32_t max)
       : checkpoint_id(id), from_chunk(from), max_chunks(max) {}
-  std::size_t WireSize() const override { return 1 + 8 + 4 + 4; }
-  const char* TypeName() const override { return "recovery.SnapshotRequest"; }
 };
 
 struct SnapshotChunk final : MessageBase {
+  MRP_WIRE_MESSAGE(SnapshotChunk, 18, "recovery.SnapshotChunk",
+                   checkpoint_id, index, total_chunks, data)
+
   std::uint64_t checkpoint_id = 0;
   std::uint32_t index = 0;
   std::uint32_t total_chunks = 0;
@@ -91,8 +99,6 @@ struct SnapshotChunk final : MessageBase {
   SnapshotChunk(std::uint64_t id, std::uint32_t i, std::uint32_t total,
                 Bytes d)
       : checkpoint_id(id), index(i), total_chunks(total), data(std::move(d)) {}
-  std::size_t WireSize() const override { return 1 + 8 + 4 + 4 + 4 + data.size(); }
-  const char* TypeName() const override { return "recovery.SnapshotChunk"; }
 };
 
 // total_chunks == 0 means "checkpoint unavailable" (the peer has no
@@ -100,6 +106,9 @@ struct SnapshotChunk final : MessageBase {
 // the requester resets and retries — against the next peer if it keeps
 // happening.
 struct SnapshotDone final : MessageBase {
+  MRP_WIRE_MESSAGE(SnapshotDone, 19, "recovery.SnapshotDone",
+                   checkpoint_id, total_chunks, total_bytes, digest)
+
   std::uint64_t checkpoint_id = 0;
   std::uint32_t total_chunks = 0;
   std::uint64_t total_bytes = 0;
@@ -109,8 +118,6 @@ struct SnapshotDone final : MessageBase {
                std::uint64_t dig)
       : checkpoint_id(id), total_chunks(total), total_bytes(bytes),
         digest(dig) {}
-  std::size_t WireSize() const override { return 1 + 8 + 4 + 8 + 8; }
-  const char* TypeName() const override { return "recovery.SnapshotDone"; }
 };
 
 }  // namespace mrp::recovery

@@ -35,106 +35,113 @@ void LearnerCore::SyncCacheGauges() {
 }
 
 bool LearnerCore::OnRingMessage(Env& env, const MessagePtr& m) {
-  const auto* rm = dynamic_cast<const RingMessage*>(m.get());
+  const RingMessage* rm = AsRingMessage(*m);
   if (rm == nullptr || rm->ring != opts_.ring.ring) return false;
   EnsureCounters(env);
 
-  if (const auto* p2a = Cast<P2A>(m)) {
-    if (!p2a->layout.empty()) coordinator_hint_ = p2a->layout[0];
-    if (p2a->instance >= window_.next()) {
-      if (Cell* cell = window_.Get(p2a->instance)) {
-        // Decided with the value lost earlier. A retransmission carries
-        // it again (same vid); after a fail-over a RE-proposal carries
-        // the same VALUE under a new vid — safe to use when its round is
-        // at least the decision's round, because that proposer's Phase 1
-        // intersected the deciding quorum and was forced to the decided
-        // value. A LOWER-round proposal may be a stale loser: ignore.
-        if (!cell->value.has_value() &&
-            (cell->vid == p2a->vid || p2a->round >= VidRound(cell->vid))) {
-          cell->value = p2a->value;
-          buffered_msgs_ += MsgsIn(p2a->value);
-        }
-      } else {
-        auto [it, inserted] = cache_.try_emplace(p2a->instance);
-        if (inserted || p2a->round >= it->second.round) {
-          if (!inserted) {
-            buffered_msgs_ -= MsgsIn(it->second.value);
-            cache_bytes_ -= BytesIn(it->second.value);
+  switch (m->tag()) {
+    case P2A::kTag: {
+      const auto* p2a = static_cast<const P2A*>(m.get());
+      if (!p2a->layout.empty()) coordinator_hint_ = p2a->layout[0];
+      if (p2a->instance >= window_.next()) {
+        if (Cell* cell = window_.Get(p2a->instance)) {
+          // Decided with the value lost earlier. A retransmission carries
+          // it again (same vid); after a fail-over a RE-proposal carries
+          // the same VALUE under a new vid — safe to use when its round is
+          // at least the decision's round, because that proposer's Phase 1
+          // intersected the deciding quorum and was forced to the decided
+          // value. A LOWER-round proposal may be a stale loser: ignore.
+          if (!cell->value.has_value() &&
+              (cell->vid == p2a->vid || p2a->round >= VidRound(cell->vid))) {
+            cell->value = p2a->value;
+            buffered_msgs_ += MsgsIn(p2a->value);
           }
-          it->second = Cached{p2a->round, p2a->vid, p2a->value};
-          buffered_msgs_ += MsgsIn(p2a->value);
-          cache_bytes_ += BytesIn(p2a->value);
+        } else {
+          auto [it, inserted] = cache_.try_emplace(p2a->instance);
+          if (inserted || p2a->round >= it->second.round) {
+            if (!inserted) {
+              buffered_msgs_ -= MsgsIn(it->second.value);
+              cache_bytes_ -= BytesIn(it->second.value);
+            }
+            it->second = Cached{p2a->round, p2a->vid, p2a->value};
+            buffered_msgs_ += MsgsIn(p2a->value);
+            cache_bytes_ += BytesIn(p2a->value);
+          }
         }
       }
-    }
-    for (const auto& d : p2a->decided) PlaceDecision(d.instance, d.vid);
-    TrimCache();
-    SyncCacheGauges();
-    return true;
-  }
-  if (const auto* dec = Cast<DecisionMsg>(m)) {
-    for (const auto& d : dec->decided) PlaceDecision(d.instance, d.vid);
-    TrimCache();
-    SyncCacheGauges();
-    return true;
-  }
-  if (const auto* rep = Cast<LearnRep>(m)) {
-    for (const auto& e : rep->entries) {
-      if (e.instance < window_.next()) continue;
-      if (Cell* cell = window_.Get(e.instance)) {
-        // Decision already placed but the value was lost: fill it in.
-        // LearnRep entries are decision records (the acceptor only
-        // serves values matching ITS decided vid), and two decisions of
-        // one instance always carry the same value even when fail-overs
-        // relabelled the vid — so no vid comparison here.
-        if (!cell->value.has_value()) {
-          cell->value = e.value;
-          buffered_msgs_ += MsgsIn(e.value);
-        }
-        continue;
-      }
-      buffered_msgs_ += MsgsIn(e.value);
-      window_.Insert(e.instance, Cell{e.vid, e.value});
-      auto cit = cache_.find(e.instance);
-      if (cit != cache_.end()) {
-        buffered_msgs_ -= MsgsIn(cit->second.value);
-        cache_bytes_ -= BytesIn(cit->second.value);
-        cache_.erase(cit);
-      }
-    }
-    SyncCacheGauges();
-    return true;
-  }
-  if (const auto* hb = Cast<Heartbeat>(m)) {
-    coordinator_hint_ = hb->coordinator;
-    return true;
-  }
-  if (const auto* trim = Cast<TrimNotice>(m)) {
-    // History below low_watermark is unrecoverable from the ring:
-    // fast-forward into the retained window (a late joiner; applications
-    // restore earlier state from snapshots). Target the window midpoint
-    // so half the retention remains as headroom against the trim point,
-    // which keeps moving while recovery requests are in flight. Never
-    // move backwards.
-    const InstanceId target =
-        trim->low_watermark + (trim->high_watermark - trim->low_watermark) / 2;
-    if (target > window_.next()) {
-      const InstanceId skipped = target - window_.next();
-      for (const Cell& dropped : window_.Skip(skipped)) {
-        if (dropped.value.has_value()) {
-          buffered_msgs_ -= std::min(buffered_msgs_, MsgsIn(*dropped.value));
-        }
-      }
-      fast_forwarded_ += skipped;
-      if (ctr_fast_forwarded_) ctr_fast_forwarded_->Inc(skipped);
-      TraceProtocolEvent(env.now(), env.self(), opts_.ring.ring, target,
-                         "learner", "fast_forward", skipped);
+      for (const auto& d : p2a->decided) PlaceDecision(d.instance, d.vid);
       TrimCache();
+      SyncCacheGauges();
+      return true;
     }
-    return true;
+    case DecisionMsg::kTag: {
+      const auto* dec = static_cast<const DecisionMsg*>(m.get());
+      for (const auto& d : dec->decided) PlaceDecision(d.instance, d.vid);
+      TrimCache();
+      SyncCacheGauges();
+      return true;
+    }
+    case LearnRep::kTag: {
+      const auto* rep = static_cast<const LearnRep*>(m.get());
+      for (const auto& e : rep->entries) {
+        if (e.instance < window_.next()) continue;
+        if (Cell* cell = window_.Get(e.instance)) {
+          // Decision already placed but the value was lost: fill it in.
+          // LearnRep entries are decision records (the acceptor only
+          // serves values matching ITS decided vid), and two decisions of
+          // one instance always carry the same value even when fail-overs
+          // relabelled the vid — so no vid comparison here.
+          if (!cell->value.has_value()) {
+            cell->value = e.value;
+            buffered_msgs_ += MsgsIn(e.value);
+          }
+          continue;
+        }
+        buffered_msgs_ += MsgsIn(e.value);
+        window_.Insert(e.instance, Cell{e.vid, e.value});
+        auto cit = cache_.find(e.instance);
+        if (cit != cache_.end()) {
+          buffered_msgs_ -= MsgsIn(cit->second.value);
+          cache_bytes_ -= BytesIn(cit->second.value);
+          cache_.erase(cit);
+        }
+      }
+      SyncCacheGauges();
+      return true;
+    }
+    case Heartbeat::kTag: {
+      const auto* hb = static_cast<const Heartbeat*>(m.get());
+      coordinator_hint_ = hb->coordinator;
+      return true;
+    }
+    case TrimNotice::kTag: {
+      const auto* trim = static_cast<const TrimNotice*>(m.get());
+      // History below low_watermark is unrecoverable from the ring:
+      // fast-forward into the retained window (a late joiner; applications
+      // restore earlier state from snapshots). Target the window midpoint
+      // so half the retention remains as headroom against the trim point,
+      // which keeps moving while recovery requests are in flight. Never
+      // move backwards.
+      const InstanceId target =
+          trim->low_watermark + (trim->high_watermark - trim->low_watermark) / 2;
+      if (target > window_.next()) {
+        const InstanceId skipped = target - window_.next();
+        for (const Cell& dropped : window_.Skip(skipped)) {
+          if (dropped.value.has_value()) {
+            buffered_msgs_ -= std::min(buffered_msgs_, MsgsIn(*dropped.value));
+          }
+        }
+        fast_forwarded_ += skipped;
+        if (ctr_fast_forwarded_) ctr_fast_forwarded_->Inc(skipped);
+        TraceProtocolEvent(env.now(), env.self(), opts_.ring.ring, target,
+                           "learner", "fast_forward", skipped);
+        TrimCache();
+      }
+      return true;
+    }
+    default:
+      return false;
   }
-  (void)env;
-  return false;
 }
 
 void LearnerCore::PlaceDecision(InstanceId instance, ValueId vid) {

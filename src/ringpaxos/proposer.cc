@@ -142,26 +142,30 @@ void Proposer::AfterAck(Env& env) {
 }
 
 void Proposer::OnMessage(Env& env, NodeId /*from*/, const MessagePtr& m) {
-  const auto* rm = dynamic_cast<const RingMessage*>(m.get());
+  const RingMessage* rm = AsRingMessage(*m);
   if (rm == nullptr || rm->ring != cfg_.ring) return;
 
-  if (const auto* ack = Cast<SubmitAck>(m)) {
-    if (ack->group == cfg_.group) {
-      if (ctr_acks_rx_) ctr_acks_rx_->Inc();
-      OnCumulativeAck(env, ack->up_to_seq);
+  switch (m->tag()) {
+    case SubmitAck::kTag: {
+      const auto& ack = static_cast<const SubmitAck&>(*m);
+      if (ack.group == cfg_.group) {
+        if (ctr_acks_rx_) ctr_acks_rx_->Inc();
+        OnCumulativeAck(env, ack.up_to_seq);
+      }
+      break;
     }
-    return;
-  }
-  if (const auto* ack = Cast<DeliveryAck>(m)) {
-    if (ack->group == cfg_.group) {
-      if (ctr_acks_rx_) ctr_acks_rx_->Inc();
-      OnExactAck(env, ack->seq);
+    case DeliveryAck::kTag: {
+      const auto& ack = static_cast<const DeliveryAck&>(*m);
+      if (ack.group == cfg_.group) {
+        if (ctr_acks_rx_) ctr_acks_rx_->Inc();
+        OnExactAck(env, ack.seq);
+      }
+      break;
     }
-    return;
-  }
-  if (const auto* hb = Cast<Heartbeat>(m)) {
-    if (hb->coordinator != coordinator_) {
-      coordinator_ = hb->coordinator;
+    case Heartbeat::kTag: {
+      const auto& hb = static_cast<const Heartbeat&>(*m);
+      if (hb.coordinator == coordinator_) break;
+      coordinator_ = hb.coordinator;
       if (ctr_coordinator_changes_) ctr_coordinator_changes_->Inc();
       if (cfg_.resend_on_coordinator_change) {
         for (const auto& [seq, msg] : outstanding_) {
@@ -169,8 +173,10 @@ void Proposer::OnMessage(Env& env, NodeId /*from*/, const MessagePtr& m) {
           env.Send(coordinator_, MakeMessage<Submit>(cfg_.ring, msg));
         }
       }
+      break;
     }
-    return;
+    default:
+      break;
   }
 }
 

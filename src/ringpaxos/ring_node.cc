@@ -81,40 +81,55 @@ void RingNode::OnMessage(Env& env, NodeId from, const MessagePtr& m) {
     AdvanceDecidedWatermark();
     return;
   }
-  const auto* rm = dynamic_cast<const RingMessage*>(m.get());
+  const RingMessage* rm = AsRingMessage(*m);
   if (rm == nullptr || rm->ring != cfg_.ring) return;
 
-  if (const auto* p2a = Cast<P2A>(m)) {
-    if (ctr_p2a_rx_) ctr_p2a_rx_->Inc();
-    OnP2A(env, *p2a);
-  } else if (const auto* p2b = Cast<P2B>(m)) {
-    if (ctr_p2b_rx_) ctr_p2b_rx_->Inc();
-    OnP2B(env, from, *p2b);
-  } else if (const auto* submit = Cast<Submit>(m)) {
-    if (ctr_submits_rx_) ctr_submits_rx_->Inc();
-    OnSubmit(env, *submit);
-  } else if (const auto* p1a = Cast<P1A>(m)) {
-    OnP1A(env, from, *p1a);
-  } else if (const auto* p1b = Cast<P1B>(m)) {
-    OnP1B(env, from, *p1b);
-  } else if (const auto* dec = Cast<DecisionMsg>(m)) {
-    NoteDecided(dec->decided);
-    last_leader_sign_ = env.now();
-  } else if (const auto* hb = Cast<Heartbeat>(m)) {
-    last_leader_sign_ = env.now();
-    if (hb->round > round_) round_ = hb->round;
-    if (role_ == Role::kCandidate && hb->round > candidate_round_) {
-      BecomeFollower(env, hb->round);
+  switch (m->tag()) {
+    case P2A::kTag:
+      if (ctr_p2a_rx_) ctr_p2a_rx_->Inc();
+      OnP2A(env, static_cast<const P2A&>(*m));
+      break;
+    case P2B::kTag:
+      if (ctr_p2b_rx_) ctr_p2b_rx_->Inc();
+      OnP2B(env, from, static_cast<const P2B&>(*m));
+      break;
+    case Submit::kTag:
+      if (ctr_submits_rx_) ctr_submits_rx_->Inc();
+      OnSubmit(env, static_cast<const Submit&>(*m));
+      break;
+    case P1A::kTag:
+      OnP1A(env, from, static_cast<const P1A&>(*m));
+      break;
+    case P1B::kTag:
+      OnP1B(env, from, static_cast<const P1B&>(*m));
+      break;
+    case DecisionMsg::kTag:
+      NoteDecided(static_cast<const DecisionMsg&>(*m).decided);
+      last_leader_sign_ = env.now();
+      break;
+    case Heartbeat::kTag: {
+      const auto& hb = static_cast<const Heartbeat&>(*m);
+      last_leader_sign_ = env.now();
+      if (hb.round > round_) round_ = hb.round;
+      if (role_ == Role::kCandidate && hb.round > candidate_round_) {
+        BecomeFollower(env, hb.round);
+      }
+      if (role_ != Role::kLeader && cfg_.InUniverse(self_)) {
+        env.Send(hb.coordinator, MakeMessage<HeartbeatAck>(cfg_.ring, hb.round));
+      }
+      break;
     }
-    if (role_ != Role::kLeader && cfg_.InUniverse(self_)) {
-      env.Send(hb->coordinator, MakeMessage<HeartbeatAck>(cfg_.ring, hb->round));
-    }
-  } else if (const auto* ack = Cast<HeartbeatAck>(m)) {
-    if (role_ == Role::kLeader && ack->round == round_) {
-      member_last_ack_[from] = env.now();
-    }
-  } else if (const auto* req = Cast<LearnReq>(m)) {
-    OnLearnReq(env, from, *req);
+    case HeartbeatAck::kTag:
+      if (role_ == Role::kLeader &&
+          static_cast<const HeartbeatAck&>(*m).round == round_) {
+        member_last_ack_[from] = env.now();
+      }
+      break;
+    case LearnReq::kTag:
+      OnLearnReq(env, from, static_cast<const LearnReq&>(*m));
+      break;
+    default:
+      break;
   }
 }
 

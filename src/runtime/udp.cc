@@ -130,7 +130,7 @@ void UdpTransport::SendFrame(int fd, const sockaddr_in& addr,
                              const MessageBase& msg) {
   // Header and message encode into one buffer: no intermediate frame
   // copy on the send path.
-  ByteWriter w(msg.WireSize() + kHeaderBytes + 16);
+  ByteWriter w(msg.WireSize() + kHeaderBytes);
   w.u32(self_);
   if (!net::EncodeMessageTo(w, msg)) return;
   if (w.size() <= kHeaderBytes || w.size() > kMaxFrame) return;

@@ -12,6 +12,7 @@
 
 #include "common/message.h"
 #include "common/types.h"
+#include "common/wire.h"
 
 namespace mrp::session {
 
@@ -21,6 +22,9 @@ namespace mrp::session {
 // only once the replica's applied frontier covers `grant_point` — every
 // command decided before the grant is visible to the read.
 struct LeaseGrant final : MessageBase {
+  MRP_WIRE_MESSAGE(LeaseGrant, 30, "session.LeaseGrant",
+                   group, epoch, holder, grant_point, expires_at)
+
   GroupId group;
   std::uint64_t epoch;     // bumps on revoke/holder change; renewals keep it
   NodeId holder;
@@ -29,34 +33,35 @@ struct LeaseGrant final : MessageBase {
 
   LeaseGrant(GroupId g, std::uint64_t e, NodeId h, InstanceId gp, TimePoint exp)
       : group(g), epoch(e), holder(h), grant_point(gp), expires_at(exp) {}
-  std::size_t WireSize() const override { return 1 + 4 + 8 + 4 + 8 + 8; }
-  const char* TypeName() const override { return "session.LeaseGrant"; }
 };
 
 // Replica -> grantor: the grant was adopted.
 struct LeaseAck final : MessageBase {
+  MRP_WIRE_MESSAGE(LeaseAck, 31, "session.LeaseAck", group, epoch)
+
   GroupId group;
   std::uint64_t epoch;
 
   LeaseAck(GroupId g, std::uint64_t e) : group(g), epoch(e) {}
-  std::size_t WireSize() const override { return 1 + 4 + 8; }
-  const char* TypeName() const override { return "session.LeaseAck"; }
 };
 
 // Grantor -> replica: stop serving local reads immediately. Carries the
 // epoch being invalidated; grants with a higher epoch re-establish.
 struct LeaseRevoke final : MessageBase {
+  MRP_WIRE_MESSAGE(LeaseRevoke, 32, "session.LeaseRevoke", group, epoch)
+
   GroupId group;
   std::uint64_t epoch;
 
   LeaseRevoke(GroupId g, std::uint64_t e) : group(g), epoch(e) {}
-  std::size_t WireSize() const override { return 1 + 4 + 8; }
-  const char* TypeName() const override { return "session.LeaseRevoke"; }
 };
 
 // Client -> lease-holding replica: serve [kmin, kmax] locally, without
 // going through the rings.
 struct SessionRead final : MessageBase {
+  MRP_WIRE_MESSAGE(SessionRead, 33, "session.SessionRead",
+                   session_id, req_id, kmin, kmax)
+
   std::uint64_t session_id;
   std::uint64_t req_id;
   std::uint64_t kmin, kmax;
@@ -64,13 +69,14 @@ struct SessionRead final : MessageBase {
   SessionRead(std::uint64_t sid, std::uint64_t rid, std::uint64_t lo,
               std::uint64_t hi)
       : session_id(sid), req_id(rid), kmin(lo), kmax(hi) {}
-  std::size_t WireSize() const override { return 1 + 8 + 8 + 8 + 8; }
-  const char* TypeName() const override { return "session.SessionRead"; }
 };
 
 // Replica -> client. kNoLease tells the client to fall back to a
 // through-the-ring read (lease lost, expired, or never granted here).
 struct SessionReadRep final : MessageBase {
+  MRP_WIRE_MESSAGE(SessionReadRep, 34, "session.SessionReadRep",
+                   req_id, partition, status, rows)
+
   enum Status : std::uint8_t { kOk = 0, kNoLease = 1 };
 
   std::uint64_t req_id;
@@ -81,18 +87,15 @@ struct SessionReadRep final : MessageBase {
   SessionReadRep(std::uint64_t rid, GroupId p, std::uint8_t st,
                  std::vector<std::pair<std::uint64_t, std::string>> r = {})
       : req_id(rid), partition(p), status(st), rows(std::move(r)) {}
-  std::size_t WireSize() const override {
-    std::size_t n = 1 + 8 + 4 + 1 + 4;
-    for (const auto& [k, v] : rows) n += 8 + 4 + v.size();
-    return n;
-  }
-  const char* TypeName() const override { return "session.SessionReadRep"; }
+  bool Valid() const { return status <= kNoLease; }
 };
 
 // Gateway -> client: the submission was shed instead of enqueued
 // (admission control, docs/SESSIONS.md). The client retries the same
 // session seqno with exponential backoff.
 struct Rejected final : MessageBase {
+  MRP_WIRE_MESSAGE(Rejected, 35, "session.Rejected", session_id, req_id, code)
+
   enum Code : std::uint8_t { kOverload = 0 };
 
   std::uint64_t session_id;
@@ -101,8 +104,6 @@ struct Rejected final : MessageBase {
 
   Rejected(std::uint64_t sid, std::uint64_t rid, std::uint8_t c)
       : session_id(sid), req_id(rid), code(c) {}
-  std::size_t WireSize() const override { return 1 + 8 + 8 + 1; }
-  const char* TypeName() const override { return "session.Rejected"; }
 };
 
 }  // namespace mrp::session

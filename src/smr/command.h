@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <optional>
 #include <string>
 #include <utility>
@@ -15,6 +14,7 @@
 #include "common/bytes.h"
 #include "common/message.h"
 #include "common/types.h"
+#include "common/wire.h"
 
 namespace mrp::smr {
 
@@ -92,49 +92,20 @@ struct Command {
     return c;
   }
 
+  MRP_WIRE_FIELDS(op, key, value, kmin, kmax, req_id, client, session_id,
+                  session_seq, target_group)
+  bool Valid() const { return op <= Op::kSeal; }
+
   Bytes Encode() const {
-    ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(op));
-    w.u64(key);
-    w.str(value);
-    w.u64(kmin);
-    w.u64(kmax);
-    w.u64(req_id);
-    w.u32(client);
-    w.u64(session_id);
-    w.u64(session_seq);
-    w.u32(target_group);
+    ByteWriter w(wire::Size(*this));
+    wire::Put(w, *this);
     return w.take();
   }
 
   static std::optional<Command> Decode(std::span<const std::uint8_t> data) {
     ByteReader r(data);
     Command c;
-    auto op = r.u8();
-    auto key = r.u64();
-    auto value = r.str();
-    auto kmin = r.u64();
-    auto kmax = r.u64();
-    auto req = r.u64();
-    auto client = r.u32();
-    auto sid = r.u64();
-    auto sseq = r.u64();
-    auto target = r.u32();
-    if (!op || !key || !value || !kmin || !kmax || !req || !client || !sid ||
-        !sseq || !target) {
-      return std::nullopt;
-    }
-    if (*op > static_cast<std::uint8_t>(Op::kSeal)) return std::nullopt;
-    c.op = static_cast<Op>(*op);
-    c.key = *key;
-    c.value = std::move(*value);
-    c.kmin = *kmin;
-    c.kmax = *kmax;
-    c.req_id = *req;
-    c.client = *client;
-    c.session_id = *sid;
-    c.session_seq = *sseq;
-    c.target_group = *target;
+    if (!wire::Get(r, c)) return std::nullopt;
     return c;
   }
 };
@@ -144,6 +115,8 @@ struct Command {
 // hint on a refused command: the key range moved to that group
 // (docs/RECONFIG.md) — retry there, don't count this as a result.
 struct Response final : MessageBase {
+  MRP_WIRE_MESSAGE(Response, 13, "smr.Response", req_id, partition, ok, rows, redirect)
+
   std::uint64_t req_id;
   GroupId partition;
   bool ok;
@@ -155,41 +128,32 @@ struct Response final : MessageBase {
            GroupId redir = kNoGroup)
       : req_id(id), partition(p), ok(okay), rows(std::move(r)),
         redirect(redir) {}
-  std::size_t WireSize() const override {
-    std::size_t n = 8 + 4 + 1 + 4 + 8 + 4;
-    for (const auto& [k, v] : rows) n += 8 + 4 + v.size();
-    return n;
-  }
-  const char* TypeName() const override { return "smr.Response"; }
 };
 
 // New replica -> peer replica: request a full state snapshot of the
 // partition (bootstrap after a late join; the atomic-multicast log
 // below the acceptors' trim point is no longer replayable).
 struct SnapshotReq final : MessageBase {
+  MRP_WIRE_MESSAGE(SnapshotReq, 15, "smr.SnapshotReq", partition)
+
   GroupId partition;
 
   explicit SnapshotReq(GroupId p) : partition(p) {}
-  std::size_t WireSize() const override { return 8 + 4; }
-  const char* TypeName() const override { return "smr.SnapshotReq"; }
 };
 
 // Peer replica -> new replica: the partition state. Replay of the tail
 // of the multicast stream on top of this converges because the service
 // commands are idempotent (insert/delete by key).
 struct SnapshotRep final : MessageBase {
+  MRP_WIRE_MESSAGE(SnapshotRep, 16, "smr.SnapshotRep",
+                   partition, applied, wire::Capped<10'000'000>(rows))
+
   GroupId partition;
   std::uint64_t applied;  // commands applied when the snapshot was taken
   std::vector<std::pair<Key, std::string>> rows;
 
   SnapshotRep(GroupId p, std::uint64_t a, std::vector<std::pair<Key, std::string>> r)
       : partition(p), applied(a), rows(std::move(r)) {}
-  std::size_t WireSize() const override {
-    std::size_t n = 8 + 4 + 8 + 4;
-    for (const auto& [k, v] : rows) n += 8 + 4 + v.size();
-    return n;
-  }
-  const char* TypeName() const override { return "smr.SnapshotRep"; }
 };
 
 }  // namespace mrp::smr

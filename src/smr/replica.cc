@@ -50,78 +50,87 @@ void Replica::RequestSnapshot(Env& env) {
 
 void Replica::OnMessage(Env& env, NodeId from, const MessagePtr& m) {
   env_ = &env;
-  if (const auto* req = Cast<SnapshotReq>(m)) {
-    if (req->partition == cfg_.partition && bootstrapped_) {
-      const auto [lo, hi] = cfg_.range;
-      env.Send(from, MakeMessage<SnapshotRep>(cfg_.partition, applied_,
-                                              store_.Query(lo, hi)));
-    }
-    return;
-  }
-  if (const auto* rep = Cast<SnapshotRep>(m)) {
-    if (rep->partition == cfg_.partition && !bootstrapped_) {
-      for (const auto& [k, v] : rep->rows) store_.Insert(k, v);
-      bootstrapped_ = true;
-      // Replay the deliveries that arrived while the snapshot was in
-      // flight (idempotent overlap with the snapshot).
-      auto pending = std::move(pending_applies_);
-      pending_applies_.clear();
-      for (const auto& cmd : pending) Execute(env, cmd);
-    }
-    return;
-  }
-  if (const auto* req = Cast<recovery::SnapshotRequest>(m)) {
-    ServeHandoff(env, from, *req);
-    return;
-  }
-  if (Cast<recovery::SnapshotChunk>(m) != nullptr ||
-      Cast<recovery::SnapshotDone>(m) != nullptr) {
-    if (handoff_fetch_ != nullptr) handoff_fetch_->OnMessage(env, from, m);
-    return;
-  }
-  if (const auto* probe = Cast<reconfig::HandoffRequest>(m)) {
-    // Coordinator completion probe: answered once the handoff with that
-    // plan id is installed (idempotent — probes are retried until the
-    // PlanStatus gets through).
-    if (probe->plan_id == cfg_.handoff_plan) {
-      env.Send(from, MakeMessage<reconfig::PlanStatus>(probe->plan_id,
-                                                       bootstrapped_));
-    }
-    return;
-  }
-  if (const auto* grant = Cast<session::LeaseGrant>(m)) {
-    if (cfg_.serve_local_reads && grant->group == cfg_.partition &&
-        grant->holder == env.self() && grant->epoch >= lease_epoch_) {
-      lease_epoch_ = grant->epoch;
-      lease_expires_ = grant->expires_at;
-      lease_grant_point_ = grant->grant_point;
-      env.Send(from, MakeMessage<session::LeaseAck>(cfg_.partition,
-                                                    grant->epoch));
-    }
-    return;
-  }
-  if (const auto* revoke = Cast<session::LeaseRevoke>(m)) {
-    if (revoke->group == cfg_.partition && revoke->epoch >= lease_epoch_) {
-      lease_epoch_ = revoke->epoch;
-      lease_expires_ = TimePoint{0};
-    }
-    return;
-  }
-  if (const auto* read = Cast<session::SessionRead>(m)) {
-    if (!cfg_.serve_local_reads) {
-      if (ctr_read_fallbacks_) ctr_read_fallbacks_->Inc();
-      env.Send(from, MakeMessage<session::SessionReadRep>(
-                         read->req_id, cfg_.partition,
-                         session::SessionReadRep::kNoLease));
+  switch (m->tag()) {
+    case SnapshotReq::kTag: {
+      const auto* req = static_cast<const SnapshotReq*>(m.get());
+      if (req->partition == cfg_.partition && bootstrapped_) {
+        const auto [lo, hi] = cfg_.range;
+        env.Send(from, MakeMessage<SnapshotRep>(cfg_.partition, applied_,
+                                                store_.Query(lo, hi)));
+      }
       return;
     }
-    const ReadKey key{from, read->req_id};
-    pending_reads_[key] = PendingRead{from, read->req_id, read->kmin,
-                                      read->kmax};
-    TryServeRead(env, key);
-    return;
+    case SnapshotRep::kTag: {
+      const auto* rep = static_cast<const SnapshotRep*>(m.get());
+      if (rep->partition == cfg_.partition && !bootstrapped_) {
+        for (const auto& [k, v] : rep->rows) store_.Insert(k, v);
+        bootstrapped_ = true;
+        // Replay the deliveries that arrived while the snapshot was in
+        // flight (idempotent overlap with the snapshot).
+        auto pending = std::move(pending_applies_);
+        pending_applies_.clear();
+        for (const auto& cmd : pending) Execute(env, cmd);
+      }
+      return;
+    }
+    case recovery::SnapshotRequest::kTag: {
+      const auto* req = static_cast<const recovery::SnapshotRequest*>(m.get());
+      ServeHandoff(env, from, *req);
+      return;
+    }
+    case recovery::SnapshotChunk::kTag:
+    case recovery::SnapshotDone::kTag:
+      if (handoff_fetch_ != nullptr) handoff_fetch_->OnMessage(env, from, m);
+      return;
+    case reconfig::HandoffRequest::kTag: {
+      const auto* probe = static_cast<const reconfig::HandoffRequest*>(m.get());
+      // Coordinator completion probe: answered once the handoff with that
+      // plan id is installed (idempotent — probes are retried until the
+      // PlanStatus gets through).
+      if (probe->plan_id == cfg_.handoff_plan) {
+        env.Send(from, MakeMessage<reconfig::PlanStatus>(probe->plan_id,
+                                                         bootstrapped_));
+      }
+      return;
+    }
+    case session::LeaseGrant::kTag: {
+      const auto* grant = static_cast<const session::LeaseGrant*>(m.get());
+      if (cfg_.serve_local_reads && grant->group == cfg_.partition &&
+          grant->holder == env.self() && grant->epoch >= lease_epoch_) {
+        lease_epoch_ = grant->epoch;
+        lease_expires_ = grant->expires_at;
+        lease_grant_point_ = grant->grant_point;
+        env.Send(from, MakeMessage<session::LeaseAck>(cfg_.partition,
+                                                      grant->epoch));
+      }
+      return;
+    }
+    case session::LeaseRevoke::kTag: {
+      const auto* revoke = static_cast<const session::LeaseRevoke*>(m.get());
+      if (revoke->group == cfg_.partition && revoke->epoch >= lease_epoch_) {
+        lease_epoch_ = revoke->epoch;
+        lease_expires_ = TimePoint{0};
+      }
+      return;
+    }
+    case session::SessionRead::kTag: {
+      const auto* read = static_cast<const session::SessionRead*>(m.get());
+      if (!cfg_.serve_local_reads) {
+        if (ctr_read_fallbacks_) ctr_read_fallbacks_->Inc();
+        env.Send(from, MakeMessage<session::SessionReadRep>(
+                           read->req_id, cfg_.partition,
+                           session::SessionReadRep::kNoLease));
+        return;
+      }
+      const ReadKey key{from, read->req_id};
+      pending_reads_[key] = PendingRead{from, read->req_id, read->kmin,
+                                        read->kmax};
+      TryServeRead(env, key);
+      return;
+    }
+    default:
+      merge_->OnMessage(env, from, m);
   }
-  merge_->OnMessage(env, from, m);
 }
 
 // A local read is linearizable only if the lease window is open AND the

@@ -40,7 +40,7 @@ TEST(MessageCast, DowncastHelpers) {
   MessagePtr m = MakeMessage<ringpaxos::P2B>(1, 2, 3, 4, 5);
   EXPECT_NE(Cast<ringpaxos::P2B>(m), nullptr);
   EXPECT_EQ(Cast<ringpaxos::P2A>(m), nullptr);
-  EXPECT_NE(dynamic_cast<const ringpaxos::RingMessage*>(m.get()), nullptr);
+  EXPECT_NE(ringpaxos::AsRingMessage(*m), nullptr);
 }
 
 // ------------------------------------------------------------- InProcBus
@@ -49,7 +49,8 @@ struct EchoMsg final : MessageBase {
   int tag;
   explicit EchoMsg(int t) : tag(t) {}
   std::size_t WireSize() const override { return 16; }
-  const char* TypeName() const override { return "test.Echo"; }
+  static constexpr MessageType kType{0, "test.Echo"};
+  const MessageType& type() const override { return kType; }
 };
 
 class Collector final : public Protocol {

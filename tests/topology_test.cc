@@ -163,7 +163,8 @@ struct TestMsg final : MessageBase {
   int tag;
   explicit TestMsg(std::size_t s, int t = 0) : size(s), tag(t) {}
   std::size_t WireSize() const override { return size; }
-  const char* TypeName() const override { return "test.Msg"; }
+  static constexpr MessageType kType{0, "test.Msg"};
+  const MessageType& type() const override { return kType; }
 };
 
 class Recorder final : public Protocol {

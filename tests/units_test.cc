@@ -56,7 +56,8 @@ struct StampMsg final : MessageBase {
   std::size_t size;
   StampMsg(int t, std::size_t s) : tag(t), size(s) {}
   std::size_t WireSize() const override { return size; }
-  const char* TypeName() const override { return "test.Stamp"; }
+  static constexpr MessageType kType{0, "test.Stamp"};
+  const MessageType& type() const override { return kType; }
 };
 
 class OrderRecorder final : public Protocol {
