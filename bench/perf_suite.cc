@@ -21,9 +21,9 @@
 #include "net/codec.h"
 #include "paxos/value.h"
 #include "ringpaxos/messages.h"
-#include "session/client.h"
 #include "session/lease.h"
 #include "sim/scheduler.h"
+#include "smr/client.h"
 #include "smr/replica.h"
 
 namespace {
@@ -241,20 +241,17 @@ ScenarioResult SessionLocalReads(bool quick) {
     d.net().Subscribe(node.self(), d.ring(0).control_channel);
   }
   AddOpenLoopClient(d, 0, {{TimePoint(0), 1000}}, /*payload=*/512);
-  session::SessionClient* client = nullptr;
+  smr::KvClient* client = nullptr;
   {
-    sim::NodeSpec spec;
-    spec.infinite_cpu = true;
-    auto& node = d.net().AddNode(spec);
-    session::SessionClientConfig sc;
+    smr::KvClientConfig sc;
     sc.session_id = 1;
-    sc.ring = d.ring(0);
+    sc.rings = {d.ring(0)};
     sc.read_replica = replica_nodes[1]->self();
     sc.window = 8;
-    sc.read_ratio = 1.0;
-    auto cl = std::make_unique<session::SessionClient>(sc);
+    sc.query_ratio = 1.0;
+    auto cl = std::make_unique<smr::KvClient>(sc);
     client = cl.get();
-    node.BindProtocol(std::move(cl));
+    d.AddClient(std::move(cl), {0});
   }
   d.Start();
   d.RunFor(Seconds(1));  // session open + first lease grant + warmup

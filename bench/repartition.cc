@@ -136,9 +136,6 @@ ScenarioResult RunScenario(bool live_split, Duration total, Duration split_at,
   smr::KvClient* client = nullptr;
   sim::SimNode* client_node = nullptr;
   {
-    sim::NodeSpec spec;
-    spec.infinite_cpu = true;
-    auto& node = d->net().AddNode(spec);
     smr::KvClientConfig cc;
     cc.rings.push_back(d->ring(0));
     cc.window = 8;
@@ -150,8 +147,7 @@ ScenarioResult RunScenario(bool live_split, Duration total, Duration split_at,
     cc.on_latency = [&phase_hist](Duration lat) { phase_hist->Record(lat); };
     auto cl = std::make_unique<smr::KvClient>(cc);
     client = cl.get();
-    client_node = &node;
-    node.BindProtocol(std::move(cl));
+    client_node = &d->AddClient(std::move(cl), {0, 1});
   }
 
   reconfig::RepartitionCoordinator* repart = nullptr;
@@ -170,6 +166,7 @@ ScenarioResult RunScenario(bool live_split, Duration total, Duration split_at,
     auto co = std::make_unique<reconfig::RepartitionCoordinator>(pc);
     repart = co.get();
     node.BindProtocol(std::move(co));
+    d->net().Subscribe(node.self(), d->ring(0).control_channel);
   }
 
   d->Start();

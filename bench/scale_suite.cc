@@ -24,6 +24,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,6 @@
 #include "multiring/sim_deployment.h"
 #include "sim/scheduler.h"
 #include "workload/driver.h"
-#include "workload/sim_harness.h"
 #include "workload/tenant.h"
 
 namespace {
@@ -147,7 +147,10 @@ ScenarioResult WorkloadMix(bool quick) {
   workload::DriverConfig cfg;
   cfg.mix = workload::DefaultMix();
   for (auto& t : cfg.mix.tenants) t.sessions *= 4;  // 40 sessions/ring
-  auto* driver = workload::AddWorkloadDriver(d, std::move(cfg), rings);
+  for (int r : rings) cfg.rings.push_back(d.ring(r));
+  auto owned = std::make_unique<workload::WorkloadDriver>(std::move(cfg));
+  auto* driver = owned.get();
+  d.AddClient(std::move(owned), rings);
   d.AddMergeLearner(rings)->set_on_deliver(
       [driver, &d](GroupId, const paxos::ClientMsg& m) {
         driver->RecordDelivery(d.net().now(), m);
@@ -196,7 +199,10 @@ ScenarioResult Scale100Rings(bool quick) {
   t.payload_bytes = 64;
   cfg.mix.tenants.push_back(t);
   cfg.start_jitter = Millis(50);
-  auto* driver = workload::AddWorkloadDriver(d, std::move(cfg), rings);
+  for (int r : rings) cfg.rings.push_back(d.ring(r));
+  auto owned = std::make_unique<workload::WorkloadDriver>(std::move(cfg));
+  auto* driver = owned.get();
+  d.AddClient(std::move(owned), rings);
 
   d.Start();
   d.RunFor(Millis(200));  // let the session fleet spin up
@@ -287,7 +293,11 @@ void RunSweep(bool quick) {
           t.payload_bytes = 200;
           cfg.mix.tenants.push_back(t);
           cfg.driver_id = static_cast<std::uint64_t>(r);
-          drivers.push_back(workload::AddWorkloadDriver(d, std::move(cfg), {r}));
+          cfg.rings = {d.ring(r)};
+          auto owned =
+              std::make_unique<workload::WorkloadDriver>(std::move(cfg));
+          drivers.push_back(owned.get());
+          d.AddClient(std::move(owned), {r});
         }
         d.AddMergeLearner(rings)->set_on_deliver(
             [&drivers, &d](GroupId, const paxos::ClientMsg& m) {

@@ -17,8 +17,8 @@
 #include "check/oracles.h"
 #include "check/session_oracle.h"
 #include "multiring/sim_deployment.h"
-#include "session/client.h"
 #include "session/lease.h"
+#include "smr/client.h"
 #include "smr/replica.h"
 
 namespace mrp::bench {
@@ -101,21 +101,19 @@ ScenarioResult RunScenario(bool lease_local, double write_lambda,
   AddOpenLoopClient(*d, 0, {{TimePoint(0), write_lambda}}, /*payload=*/512);
 
   // The read-only session client under test.
-  session::SessionClient* client = nullptr;
+  smr::KvClient* client = nullptr;
+  Histogram read_latency;
   {
-    sim::NodeSpec spec;
-    spec.infinite_cpu = true;
-    auto& node = d->net().AddNode(spec);
-    session::SessionClientConfig sc;
+    smr::KvClientConfig sc;
     sc.session_id = 1;
-    sc.ring = d->ring(0);
-    sc.read_replica =
-        lease_local ? replica_nodes[1]->self() : kNoNode;
+    sc.rings = {d->ring(0)};
+    sc.read_replica = lease_local ? replica_nodes[1]->self() : kNoNode;
     sc.window = 8;
-    sc.read_ratio = 1.0;  // reads only; the Poisson proposer writes
-    auto cl = std::make_unique<session::SessionClient>(sc);
+    sc.query_ratio = 1.0;  // reads only; the Poisson proposer writes
+    sc.on_latency = [&read_latency](Duration lat) { read_latency.Record(lat); };
+    auto cl = std::make_unique<smr::KvClient>(sc);
     client = cl.get();
-    node.BindProtocol(std::move(cl));
+    d->AddClient(std::move(cl), {0});
   }
 
   d->Start();
@@ -128,7 +126,7 @@ ScenarioResult RunScenario(bool lease_local, double write_lambda,
 
   ScenarioResult res;
   res.reads_per_s = static_cast<double>(reads) / ToSeconds(measure);
-  res.latency = Summarize(client->read_latency());
+  res.latency = Summarize(read_latency);
   res.local_reads = client->local_reads();
   res.fallback_reads = client->fallback_reads();
   res.ring_reads = client->ring_reads();

@@ -21,6 +21,7 @@
 #include "common/bytes.h"
 #include "multiring/merge_learner.h"
 #include "multiring/sim_deployment.h"
+#include "ringpaxos/client_core.h"
 #include "ringpaxos/messages.h"
 
 using namespace mrp;  // NOLINT
@@ -160,8 +161,14 @@ class BankClient final : public Protocol {
   BankClient(std::vector<ringpaxos::RingConfig> rings, int partitions, double rate)
       : rings_(std::move(rings)), partitions_(partitions), rate_(rate) {}
 
-  void OnStart(Env& env) override { Arm(env); }
-  void OnMessage(Env&, NodeId, const MessagePtr&) override {}
+  void OnStart(Env& env) override {
+    for (const auto& r : rings_) core_.Seed(r.ring, r.ring_members[0]);
+    Arm(env);
+  }
+  // Heartbeats keep the coordinator hints current.
+  void OnMessage(Env&, NodeId, const MessagePtr& m) override {
+    core_.OnMessage(*m);
+  }
 
  private:
   void Arm(Env& env) {
@@ -191,13 +198,10 @@ class BankClient final : public Protocol {
     }
     paxos::ClientMsg m;
     m.group = rings_[ring_idx].group;
-    m.proposer = env.self();
-    m.seq = ++seq_;
-    m.sent_at = env.now();
     m.payload = op.Encode();
     m.payload_size = static_cast<std::uint32_t>(m.payload.size());
-    env.Send(rings_[ring_idx].ring_members[0],
-             MakeMessage<ringpaxos::Submit>(rings_[ring_idx].ring, std::move(m)));
+    core_.Stamp(env, m);
+    core_.Submit(env, rings_[ring_idx].ring, std::move(m));
   }
 
  public:
@@ -207,7 +211,7 @@ class BankClient final : public Protocol {
   std::vector<ringpaxos::RingConfig> rings_;
   int partitions_;
   double rate_;
-  std::uint64_t seq_ = 0;
+  ringpaxos::ClientCore core_;
 };
 
 }  // namespace
@@ -244,16 +248,14 @@ int main(int argc, char** argv) {
 
   std::vector<BankClient*> clients;
   std::vector<sim::SimNode*> client_nodes;
+  std::vector<int> all_rings;
+  for (int r = 0; r < d.n_rings(); ++r) all_rings.push_back(r);
   for (int c = 0; c < 4; ++c) {
-    sim::NodeSpec spec;
-    spec.infinite_cpu = true;
-    auto& node = d.net().AddNode(spec);
     std::vector<ringpaxos::RingConfig> rings;
-    for (int r = 0; r < d.n_rings(); ++r) rings.push_back(d.ring(r));
+    for (int r : all_rings) rings.push_back(d.ring(r));
     auto client = std::make_unique<BankClient>(std::move(rings), partitions, 500.0);
     clients.push_back(client.get());
-    client_nodes.push_back(&node);
-    node.BindProtocol(std::move(client));
+    client_nodes.push_back(&d.AddClient(std::move(client), all_rings));
   }
 
   std::printf("bank: %llu accounts over %d partitions + g_all, 4 clients\n",

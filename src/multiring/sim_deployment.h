@@ -1,8 +1,9 @@
 // SimDeployment: builds a complete Multi-Ring Paxos cluster on the
 // discrete-event simulator — rings (acceptor universes with in-memory or
-// simulated-disk storage), merge/single-group learners and workload
-// proposers — and wires multicast subscriptions. Shared by the tests and
-// every benchmark so topologies are declared, not hand-assembled.
+// simulated-disk storage), merge/single-group learners, workload
+// proposers and other client nodes — and wires multicast subscriptions.
+// Shared by the tests and every benchmark so topologies are declared,
+// not hand-assembled.
 #pragma once
 
 #include <cstdint>
@@ -168,6 +169,23 @@ class SimDeployment {
     return raw;
   }
 
+  // Client node running `protocol`: infinite CPU (clients are never the
+  // bottleneck), placed in `site`, and subscribed to the control channel
+  // of each listed ring so its ClientCore hears the coordinator's
+  // heartbeats.
+  sim::SimNode& AddClient(std::unique_ptr<Protocol> protocol,
+                          const std::vector<int>& ring_indices,
+                          sim::SiteId site = 0) {
+    sim::NodeSpec spec = SpecForSite(site);
+    spec.infinite_cpu = true;
+    auto& node = net_.AddNode(spec, site);
+    node.BindProtocol(std::move(protocol));
+    for (int idx : ring_indices) {
+      net_.Subscribe(node.self(), rings_[idx].control_channel);
+    }
+    return node;
+  }
+
   // Workload proposer for ring `idx`. The returned config's ring/group/
   // coordinator fields are filled in; the caller sets the workload
   // shape. `group_override` supports many-groups-per-ring deployments
@@ -178,18 +196,13 @@ class SimDeployment {
                                        std::nullopt,
                                    std::optional<sim::SiteId> site =
                                        std::nullopt) {
-    const sim::SiteId s = site.value_or(ring_site(idx));
-    sim::NodeSpec spec = SpecForSite(s);
-    spec.infinite_cpu = true;  // clients are never the bottleneck
-    auto& node = net_.AddNode(spec, s);
     cfg.ring = rings_[idx].ring;
     cfg.group = group_override.value_or(rings_[idx].group);
     cfg.coordinator = rings_[idx].ring_members[0];
     auto proposer = std::make_unique<ringpaxos::Proposer>(cfg);
     auto* raw = proposer.get();
-    node.BindProtocol(std::move(proposer));
-    net_.Subscribe(node.self(), rings_[idx].control_channel);
-    proposer_nodes_.push_back(&node);
+    proposer_nodes_.push_back(
+        &AddClient(std::move(proposer), {idx}, site.value_or(ring_site(idx))));
     return raw;
   }
 

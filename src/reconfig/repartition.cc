@@ -7,21 +7,19 @@
 
 namespace mrp::reconfig {
 
-using ringpaxos::Submit;
-
-void SubmitSwap(Env& env, const ringpaxos::RingConfig& ring,
-                const ReconfigPlan& plan, std::uint64_t seq) {
+void SubmitSwap(Env& env, ringpaxos::ClientCore& core,
+                const ringpaxos::RingConfig& ring, const ReconfigPlan& plan) {
   paxos::ClientMsg msg;
   msg.group = ring.group;
-  msg.proposer = env.self();
-  msg.seq = seq;
-  msg.sent_at = env.now();
   msg.payload = plan.Encode();
   msg.payload_size = static_cast<std::uint32_t>(msg.payload.size());
-  env.Send(ring.ring_members[0], MakeMessage<Submit>(ring.ring, std::move(msg)));
+  core.Stamp(env, msg);
+  core.Submit(env, ring.ring, std::move(msg));
 }
 
 void RepartitionCoordinator::OnStart(Env& env) {
+  const auto& members = cfg_.source_ring.ring_members;
+  core_.Seed(cfg_.source_ring.ring, members.empty() ? kNoNode : members[0]);
   ctr_seal_attempts_ = &env.metrics().counter("reconfig.seal_attempts");
   ctr_done_ = &env.metrics().counter("reconfig.plans_done");
   env.SetTimer(cfg_.start_delay, [this, &env] { Begin(env); });
@@ -41,9 +39,8 @@ void RepartitionCoordinator::Tick(Env& env) {
     case Phase::kIdle:
       break;
     case Phase::kSealing:
-      // Retry against the next ring member: the coordinator may have
-      // moved, or the previous submit/response may have been lost.
-      ++submit_rotation_;
+      // Retry: the previous submit or its response may have been lost,
+      // or the coordinator moved (the core's hint follows it).
       SubmitSeal(env);
       break;
     case Phase::kFlipped:
@@ -63,8 +60,6 @@ void RepartitionCoordinator::Tick(Env& env) {
 }
 
 void RepartitionCoordinator::SubmitSeal(Env& env) {
-  const auto& members = cfg_.source_ring.ring_members;
-  if (members.empty()) return;
   ++seal_attempts_;
   if (ctr_seal_attempts_) ctr_seal_attempts_->Inc();
   smr::Command seal = smr::Command::Seal(cfg_.plan.plan_id, cfg_.plan.lo,
@@ -72,14 +67,10 @@ void RepartitionCoordinator::SubmitSeal(Env& env) {
   seal.client = env.self();
   paxos::ClientMsg msg;
   msg.group = cfg_.plan.source_group;
-  msg.proposer = env.self();
-  msg.seq = ++seq_;
-  msg.sent_at = env.now();
   msg.payload = seal.Encode();
   msg.payload_size = static_cast<std::uint32_t>(msg.payload.size());
-  if (cfg_.on_submit) cfg_.on_submit(msg);
-  env.Send(members[submit_rotation_ % members.size()],
-           MakeMessage<Submit>(cfg_.source_ring.ring, std::move(msg)));
+  core_.Stamp(env, msg);
+  core_.Submit(env, cfg_.source_ring.ring, std::move(msg));
 }
 
 void RepartitionCoordinator::BroadcastRouting(Env& env) {
@@ -92,6 +83,7 @@ void RepartitionCoordinator::BroadcastRouting(Env& env) {
 
 void RepartitionCoordinator::OnMessage(Env& env, NodeId /*from*/,
                                        const MessagePtr& m) {
+  if (core_.OnMessage(*m)) return;
   if (const auto* resp = Cast<smr::Response>(m)) {
     // Seal ack: a source replica applied (or re-acknowledged) the seal.
     if (phase_ == Phase::kSealing && resp->ok &&

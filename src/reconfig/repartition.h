@@ -2,8 +2,11 @@
 // (docs/RECONFIG.md) without stopping client traffic.
 //
 //   kSealing  — submit the kSeal command into the source group's own
-//               ordered stream (retried, rotating submission targets)
-//               until a source replica acknowledges. The seal's log
+//               ordered stream (retried to the source ring's current
+//               coordinator, which a ringpaxos::ClientCore follows
+//               through heartbeats: the coordinator's node must subscribe
+//               to the source ring's control channel) until a source
+//               replica acknowledges. The seal's log
 //               position IS the cut: moved keys leave the source store
 //               there, and later writes into the range are redirected.
 //   kFlipped  — install the successor RingConfiguration into the local
@@ -29,16 +32,17 @@
 #include "reconfig/messages.h"
 #include "reconfig/plan.h"
 #include "reconfig/ring_view.h"
+#include "ringpaxos/client_core.h"
 #include "ringpaxos/config.h"
 #include "ringpaxos/messages.h"
 
 namespace mrp::reconfig {
 
-// Submits a kSwap plan as an ordinary client value to `ring`; the
-// coordinator of that ring applies it at the decision instance
-// (RingNode::MaybeApplySwap). Callers provide a fresh `seq` per attempt.
-void SubmitSwap(Env& env, const ringpaxos::RingConfig& ring,
-                const ReconfigPlan& plan, std::uint64_t seq);
+// Submits a kSwap plan as an ordinary client value to `ring` through
+// `core` (a fresh seq per attempt); the coordinator of that ring applies
+// it at the decision instance (RingNode::MaybeApplySwap).
+void SubmitSwap(Env& env, ringpaxos::ClientCore& core,
+                const ringpaxos::RingConfig& ring, const ReconfigPlan& plan);
 
 struct RepartitionConfig {
   ReconfigPlan plan;
@@ -64,7 +68,7 @@ struct RepartitionConfig {
 class RepartitionCoordinator final : public Protocol {
  public:
   explicit RepartitionCoordinator(RepartitionConfig cfg)
-      : cfg_(std::move(cfg)) {}
+      : cfg_(std::move(cfg)), core_(cfg_.on_submit) {}
 
   void OnStart(Env& env) override;
   void OnMessage(Env& env, NodeId from, const MessagePtr& m) override;
@@ -81,6 +85,7 @@ class RepartitionCoordinator final : public Protocol {
     f.U64(cfg_.plan.Fingerprint());
     f.U64(seal_attempts_);
     f.U64(updates_sent_);
+    core_.Fold(f);
     return f.digest();
   }
 
@@ -91,11 +96,10 @@ class RepartitionCoordinator final : public Protocol {
   void BroadcastRouting(Env& env);
 
   RepartitionConfig cfg_;
+  ringpaxos::ClientCore core_;
   Phase phase_ = Phase::kIdle;
-  std::uint64_t seq_ = 0;
   std::uint64_t seal_attempts_ = 0;
   std::uint64_t updates_sent_ = 0;
-  std::size_t submit_rotation_ = 0;
   Counter* ctr_seal_attempts_ = nullptr;
   Counter* ctr_done_ = nullptr;
 };

@@ -13,7 +13,7 @@ void Proposer::OnStart(Env& env) {
   ctr_retransmits_ = &reg.counter("proposer.retransmits");
   ctr_acks_rx_ = &reg.counter("proposer.acks_rx");
   ctr_coordinator_changes_ = &reg.counter("proposer.coordinator_changes");
-  coordinator_ = cfg_.coordinator;
+  core_.Seed(cfg_.ring, cfg_.coordinator);
   last_progress_ = env.now();
   if (cfg_.max_outstanding > 0) ArmRetry(env);
   Duration jitter{0};
@@ -71,18 +71,20 @@ void Proposer::ScheduleNext(Env& env) {
 void Proposer::SubmitOne(Env& env) {
   paxos::ClientMsg msg;
   msg.group = cfg_.group;
-  msg.proposer = env.self();
-  msg.seq = ++next_seq_;
-  msg.sent_at = env.now();
   msg.payload_size = cfg_.payload_size;
+  core_.Stamp(env, msg);
   // Outstanding tracking requires acknowledgements; a pure open-loop
   // proposer (no window) would otherwise accumulate forever.
   if (cfg_.max_outstanding > 0) outstanding_.emplace(msg.seq, msg);
   sent_.Add(1, msg.payload_size);
   if (ctr_submitted_) ctr_submitted_->Inc();
-  if (cfg_.on_submit) cfg_.on_submit(msg);
-  if (coordinator_ != kNoNode) {
-    env.Send(coordinator_, MakeMessage<Submit>(cfg_.ring, std::move(msg)));
+  core_.Submit(env, cfg_.ring, std::move(msg));
+}
+
+void Proposer::ResendOutstanding(Env& env) {
+  for (const auto& [seq, msg] : outstanding_) {
+    if (ctr_retransmits_) ctr_retransmits_->Inc();
+    core_.Forward(env, cfg_.ring, MakeMessage<Submit>(cfg_.ring, msg));
   }
 }
 
@@ -90,11 +92,8 @@ void Proposer::ArmRetry(Env& env) {
   env.SetTimer(cfg_.retry_timeout, [this, &env] {
     if (!outstanding_.empty() &&
         env.now() - last_progress_ >= cfg_.retry_timeout &&
-        coordinator_ != kNoNode) {
-      for (const auto& [seq, msg] : outstanding_) {
-        if (ctr_retransmits_) ctr_retransmits_->Inc();
-        env.Send(coordinator_, MakeMessage<Submit>(cfg_.ring, msg));
-      }
+        core_.coordinator(cfg_.ring) != kNoNode) {
+      ResendOutstanding(env);
       TraceProtocolEvent(env.now(), env.self(), cfg_.ring, kNoInstance,
                          "proposer", "retry_burst", outstanding_.size());
       last_progress_ = env.now();  // back off until the next timeout
@@ -144,6 +143,11 @@ void Proposer::AfterAck(Env& env) {
 void Proposer::OnMessage(Env& env, NodeId /*from*/, const MessagePtr& m) {
   const RingMessage* rm = AsRingMessage(*m);
   if (rm == nullptr || rm->ring != cfg_.ring) return;
+  if (core_.OnMessage(*m)) {
+    if (ctr_coordinator_changes_) ctr_coordinator_changes_->Inc();
+    ResendOutstanding(env);
+    return;
+  }
 
   switch (m->tag()) {
     case SubmitAck::kTag: {
@@ -159,19 +163,6 @@ void Proposer::OnMessage(Env& env, NodeId /*from*/, const MessagePtr& m) {
       if (ack.group == cfg_.group) {
         if (ctr_acks_rx_) ctr_acks_rx_->Inc();
         OnExactAck(env, ack.seq);
-      }
-      break;
-    }
-    case Heartbeat::kTag: {
-      const auto& hb = static_cast<const Heartbeat&>(*m);
-      if (hb.coordinator == coordinator_) break;
-      coordinator_ = hb.coordinator;
-      if (ctr_coordinator_changes_) ctr_coordinator_changes_->Inc();
-      if (cfg_.resend_on_coordinator_change) {
-        for (const auto& [seq, msg] : outstanding_) {
-          if (ctr_retransmits_) ctr_retransmits_->Inc();
-          env.Send(coordinator_, MakeMessage<Submit>(cfg_.ring, msg));
-        }
       }
       break;
     }

@@ -12,9 +12,10 @@
 //    the live ring throttle during the Figure 12 outage.
 //
 // Acknowledgements come either from the coordinator (SubmitAck) or from
-// a learner (DeliveryAck); both are cumulative per group. The proposer
-// tracks the ring coordinator through control-channel heartbeats and
-// resubmits unacknowledged messages when the coordinator changes.
+// a learner (DeliveryAck); both are cumulative per group. Submissions go
+// through a ClientCore, which follows the ring coordinator through
+// control-channel heartbeats; when it moves, the proposer resubmits
+// every unacknowledged message to the new one.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,7 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "paxos/value.h"
+#include "ringpaxos/client_core.h"
 #include "ringpaxos/config.h"
 #include "ringpaxos/messages.h"
 
@@ -63,7 +65,6 @@ struct ProposerConfig {
 
   // 0 = unbounded (pure open loop).
   std::size_t max_outstanding = 0;
-  bool resend_on_coordinator_change = true;
   // Windowed proposers retransmit all unacknowledged messages when no
   // acknowledgement progress was made for this long (covers lost
   // submissions and submissions that raced a coordinator election).
@@ -75,7 +76,8 @@ struct ProposerConfig {
 
 class Proposer final : public Protocol {
  public:
-  explicit Proposer(ProposerConfig cfg) : cfg_(std::move(cfg)) {}
+  explicit Proposer(ProposerConfig cfg)
+      : cfg_(std::move(cfg)), core_(cfg_.on_submit) {}
 
   void OnStart(Env& env) override;
   void OnMessage(Env& env, NodeId from, const MessagePtr& m) override;
@@ -96,8 +98,8 @@ class Proposer final : public Protocol {
   // window). Timing state (last_progress_, rate meter) is excluded.
   std::uint64_t Fingerprint() const {
     Fingerprinter f;
-    f.U32(coordinator_);
-    f.U64(next_seq_);
+    f.U32(core_.coordinator(cfg_.ring));
+    f.U64(core_.last_seq());
     f.U64(acked_seq_);
     f.U64(outstanding_.size());
     for (const auto& [seq, msg] : outstanding_) {
@@ -113,6 +115,7 @@ class Proposer final : public Protocol {
   double CurrentRate(TimePoint now) const;
   void ScheduleNext(Env& env);
   void SubmitOne(Env& env);
+  void ResendOutstanding(Env& env);
   // Cumulative acknowledgement (SubmitAck: valid within one coordinator
   // epoch, where proposals are FIFO).
   void OnCumulativeAck(Env& env, std::uint64_t up_to_seq);
@@ -128,8 +131,7 @@ class Proposer final : public Protocol {
   bool closed_loop() const { return cfg_.schedule.empty(); }
 
   ProposerConfig cfg_;
-  NodeId coordinator_ = kNoNode;
-  std::uint64_t next_seq_ = 0;
+  ClientCore core_;
   std::uint64_t acked_seq_ = 0;  // all seq <= acked_seq_ are acknowledged
   std::map<std::uint64_t, paxos::ClientMsg> outstanding_;  // by seq
   bool blocked_ = false;  // open loop: the send loop stalled on the window

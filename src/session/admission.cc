@@ -7,6 +7,7 @@ void Gateway::OnStart(Env& env) {
   bucket_.burst = cfg_.burst;
   bucket_.tokens = cfg_.burst;
   bucket_.last = env.now();
+  core_.Seed(cfg_.ring, cfg_.coordinator);
   ctr_admitted_ = &env.metrics().counter("session.gateway.admitted");
   ctr_shed_ = &env.metrics().counter("session.gateway.shed");
   g_queue_ = &env.metrics().gauge("session.gateway.queue_depth");
@@ -22,7 +23,7 @@ void Gateway::UpdateGauges() {
 void Gateway::Forward(Env& env, const MessagePtr& m) {
   ++admitted_;
   if (ctr_admitted_) ctr_admitted_->Inc();
-  env.Send(cfg_.coordinator, m);
+  core_.Forward(env, cfg_.ring, m);
 }
 
 void Gateway::Drain(Env& env) {
@@ -40,6 +41,7 @@ void Gateway::Drain(Env& env) {
 }
 
 void Gateway::OnMessage(Env& env, NodeId from, const MessagePtr& m) {
+  if (core_.OnMessage(*m)) return;
   const auto* s = Cast<ringpaxos::Submit>(m);
   if (s == nullptr || s->ring != cfg_.ring) return;
   if (queue_.empty() && bucket_.TryTake(env.now())) {

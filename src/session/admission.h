@@ -3,7 +3,10 @@
 // configured lambda with a token bucket, absorbs short bursts in a
 // bounded FIFO queue, and sheds anything beyond it with an explicit
 // Rejected(kOverload) back to the submitter — replacing silent queue
-// growth with a signal the SessionClient turns into backoff.
+// growth with a signal smr::KvClient turns into backoff. Admitted
+// submissions go to the ring's current coordinator through a
+// ringpaxos::ClientCore, so the gateway's node must subscribe to the
+// ring's control channel.
 #pragma once
 
 #include <algorithm>
@@ -12,6 +15,7 @@
 
 #include "common/env.h"
 #include "common/fingerprint.h"
+#include "ringpaxos/client_core.h"
 #include "ringpaxos/messages.h"
 #include "session/messages.h"
 #include "smr/command.h"
@@ -47,7 +51,7 @@ struct TokenBucket {
 
 struct GatewayConfig {
   RingId ring = 0;
-  NodeId coordinator = kNoNode;
+  NodeId coordinator = kNoNode;  // initial hint; heartbeats update it
   // Admission rate; size against the ring's lambda_per_sec so the ring
   // is never driven past its provisioned load.
   double rate_per_sec = 0;  // 0 = unlimited (pass-through)
@@ -74,6 +78,7 @@ class Gateway final : public Protocol {
     f.U64(shed_);
     f.U64(queue_.size());
     f.F64(bucket_.tokens);
+    core_.Fold(f);
     return f.digest();
   }
 
@@ -83,6 +88,7 @@ class Gateway final : public Protocol {
   void UpdateGauges();
 
   GatewayConfig cfg_;
+  ringpaxos::ClientCore core_;
   TokenBucket bucket_;
   std::deque<MessagePtr> queue_;
   bool drain_armed_ = false;

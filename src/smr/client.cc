@@ -1,14 +1,46 @@
 #include "smr/client.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "reconfig/messages.h"
+#include "session/messages.h"
 
 namespace mrp::smr {
 
-using ringpaxos::Submit;
+namespace {
+
+// How often pending requests are checked against their retry deadlines.
+constexpr Duration kRetryTick = Millis(20);
+// Rejected(kOverload) backoff: doubles per attempt from base up to max.
+constexpr Duration kBackoffBase = Millis(2);
+constexpr Duration kBackoffMax = Millis(200);
+// Local-read attempts before a read falls back through the ring (covers
+// a crashed or unreachable lease holder).
+constexpr std::uint32_t kReadRetryLimit = 2;
+
+bool IsControl(const Command& cmd) {
+  return cmd.op == Command::Op::kSessionOpen ||
+         cmd.op == Command::Op::kSessionClose;
+}
+
+Duration Backoff(std::uint32_t attempts) {
+  Duration d = kBackoffBase;
+  for (std::uint32_t i = 1; i < attempts && d < kBackoffMax; ++i) d += d;
+  return std::min(d, kBackoffMax);
+}
+
+}  // namespace
 
 void KvClient::OnStart(Env& env) {
+  if (cfg_.session_id != 0) {
+    MetricsRegistry& reg = env.metrics();
+    ctr_completed_ = &reg.counter("session.client.completed");
+    ctr_rejected_ = &reg.counter("session.client.rejected");
+    ctr_local_reads_ = &reg.counter("session.client.local_reads");
+    ctr_fallback_reads_ = &reg.counter("session.client.fallback_reads");
+  }
   Duration jitter{0};
   if (cfg_.start_jitter.count() > 0) {
     jitter = Duration(static_cast<std::int64_t>(
@@ -16,23 +48,15 @@ void KvClient::OnStart(Env& env) {
   }
   env.SetTimer(jitter, [this, &env] {
     if (cfg_.session_id != 0) {
-      OpenSessions(env);
+      BeginPhase(env, Phase::kOpening);
     } else {
-      StartWindows(env);
+      OnPhaseDone(env);
     }
   });
-  env.SetTimer(cfg_.retry_timeout, [this, &env] { CheckRetries(env); });
+  env.SetTimer(kRetryTick, [this, &env] { CheckRetries(env); });
 }
 
-void KvClient::StartWindows(Env& env) {
-  for (std::size_t i = 0; i < cfg_.window; ++i) IssueNext(env);
-}
-
-// Session-stamped clients open their session on every partition group
-// first: the opens ride the ordered streams, so each replica admits the
-// session before any stamped write can reach it. The windows start once
-// every open is acknowledged.
-void KvClient::OpenSessions(Env& env) {
+std::vector<GroupId> KvClient::SessionGroups() const {
   std::vector<GroupId> groups;
   if (cfg_.holder != nullptr && cfg_.holder->Get() != nullptr) {
     for (const auto& r : cfg_.holder->Get()->ranges()) {
@@ -46,17 +70,36 @@ void KvClient::OpenSessions(Env& env) {
       groups.push_back(p);
     }
   }
-  opens_outstanding_ = groups.size();
-  if (opens_outstanding_ == 0) {
-    StartWindows(env);
+  return groups;
+}
+
+// Session opens and closes ride the ordered streams of every partition
+// group, so each replica admits (or retires) the session in stream
+// order; the next phase starts once every group acknowledged.
+void KvClient::BeginPhase(Env& env, Phase phase) {
+  phase_ = phase;
+  const std::vector<GroupId> groups = SessionGroups();
+  control_outstanding_ = groups.size();
+  if (groups.empty()) {
+    OnPhaseDone(env);
     return;
   }
   for (GroupId g : groups) {
-    Command c = Command::SessionOpen(cfg_.session_id);
-    c.req_id = ++next_req_;
-    c.client = env.self();
-    Dispatch(env, c, g);
+    Command c = phase == Phase::kOpening ? Command::SessionOpen(sid())
+                                         : Command::SessionClose(sid());
+    Dispatch(env, AddPending(env, std::move(c), g));
   }
+}
+
+void KvClient::OnPhaseDone(Env& env) {
+  if (phase_ == Phase::kClosing) {
+    ++generation_;
+    session_seq_ = 0;
+    BeginPhase(env, Phase::kOpening);
+    return;
+  }
+  phase_ = Phase::kRunning;
+  for (std::size_t i = 0; i < cfg_.window; ++i) StartNext(env);
 }
 
 Command KvClient::RandomCommand(Env& env) {
@@ -90,20 +133,33 @@ Command KvClient::RandomCommand(Env& env) {
   return cmd;
 }
 
-void KvClient::IssueNext(Env& env) {
-  if (cfg_.ops_limit > 0 && next_req_ >= cfg_.ops_limit) return;
-  Command cmd = RandomCommand(env);
+KvClient::Pending& KvClient::AddPending(Env& env, Command cmd, GroupId forced) {
   cmd.req_id = ++next_req_;
   cmd.client = env.self();
-  if (cfg_.session_id != 0 && (cmd.op == Command::Op::kInsert ||
-                               cmd.op == Command::Op::kDelete)) {
-    cmd.session_id = cfg_.session_id;
-    cmd.session_seq = ++session_seq_;
-  }
-  Dispatch(env, cmd);
+  Pending& p = pending_[cmd.req_id];
+  p.cmd = std::move(cmd);
+  p.issued = env.now();
+  p.forced = forced;
+  return p;
 }
 
-void KvClient::Dispatch(Env& env, const Command& cmd, GroupId forced) {
+void KvClient::StartNext(Env& env) {
+  if (phase_ != Phase::kRunning) return;
+  if (cfg_.ops_limit > 0 && issued_ops_ >= cfg_.ops_limit) return;
+  ++issued_ops_;
+  Command cmd = RandomCommand(env);
+  const bool read = cmd.op == Command::Op::kQuery;
+  if (cfg_.session_id != 0 && !read) {
+    cmd.session_id = sid();
+    cmd.session_seq = ++session_seq_;
+  }
+  Pending& p = AddPending(env, std::move(cmd), kNoGroup);
+  p.local_read = read && cfg_.read_replica != kNoNode;
+  if (read && !p.local_read) ++ring_reads_;
+  Dispatch(env, p);
+}
+
+KvClient::Route KvClient::RouteOf(const Command& cmd, GroupId forced) const {
   // Routing: single-partition ops to the owning group; cross-partition
   // queries to g_all. With a RingHolder the lookups go through the
   // current versioned RingConfiguration (docs/RECONFIG.md); the static
@@ -112,128 +168,221 @@ void KvClient::Dispatch(Env& env, const Command& cmd, GroupId forced) {
   std::shared_ptr<const reconfig::RingConfiguration> view;
   if (cfg_.holder != nullptr) view = cfg_.holder->Get();
 
-  const std::uint32_t partitions = cfg_.partitioning.partitions();
-  std::set<GroupId> involved;
+  Route r;
   GroupId route = kNoGroup;     // holder routing: group whose ring we use
-  std::size_t ring_idx = 0;     // legacy routing: index into cfg_.rings
+  std::size_t ring_idx = 0;     // static routing: index into cfg_.rings
   if (forced != kNoGroup) {
-    involved.insert(forced);
+    r.involved.insert(forced);
     route = forced;
     ring_idx = forced;
   } else if (cmd.op == Command::Op::kQuery &&
              (view != nullptr
                   ? !view->SinglePartition(cmd.kmin, cmd.kmax)
                   : !cfg_.partitioning.SinglePartition(cmd.kmin, cmd.kmax))) {
-    ring_idx = partitions;  // g_all
+    ring_idx = cfg_.partitioning.partitions();  // g_all
     if (view != nullptr) {
       for (GroupId p : view->GroupsOverlapping(cmd.kmin, cmd.kmax)) {
-        involved.insert(p);
+        r.involved.insert(p);
       }
       route = view->all_group();
     } else {
       const GroupId first = cfg_.partitioning.PartitionOf(cmd.kmin);
       const GroupId last = cfg_.partitioning.PartitionOf(cmd.kmax);
-      for (GroupId p = first; p <= last; ++p) involved.insert(p);
+      for (GroupId p = first; p <= last; ++p) r.involved.insert(p);
     }
   } else {
     const Key k = cmd.op == Command::Op::kQuery ? cmd.kmin : cmd.key;
     if (view != nullptr) route = view->GroupOfKey(k);
     if (route != kNoGroup) {
-      involved.insert(route);
+      r.involved.insert(route);
     } else {
       ring_idx = cfg_.partitioning.PartitionOf(k);
-      involved.insert(static_cast<GroupId>(ring_idx));
+      r.involved.insert(static_cast<GroupId>(ring_idx));
     }
   }
 
-  auto& pend = pending_[cmd.req_id];
-  pend.cmd = cmd;
-  pend.awaiting = std::move(involved);
-  pend.issued = env.now();
-  pend.forced = forced;
-
-  GroupId msg_group;
-  RingId submit_ring;
-  NodeId submit_to;
   const reconfig::GroupRoute* rt =
       view != nullptr && route != kNoGroup ? view->RouteOf(route) : nullptr;
   if (rt != nullptr) {
-    msg_group = rt->group;
-    submit_ring = rt->ring;
-    submit_to = rt->ring_members.empty() ? rt->coordinator
-                                         : rt->ring_members[0];
-  } else {
-    if (ring_idx >= cfg_.rings.size()) return;  // unroutable: leave to retry
+    r.routable = true;
+    r.ring = rt->ring;
+    r.group = rt->group;
+    r.hint = rt->coordinator;
+  } else if (ring_idx < cfg_.rings.size()) {
     const auto& ring = cfg_.rings[ring_idx];
-    msg_group = ring.group;
-    submit_ring = ring.ring;
-    submit_to = ring.ring_members[0];
+    r.routable = true;
+    r.ring = ring.ring;
+    r.group = ring.group;
+    r.hint = ring.ring_members.empty() ? kNoNode : ring.ring_members[0];
   }
-  paxos::ClientMsg msg;
-  msg.group = msg_group;
-  msg.proposer = env.self();
-  msg.seq = ++proposer_seq_;
-  msg.sent_at = env.now();
-  msg.payload = cmd.Encode();
-  msg.payload_size = static_cast<std::uint32_t>(msg.payload.size());
-  if (cfg_.on_submit) cfg_.on_submit(msg);
-  env.Send(submit_to, MakeMessage<Submit>(submit_ring, std::move(msg)));
+  return r;
+}
+
+std::set<GroupId> KvClient::Send(Env& env, const Pending& p) {
+  if (p.local_read) {
+    env.Send(cfg_.read_replica,
+             MakeMessage<session::SessionRead>(sid(), p.cmd.req_id,
+                                               p.cmd.kmin, p.cmd.kmax));
+    return {};
+  }
+  if (!IsControl(p.cmd)) last_command_ = p.cmd;
+  Route r = RouteOf(p.cmd, p.forced);
+  if (r.routable) {
+    core_.Seed(r.ring, r.hint);
+    paxos::ClientMsg msg;
+    msg.group = r.group;
+    msg.payload = p.cmd.Encode();
+    msg.payload_size = static_cast<std::uint32_t>(msg.payload.size());
+    core_.Stamp(env, msg);
+    core_.Submit(env, r.ring, std::move(msg));
+  }
+  return std::move(r.involved);
+}
+
+void KvClient::Dispatch(Env& env, Pending& p) {
+  p.next_retry = env.now() + cfg_.retry_timeout;
+  p.awaiting = Send(env, p);
+}
+
+void KvClient::FallBackToRing(Pending& p) {
+  p.local_read = false;
+  ++fallback_reads_;
+  if (ctr_fallback_reads_) ctr_fallback_reads_->Inc();
 }
 
 void KvClient::CheckRetries(Env& env) {
-  for (auto& [id, pend] : pending_) {
-    if (env.now() - pend.issued >= cfg_.retry_timeout) {
-      Command cmd = pend.cmd;
-      const GroupId forced = pend.forced;
-      pending_.erase(id);
-      Dispatch(env, cmd, forced);  // re-dispatch with the same req_id
-      break;                       // iterator invalidated; one retry per tick
-    }
+  for (auto& [id, p] : pending_) {
+    if (env.now() < p.next_retry) continue;
+    ++p.attempts;
+    ++retries_;
+    // Lease holder unreachable: fall back through the ring.
+    if (p.local_read && p.attempts > kReadRetryLimit) FallBackToRing(p);
+    Dispatch(env, p);
   }
-  env.SetTimer(cfg_.retry_timeout, [this, &env] { CheckRetries(env); });
+  env.SetTimer(kRetryTick, [this, &env] { CheckRetries(env); });
+}
+
+void KvClient::Complete(Env& env, const Command& cmd, TimePoint issued,
+                        bool applied) {
+  ++completed_;
+  if (ctr_completed_) ctr_completed_->Inc();
+  if (cfg_.on_latency) cfg_.on_latency(env.now() - issued);
+  if (applied && cmd.session_seq != 0 && cfg_.on_complete) {
+    cfg_.on_complete(cmd.session_id, cmd.session_seq);
+  }
+  StartNext(env);
+}
+
+void KvClient::OnResponse(Env& env, const Response& resp) {
+  auto it = pending_.find(resp.req_id);
+  if (it == pending_.end()) return;  // a sibling replica's duplicate
+  Pending& p = it->second;
+  if (p.awaiting.count(resp.partition) == 0) return;
+  const bool redirected = !resp.ok && resp.redirect != kNoGroup;
+  if (redirected && (cfg_.holder != nullptr ||
+                     RouteOf(p.cmd, resp.redirect).routable)) {
+    // The key range moved mid-flight (docs/RECONFIG.md): re-dispatch the
+    // same command — same req_id, same session stamp, so dedup still
+    // holds if the original lands anywhere — pinned to the new owner. A
+    // holder-routed client always follows (its view catches up through
+    // RoutingUpdate); a static client with no ring for the new owner
+    // takes the refusal as the answer.
+    p.forced = resp.redirect;
+    ++redirects_followed_;
+    Dispatch(env, p);
+    return;
+  }
+  p.awaiting.erase(resp.partition);
+  if (!p.awaiting.empty()) return;
+  const Command done = std::move(p.cmd);
+  const TimePoint issued = p.issued;
+  pending_.erase(it);
+  if (!IsControl(done)) {
+    Complete(env, done, issued, /*applied=*/!redirected);
+  } else if (--control_outstanding_ == 0) {
+    OnPhaseDone(env);
+  }
 }
 
 void KvClient::OnMessage(Env& env, NodeId /*from*/, const MessagePtr& m) {
-  if (const auto* ru = Cast<reconfig::RoutingUpdate>(m)) {
-    if (cfg_.holder != nullptr) {
-      if (auto rc = reconfig::RingConfiguration::Decode(ru->config)) {
-        cfg_.holder->Install(std::move(*rc));
+  if (core_.OnMessage(*m)) return;
+  switch (m->tag()) {
+    case Response::kTag:
+      OnResponse(env, static_cast<const Response&>(*m));
+      break;
+    case reconfig::RoutingUpdate::kTag: {
+      const auto& ru = static_cast<const reconfig::RoutingUpdate&>(*m);
+      if (cfg_.holder != nullptr) {
+        if (auto rc = reconfig::RingConfiguration::Decode(ru.config)) {
+          cfg_.holder->Install(std::move(*rc));
+        }
       }
+      break;
     }
+    case session::SessionReadRep::kTag: {
+      const auto& rep = static_cast<const session::SessionReadRep&>(*m);
+      auto it = pending_.find(rep.req_id);
+      if (it == pending_.end() || !it->second.local_read) return;
+      Pending& p = it->second;
+      if (rep.status == session::SessionReadRep::kOk) {
+        ++local_reads_;
+        if (ctr_local_reads_) ctr_local_reads_->Inc();
+        const Command done = std::move(p.cmd);
+        const TimePoint issued = p.issued;
+        pending_.erase(it);
+        Complete(env, done, issued, /*applied=*/true);
+        return;
+      }
+      // Lease lost at the holder: retry the same req_id through the ring.
+      FallBackToRing(p);
+      Dispatch(env, p);
+      break;
+    }
+    case session::Rejected::kTag: {
+      const auto& rej = static_cast<const session::Rejected&>(*m);
+      auto it = pending_.find(rej.req_id);
+      if (it == pending_.end()) return;
+      ++rejected_;
+      if (ctr_rejected_) ctr_rejected_->Inc();
+      Pending& p = it->second;
+      ++p.attempts;
+      p.next_retry = env.now() + Backoff(p.attempts);
+      break;
+    }
+    default:
+      break;
+  }
+}
+
+void KvClient::TriggerDuplicate(Env& env) {
+  if (last_command_) {
+    Pending dup;
+    dup.cmd = *last_command_;
+    Send(env, dup);
     return;
   }
-  const auto* resp = Cast<Response>(m);
-  if (resp == nullptr) return;
-  auto it = pending_.find(resp->req_id);
-  if (it == pending_.end()) return;  // duplicate response from a sibling replica
-  auto& pend = it->second;
-  if (pend.awaiting.count(resp->partition) == 0) return;
-  if (!resp->ok && resp->redirect != kNoGroup) {
-    // The key range moved mid-flight (docs/RECONFIG.md): re-dispatch the
-    // same command — same req_id, same session stamp, so dedup still
-    // holds if the original lands anywhere — pinned to the new owner.
-    Command cmd = pend.cmd;
-    pending_.erase(it);
-    ++redirects_followed_;
-    Dispatch(env, cmd, resp->redirect);
-    return;
+  for (const auto& [id, p] : pending_) {
+    if (!IsControl(p.cmd) && !p.local_read) {
+      Send(env, p);
+      return;
+    }
   }
-  pend.awaiting.erase(resp->partition);
-  query_rows_ += resp->rows.size();
-  if (!pend.awaiting.empty()) return;
-  const Command done = pend.cmd;
-  latency_.Record(env.now() - pend.issued);
-  if (cfg_.on_latency) cfg_.on_latency(env.now() - pend.issued);
-  pending_.erase(it);
-  if (done.op == Command::Op::kSessionOpen && opens_outstanding_ > 0) {
-    if (--opens_outstanding_ == 0) StartWindows(env);
-    return;
+}
+
+void KvClient::TriggerRetryStorm(Env& env) {
+  for (const auto& [id, p] : pending_) {
+    if (IsControl(p.cmd)) continue;
+    for (int i = 0; i < 3; ++i) {
+      ++retries_;
+      Send(env, p);
+    }
   }
-  ++completed_;
-  if (done.session_id != 0 && done.session_seq != 0 && cfg_.on_complete) {
-    cfg_.on_complete(done.session_id, done.session_seq);
-  }
-  IssueNext(env);
+}
+
+void KvClient::TriggerAbandon(Env& env) {
+  if (cfg_.session_id == 0 || phase_ != Phase::kRunning) return;
+  pending_.clear();
+  BeginPhase(env, Phase::kClosing);
 }
 
 }  // namespace mrp::smr

@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "ringpaxos/messages.h"
 #include "smr/command.h"
 
 namespace mrp::workload {
@@ -20,9 +19,8 @@ void WorkloadDriver::OnStart(Env& env) {
   stats_.assign(tenants, TenantStats{});
   for (const auto& t : cfg_.mix.tenants) keygens_.emplace_back(t.keys);
 
-  ring_state_.assign(cfg_.rings.size(), RingState{});
-  for (std::size_t i = 0; i < cfg_.rings.size(); ++i) {
-    ring_state_[i].coordinator = cfg_.rings[i].coordinator;
+  for (const auto& r : cfg_.rings) {
+    core_.Seed(r.ring, r.ring_members.empty() ? kNoNode : r.ring_members[0]);
   }
 
   // On a restart the pool still owns the previous incarnation's
@@ -74,23 +72,17 @@ void WorkloadDriver::Fire(Env& env, Session* s) {
   ++total_submitted_;
   sent_.Add(1, msg.payload_size);
   ctr_submitted_->Inc();
-  if (cfg_.on_submit) cfg_.on_submit(msg);
-
-  const auto& binding = cfg_.rings[s->ring_slot];
-  NodeId coord = ring_state_[s->ring_slot].coordinator;
-  if (coord == kNoNode) coord = binding.coordinator;
-  if (coord == kNoNode) return;  // ring not up yet; message is dropped
-  env.Send(coord, MakeMessage<ringpaxos::Submit>(binding.ring, std::move(msg)));
+  // With no coordinator known the message is dropped (open loop).
+  core_.Submit(env, cfg_.rings[s->ring_slot].ring, std::move(msg));
 }
 
 paxos::ClientMsg WorkloadDriver::BuildMessage(Env& env, Session* s) {
   const auto& spec = cfg_.mix.tenants[s->tenant];
   paxos::ClientMsg msg;
   msg.group = cfg_.rings[s->ring_slot].group;
-  msg.proposer = self_;
   msg.seq = (static_cast<std::uint64_t>(s->tenant + 1) << kTenantShift) |
             ++tenant_seq_[s->tenant];
-  msg.sent_at = env.now();
+  core_.Stamp(env, msg);
 
   if (!spec.encode_commands) {
     // Raw mode: opaque payload, size only (the simulator never reads
@@ -123,17 +115,11 @@ paxos::ClientMsg WorkloadDriver::BuildMessage(Env& env, Session* s) {
   return msg;
 }
 
-void WorkloadDriver::OnMessage(Env& env, NodeId /*from*/, const MessagePtr& m) {
-  (void)env;
-  if (const auto* hb = Cast<ringpaxos::Heartbeat>(m)) {
-    for (std::size_t i = 0; i < cfg_.rings.size(); ++i) {
-      if (cfg_.rings[i].ring == hb->ring &&
-          ring_state_[i].coordinator != hb->coordinator) {
-        ring_state_[i].coordinator = hb->coordinator;
-      }
-    }
-  }
-  // SubmitAcks and everything else are ignored: the driver is open-loop.
+void WorkloadDriver::OnMessage(Env& /*env*/, NodeId /*from*/,
+                               const MessagePtr& m) {
+  // Heartbeats move the coordinator hints. SubmitAcks and everything
+  // else are ignored: the driver is open-loop.
+  core_.OnMessage(*m);
 }
 
 void WorkloadDriver::RecordDelivery(TimePoint now, const paxos::ClientMsg& msg) {

@@ -8,8 +8,8 @@
 // Submission is pure open loop: the driver never waits for SubmitAcks,
 // so offered load is exactly what the arrival processes dictate (the
 // merge-learner saturation sweeps need the load to not back off).
-// Coordinator failover is tracked through the rings' control-channel
-// heartbeats, like ringpaxos::Proposer.
+// Submissions go through a ringpaxos::ClientCore, which follows each
+// ring's coordinator through its control-channel heartbeats.
 #pragma once
 
 #include <cstdint>
@@ -23,21 +23,18 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "paxos/value.h"
+#include "ringpaxos/client_core.h"
+#include "ringpaxos/config.h"
 #include "workload/tenant.h"
 
 namespace mrp::workload {
 
-// One ring the driver submits to. Sessions are instantiated per ring:
-// a driver bound to R rings runs mix.total_sessions_per_ring() x R
-// sessions.
-struct RingBinding {
-  RingId ring = 0;
-  GroupId group = 0;
-  NodeId coordinator = kNoNode;  // initial hint; heartbeats update it
-};
-
 struct DriverConfig {
-  std::vector<RingBinding> rings;
+  // The rings the driver submits to (ring id, group, and ring_members[0]
+  // as the initial coordinator hint). Sessions are instantiated per
+  // ring: a driver bound to R rings runs mix.total_sessions_per_ring()
+  // x R sessions.
+  std::vector<ringpaxos::RingConfig> rings;
   MixSpec mix;
   // Session starts are staggered uniformly over this window so a fleet
   // does not begin in lockstep.
@@ -51,7 +48,8 @@ struct DriverConfig {
 
 class WorkloadDriver final : public Protocol {
  public:
-  explicit WorkloadDriver(DriverConfig cfg) : cfg_(std::move(cfg)) {}
+  explicit WorkloadDriver(DriverConfig cfg)
+      : cfg_(std::move(cfg)), core_(cfg_.on_submit) {}
 
   void OnStart(Env& env) override;
   void OnMessage(Env& env, NodeId from, const MessagePtr& m) override;
@@ -98,7 +96,7 @@ class WorkloadDriver final : public Protocol {
     }
     for (const auto& k : keygens_) f.U64(k.Fingerprint());
     for (const auto& c : tenant_seq_) f.U64(c);
-    for (const auto& r : ring_state_) f.U32(r.coordinator);
+    for (const auto& r : cfg_.rings) f.U32(core_.coordinator(r.ring));
     return f.digest();
   }
 
@@ -114,22 +112,18 @@ class WorkloadDriver final : public Protocol {
     ArrivalProcess arrival;
   };
 
-  struct RingState {
-    NodeId coordinator = kNoNode;
-  };
-
   void ScheduleNext(Env& env, Session* s, TimePoint at);
   void Fire(Env& env, Session* s);
   paxos::ClientMsg BuildMessage(Env& env, Session* s);
 
   DriverConfig cfg_;
+  ringpaxos::ClientCore core_;
   NodeId self_ = kNoNode;
   std::vector<Session*> sessions_;  // owned by pool_
   ObjectPool<Session> pool_;
   std::vector<KeyGenerator> keygens_;      // one per tenant
   std::vector<std::uint64_t> tenant_seq_;  // per-tenant seq low bits
   std::vector<TenantStats> stats_;
-  std::vector<RingState> ring_state_;
   RateMeter sent_;
   std::uint64_t total_submitted_ = 0;
   std::uint64_t total_delivered_ = 0;

@@ -82,16 +82,12 @@ TEST(CatchUp, NewReplicaBootstrapsFromPeerSnapshot) {
   };
   auto [primary, primary_node] = add_replica(false, {});
 
-  sim::NodeSpec spec;
-  spec.infinite_cpu = true;
-  auto& cnode = d.net().AddNode(spec);
   smr::KvClientConfig cc;
   cc.partitioning = part;
   cc.rings.push_back(d.ring(0));
   cc.window = 4;
   cc.query_ratio = 0;  // writes only: maximal state churn
-  auto client = std::make_unique<smr::KvClient>(cc);
-  cnode.BindProtocol(std::move(client));
+  auto& cnode = d.AddClient(std::make_unique<smr::KvClient>(cc), {0});
 
   d.Start();
   d.RunFor(Seconds(1));

@@ -32,8 +32,8 @@
 #include "ringpaxos/proposer.h"
 #include "ringpaxos/ring_node.h"
 #include "session/admission.h"
-#include "session/client.h"
 #include "session/lease.h"
+#include "smr/client.h"
 #include "smr/replica.h"
 #include "workload/driver.h"
 
@@ -247,16 +247,23 @@ TEST(FingerprintTest, SmrReplica) {
 }
 
 TEST(FingerprintTest, SessionRoles) {
-  // session::SessionClient: opening the session (first timer) is state.
-  session::SessionClientConfig sc;
-  sc.ring = Ring();
-  sc.start_jitter = Duration{0};
-  session::SessionClient a(sc), b(sc);
+  // smr::KvClient with a session: opening the session (first timer) is
+  // state, and so is a coordinator hint moved by a heartbeat.
+  smr::KvClientConfig kc;
+  kc.rings = {Ring()};
+  kc.session_id = 1;
+  kc.start_jitter = Duration{0};
+  smr::KvClient a(kc), b(kc);
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
-  FakeEnv env(20);
+  FakeEnv env(20), env2(20);
   a.OnStart(env);
   ASSERT_FALSE(env.timers.empty());
   env.timers.front()();  // fire the open timer
+  EXPECT_NE(a.Fingerprint(), b.Fingerprint());
+  b.OnStart(env2);
+  env2.timers.front()();
+  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
+  a.OnMessage(env, 3, MakeMessage<ringpaxos::Heartbeat>(0, 4, 3));
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
 
   // session::LeaseGrantor: an observed decision advances the frontier.
@@ -328,11 +335,7 @@ TEST(FingerprintTest, WorkloadDriver) {
   // workload::WorkloadDriver: session cursors, arrival phases and the
   // coordinator view are state; delivery timing (histograms) is not.
   workload::DriverConfig cfg;
-  workload::RingBinding bind;
-  bind.ring = 0;
-  bind.group = 0;
-  bind.coordinator = 1;
-  cfg.rings = {bind};
+  cfg.rings = {Ring()};
   cfg.mix = workload::DefaultMix();
   cfg.start_jitter = Duration{0};
   workload::WorkloadDriver a(cfg), b(cfg);

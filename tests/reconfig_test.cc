@@ -9,6 +9,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "reconfig/plan.h"
 #include "reconfig/repartition.h"
 #include "reconfig/ring_view.h"
+#include "ringpaxos/client_core.h"
 #include "ringpaxos/proposer.h"
 #include "ringpaxos/ring_node.h"
 #include "smr/client.h"
@@ -350,153 +352,189 @@ TEST(DynamicSubscription, DiscardCountersAttributeToMessageGroup) {
 
 // ----------------------------------------- live split (tentpole b)
 
-TEST(Repartition, LiveSplitMovesRangeWithoutLossOrDuplication) {
-  constexpr std::uint64_t kPlanId = 21;
-  constexpr std::uint64_t kSplitLo = 500000;
-  constexpr std::uint64_t kKeyMax = 999999;
+// A live split of group 0's upper half into ring 1's group: two
+// session-deduping source replicas on ring 0, a target replica on ring
+// 1, a holder-routed session-stamped client, and a RepartitionCoordinator
+// that seals at `split_at`. Call Run() after scheduling any faults.
+struct SplitScenario {
+  static constexpr std::uint64_t kPlanId = 21;
+  static constexpr std::uint64_t kSplitLo = 500000;
+  static constexpr std::uint64_t kKeyMax = 999999;
 
+  explicit SplitScenario(DeploymentOptions opts, Duration split_at)
+      : d(opts), oracle(&suite) {
+    const GroupId g0 = d.ring(0).group;
+    const GroupId g1 = d.ring(1).group;
+    auto route_of = [this](int r) {
+      GroupRoute gr;
+      gr.group = d.ring(r).group;
+      gr.ring = d.ring(r).ring;
+      gr.coordinator = d.ring(r).ring_members[0];
+      gr.data_channel = d.ring(r).data_channel;
+      gr.control_channel = d.ring(r).control_channel;
+      gr.ring_members = d.ring(r).ring_members;
+      return gr;
+    };
+    client_holder.Install(
+        RingConfiguration(1, {route_of(0)}, {{0, kKeyMax, g0}}));
+
+    // Two source replicas of the whole key space, session-deduping.
+    std::vector<sim::SimNode*> source_nodes;
+    for (int r = 0; r < 2; ++r) {
+      auto& node = d.net().AddNode();
+      smr::ReplicaConfig rc;
+      rc.partition = g0;
+      rc.partition_ring.ring = d.ring(0);
+      rc.respond = (r == 0);
+      rc.sessions = true;
+      const int ridx = oracle.RegisterReplica("source" + std::to_string(r), g0);
+      rc.on_session_apply = [this, ridx](std::uint64_t sid, std::uint64_t seq) {
+        oracle.OnSessionApply(ridx, sid, seq);
+      };
+      auto rep = std::make_unique<smr::Replica>(rc);
+      sources.push_back(rep.get());
+      source_nodes.push_back(&node);
+      node.BindProtocol(std::move(rep));
+      d.net().Subscribe(node.self(), d.ring(0).data_channel);
+      d.net().Subscribe(node.self(), d.ring(0).control_channel);
+    }
+
+    // Target replica: bootstraps [kSplitLo, kKeyMax] from the sealed
+    // handoff pulled over the chunked snapshot transfer.
+    sim::SimNode* target_node = nullptr;
+    {
+      auto& node = d.net().AddNode();
+      smr::ReplicaConfig rc;
+      rc.partition = g1;
+      rc.range = {kSplitLo, kKeyMax};
+      rc.partition_ring.ring = d.ring(1);
+      rc.respond = true;
+      rc.sessions = true;
+      rc.handoff_plan = kPlanId;
+      rc.handoff_peers = {source_nodes[0]->self(), source_nodes[1]->self()};
+      const int ridx = oracle.RegisterReplica("target", g1);
+      rc.on_session_apply = [this, ridx](std::uint64_t sid, std::uint64_t seq) {
+        oracle.OnSessionApply(ridx, sid, seq);
+      };
+      auto rep = std::make_unique<smr::Replica>(rc);
+      target = rep.get();
+      target_node = &node;
+      node.BindProtocol(std::move(rep));
+      d.net().Subscribe(node.self(), d.ring(1).data_channel);
+      d.net().Subscribe(node.self(), d.ring(1).control_channel);
+    }
+
+    // Holder-routed, session-stamped client; completions feed the
+    // no-loss side of the oracle.
+    sim::SimNode* client_node = nullptr;
+    {
+      smr::KvClientConfig cc;
+      cc.rings.push_back(d.ring(0));
+      cc.window = 2;
+      cc.holder = &client_holder;
+      cc.session_id = 3;
+      cc.on_complete = [this](std::uint64_t sid, std::uint64_t seq) {
+        oracle.OnClientComplete(sid, seq);
+      };
+      auto cl = std::make_unique<smr::KvClient>(cc);
+      client = cl.get();
+      client_node = &d.AddClient(std::move(cl), {0, 1});
+    }
+
+    // The coordinator: seal into steady-state traffic, flip routing,
+    // probe the target until the handoff lands. It hears ring 0's
+    // heartbeats, so the seal follows the coordinator wherever it moves.
+    {
+      auto& node = d.net().AddNode();
+      RepartitionConfig pc;
+      pc.plan = ReconfigPlan::Split(kPlanId, g0, g1, kSplitLo, kKeyMax,
+                                    d.ring(1).ring);
+      pc.source_ring = d.ring(0);
+      pc.next = RingConfiguration(2, {route_of(0), route_of(1)},
+                                  {{0, kSplitLo - 1, g0},
+                                   {kSplitLo, kKeyMax, g1}});
+      pc.target_replica = target_node->self();
+      pc.notify = {client_node->self()};
+      pc.start_delay = split_at;
+      auto co = std::make_unique<RepartitionCoordinator>(pc);
+      repart = co.get();
+      node.BindProtocol(std::move(co));
+      d.net().Subscribe(node.self(), d.ring(0).control_channel);
+    }
+  }
+
+  void Run(Duration horizon) {
+    d.Start();
+    d.RunFor(horizon);
+    oracle.Finish();
+  }
+
+  // The split's end-to-end claims.
+  void ExpectDone() {
+    EXPECT_TRUE(repart->done())
+        << "repartition stuck in phase " << static_cast<int>(repart->phase());
+    EXPECT_TRUE(suite.ok()) << suite.Report();
+    EXPECT_GT(oracle.applies(), 100u);
+    EXPECT_GT(oracle.completions(), 100u);
+    // The seal was applied by both source replicas.
+    EXPECT_EQ(sources[0]->seals(), 1u);
+    EXPECT_EQ(sources[1]->seals(), 1u);
+    // The target bootstrapped from the handoff and applied live traffic
+    // in the moved range afterwards.
+    EXPECT_TRUE(target->bootstrapped());
+    EXPECT_GT(target->applied(), 0u);
+    // The routing flip reached the client over the wire.
+    ASSERT_NE(client_holder.Get(), nullptr);
+    EXPECT_EQ(client_holder.version(), 2u);
+    EXPECT_EQ(client_holder.Get()->GroupOfKey(kSplitLo), d.ring(1).group);
+    EXPECT_EQ(client_holder.Get()->GroupOfKey(kSplitLo - 1), d.ring(0).group);
+    EXPECT_GT(client->completed(), 100u);
+  }
+
+  SimDeployment d;
+  check::OracleSuite suite;
+  check::ReconfigOracle oracle;
+  RingHolder client_holder;
+  std::vector<smr::Replica*> sources;
+  smr::Replica* target = nullptr;
+  smr::KvClient* client = nullptr;
+  RepartitionCoordinator* repart = nullptr;
+};
+
+DeploymentOptions TwoRings(int spares = 0) {
   DeploymentOptions opts;
   opts.n_rings = 2;
-  SimDeployment d(opts);
-  const GroupId g0 = d.ring(0).group;
-  const GroupId g1 = d.ring(1).group;
+  opts.n_spares = spares;
+  return opts;
+}
 
-  check::OracleSuite suite;
-  check::ReconfigOracle oracle(&suite);
-  RingHolder client_holder;
+TEST(Repartition, LiveSplitMovesRangeWithoutLossOrDuplication) {
+  SplitScenario s(TwoRings(), Millis(300));
+  s.Run(Seconds(3));
+  s.ExpectDone();
+}
 
-  auto route_of = [&d](int r) {
-    GroupRoute gr;
-    gr.group = d.ring(r).group;
-    gr.ring = d.ring(r).ring;
-    gr.coordinator = d.ring(r).ring_members[0];
-    gr.data_channel = d.ring(r).data_channel;
-    gr.control_channel = d.ring(r).control_channel;
-    gr.ring_members = d.ring(r).ring_members;
-    return gr;
-  };
-  client_holder.Install(
-      RingConfiguration(1, {route_of(0)}, {{0, kKeyMax, g0}}));
-
-  // Two source replicas of the whole key space, session-deduping.
-  std::vector<smr::Replica*> sources;
-  std::vector<sim::SimNode*> source_nodes;
-  for (int r = 0; r < 2; ++r) {
-    auto& node = d.net().AddNode();
-    smr::ReplicaConfig rc;
-    rc.partition = g0;
-    rc.partition_ring.ring = d.ring(0);
-    rc.respond = (r == 0);
-    rc.sessions = true;
-    const int ridx =
-        oracle.RegisterReplica("source" + std::to_string(r), g0);
-    rc.on_session_apply = [&oracle, ridx](std::uint64_t sid,
-                                          std::uint64_t seq) {
-      oracle.OnSessionApply(ridx, sid, seq);
-    };
-    auto rep = std::make_unique<smr::Replica>(rc);
-    sources.push_back(rep.get());
-    source_nodes.push_back(&node);
-    node.BindProtocol(std::move(rep));
-    d.net().Subscribe(node.self(), d.ring(0).data_channel);
-    d.net().Subscribe(node.self(), d.ring(0).control_channel);
-  }
-
-  // Target replica: bootstraps [kSplitLo, kKeyMax] from the sealed
-  // handoff pulled over the chunked snapshot transfer.
-  smr::Replica* target = nullptr;
-  sim::SimNode* target_node = nullptr;
-  {
-    auto& node = d.net().AddNode();
-    smr::ReplicaConfig rc;
-    rc.partition = g1;
-    rc.range = {kSplitLo, kKeyMax};
-    rc.partition_ring.ring = d.ring(1);
-    rc.respond = true;
-    rc.sessions = true;
-    rc.handoff_plan = kPlanId;
-    rc.handoff_peers = {source_nodes[0]->self(), source_nodes[1]->self()};
-    const int ridx = oracle.RegisterReplica("target", g1);
-    rc.on_session_apply = [&oracle, ridx](std::uint64_t sid,
-                                          std::uint64_t seq) {
-      oracle.OnSessionApply(ridx, sid, seq);
-    };
-    auto rep = std::make_unique<smr::Replica>(rc);
-    target = rep.get();
-    target_node = &node;
-    node.BindProtocol(std::move(rep));
-    d.net().Subscribe(node.self(), d.ring(1).data_channel);
-    d.net().Subscribe(node.self(), d.ring(1).control_channel);
-  }
-
-  // Holder-routed, session-stamped client; completions feed the
-  // no-loss side of the oracle.
-  smr::KvClient* client = nullptr;
-  sim::SimNode* client_node = nullptr;
-  {
-    sim::NodeSpec spec;
-    spec.infinite_cpu = true;
-    auto& node = d.net().AddNode(spec);
-    smr::KvClientConfig cc;
-    cc.rings.push_back(d.ring(0));
-    cc.window = 2;
-    cc.holder = &client_holder;
-    cc.session_id = 3;
-    cc.on_complete = [&oracle](std::uint64_t sid, std::uint64_t seq) {
-      oracle.OnClientComplete(sid, seq);
-    };
-    auto cl = std::make_unique<smr::KvClient>(cc);
-    client = cl.get();
-    client_node = &node;
-    node.BindProtocol(std::move(cl));
-  }
-
-  // The coordinator: seal at ~300 ms into steady-state traffic, flip
-  // routing, probe the target until the handoff lands.
-  RepartitionCoordinator* repart = nullptr;
-  {
-    auto& node = d.net().AddNode();
-    RepartitionConfig pc;
-    pc.plan = ReconfigPlan::Split(kPlanId, g0, g1, kSplitLo, kKeyMax,
-                                  d.ring(1).ring);
-    pc.source_ring = d.ring(0);
-    pc.next = RingConfiguration(2, {route_of(0), route_of(1)},
-                                {{0, kSplitLo - 1, g0},
-                                 {kSplitLo, kKeyMax, g1}});
-    pc.target_replica = target_node->self();
-    pc.notify = {client_node->self()};
-    pc.start_delay = Millis(300);
-    auto co = std::make_unique<RepartitionCoordinator>(pc);
-    repart = co.get();
-    node.BindProtocol(std::move(co));
-  }
-
-  d.Start();
-  d.RunFor(Seconds(3));
-  oracle.Finish();
-
-  EXPECT_TRUE(repart->done())
-      << "repartition stuck in phase " << static_cast<int>(repart->phase());
-  EXPECT_TRUE(suite.ok()) << suite.Report();
-  EXPECT_GT(oracle.applies(), 100u);
-  EXPECT_GT(oracle.completions(), 100u);
-
-  // The seal was applied by both source replicas; the moved range left
-  // their stores and post-seal writes into it were redirected.
-  EXPECT_EQ(sources[0]->seals(), 1u);
-  EXPECT_EQ(sources[1]->seals(), 1u);
-
-  // The target bootstrapped from the handoff and applied live traffic
-  // in the moved range afterwards.
-  EXPECT_TRUE(target->bootstrapped());
-  EXPECT_GT(target->applied(), 0u);
-
-  // The routing flip reached the client over the wire.
-  ASSERT_NE(client_holder.Get(), nullptr);
-  EXPECT_EQ(client_holder.version(), 2u);
-  EXPECT_EQ(client_holder.Get()->GroupOfKey(kSplitLo), g1);
-  EXPECT_EQ(client_holder.Get()->GroupOfKey(kSplitLo - 1), g0);
-  EXPECT_GT(client->completed(), 100u);
+TEST(Repartition, SplitCompletesAfterCoordinatorMovesToSpare) {
+  // Ring 0 has 2 members and a spare. At 1 s the coordinator (member 0)
+  // crashes for good while member 1 is paused for 500 ms, so the spare
+  // is first to take over and member 1 rejoins under it. The seal,
+  // submitted at 2 s, must follow the coordinator to the spare — which
+  // is none of ring 0's initial members.
+  SplitScenario s(TwoRings(/*spares=*/1), Seconds(2));
+  sim::SimNode* m0 = s.d.acceptor_node(0, 0);
+  sim::SimNode* m1 = s.d.acceptor_node(0, 1);
+  auto& sched = s.d.net().scheduler();
+  sched.At(TimePoint(Seconds(1).count()), [m0, m1] {
+    m0->SetDown(true);
+    m1->SetDown(true);
+  });
+  sched.At(TimePoint(Millis(1500).count()), [m1] { m1->SetDown(false); });
+  s.Run(Seconds(5));
+  EXPECT_TRUE(s.d.acceptor_node(0, 2)
+                  ->protocol_as<ringpaxos::RingNode>()
+                  ->is_coordinator())
+      << "the spare did not take over ring 0";
+  s.ExpectDone();
 }
 
 // ------------------------------------- hot membership swap (tentpole c)
@@ -510,14 +548,17 @@ class SwapSubmitter final : public Protocol {
       : ring_(std::move(ring)), plan_(plan), at_(at) {}
 
   void OnStart(Env& env) override {
+    core_.Seed(ring_.ring, ring_.ring_members[0]);
     env.SetTimer(at_, [this, &env] { Submit(env); });
   }
-  void OnMessage(Env&, NodeId, const MessagePtr&) override {}
+  void OnMessage(Env&, NodeId, const MessagePtr& m) override {
+    core_.OnMessage(*m);
+  }
 
  private:
   void Submit(Env& env) {
-    SubmitSwap(env, ring_, plan_, ++seq_);
-    if (seq_ < 10) {
+    SubmitSwap(env, core_, ring_, plan_);
+    if (core_.last_seq() < 10) {
       env.SetTimer(Millis(100), [this, &env] { Submit(env); });
     }
   }
@@ -525,7 +566,7 @@ class SwapSubmitter final : public Protocol {
   ringpaxos::RingConfig ring_;
   ReconfigPlan plan_;
   Duration at_;
-  std::uint64_t seq_ = 0;
+  ringpaxos::ClientCore core_;
 };
 
 TEST(Repartition, HotSwapReplacesRingMemberInLayout) {
@@ -541,10 +582,9 @@ TEST(Repartition, HotSwapReplacesRingMemberInLayout) {
   pc.max_outstanding = 4;
   d.AddProposer(0, pc);
 
-  auto& node = d.net().AddNode();
-  node.BindProtocol(std::make_unique<SwapSubmitter>(
-      d.ring(0), ReconfigPlan::Swap(5, d.ring(0).ring, out, in),
-      Millis(300)));
+  auto swap = std::make_unique<SwapSubmitter>(
+      d.ring(0), ReconfigPlan::Swap(5, d.ring(0).ring, out, in), Millis(300));
+  d.AddClient(std::move(swap), {0});
 
   d.Start();
   d.RunFor(Seconds(1));

@@ -13,10 +13,10 @@
 #include "multiring/sim_deployment.h"
 #include "net/codec.h"
 #include "session/admission.h"
-#include "session/client.h"
 #include "session/lease.h"
 #include "session/messages.h"
 #include "session/session_table.h"
+#include "smr/client.h"
 #include "smr/replica.h"
 
 namespace mrp::session {
@@ -185,12 +185,14 @@ TEST(SessionCodec, RoundTrips) {
 
 // One ring, two session-enabled replicas (replica1 holds the read
 // lease), an admission gateway in front of the coordinator, a lease
-// grantor, and one session client.
+// grantor, and one session-stamped KV client submitting through the
+// gateway. `spares` adds spare acceptors to the ring.
 struct SessionService {
   explicit SessionService(double gateway_rate = 0, double gateway_burst = 32,
-                          std::size_t gateway_queue = 64) {
+                          std::size_t gateway_queue = 64, int spares = 0) {
     DeploymentOptions opts;
     opts.n_rings = 1;
+    opts.n_spares = spares;
     opts.lambda_per_sec = 4000;
     opts.batch_timeout = Millis(1);
     d = std::make_unique<SimDeployment>(opts);
@@ -221,6 +223,7 @@ struct SessionService {
       auto gw = std::make_unique<Gateway>(gc);
       gateway = gw.get();
       node.BindProtocol(std::move(gw));
+      d->net().Subscribe(node.self(), d->ring(0).control_channel);
       gateway_id = node.self();
     }
     {
@@ -237,19 +240,16 @@ struct SessionService {
       d->net().Subscribe(node.self(), d->ring(0).control_channel);
     }
     {
-      sim::NodeSpec spec;
-      spec.infinite_cpu = true;
-      auto& node = d->net().AddNode(spec);
-      SessionClientConfig sc;
+      smr::KvClientConfig sc;
       sc.session_id = 1;
-      sc.ring = d->ring(0);
+      sc.rings = {d->ring(0)};
       sc.gateway = gateway_id;
       sc.read_replica = replica_nodes[1]->self();
       sc.window = 4;
-      auto cl = std::make_unique<SessionClient>(sc);
+      sc.query_ratio = 0.5;
+      auto cl = std::make_unique<smr::KvClient>(sc);
       client = cl.get();
-      client_node = &node;
-      node.BindProtocol(std::move(cl));
+      client_node = &d->AddClient(std::move(cl), {0});
     }
     d->Start();
   }
@@ -261,7 +261,7 @@ struct SessionService {
   NodeId gateway_id = kNoNode;
   LeaseGrantor* grantor = nullptr;
   sim::SimNode* grantor_node = nullptr;
-  SessionClient* client = nullptr;
+  smr::KvClient* client = nullptr;
   sim::SimNode* client_node = nullptr;
 };
 
@@ -376,6 +376,24 @@ TEST(SessionService, AbandonReopensUnderNewGeneration) {
   EXPECT_FALSE(s.replicas[0]->sessions().IsOpen(old_sid));
   EXPECT_TRUE(s.replicas[0]->sessions().IsOpen(s.client->sid()));
   EXPECT_GT(s.client->completed(), 0u);
+}
+
+TEST(SessionService, GatewayFollowsCoordinatorToSpare) {
+  // Ring of 2 members plus a spare; the coordinator crashes at 1 s. The
+  // gateway's coordinator hint follows the heartbeats to the new
+  // coordinator, so the client's submissions keep landing.
+  SessionService s(/*gateway_rate=*/0, /*gateway_burst=*/32,
+                   /*gateway_queue=*/64, /*spares=*/1);
+  s.d->RunFor(Seconds(1));
+  ASSERT_GT(s.client->completed(), 100u);
+  s.d->coordinator_node(0)->SetDown(true);
+  const std::uint64_t before = s.client->completed();
+  const std::uint64_t admitted = s.gateway->admitted();
+  s.d->RunFor(Seconds(3));
+  EXPECT_GE(s.client->completed() - before, 100u);
+  EXPECT_GT(s.gateway->admitted(), admitted + 100);
+  EXPECT_EQ(s.replicas[0]->sessions().Fingerprint(),
+            s.replicas[1]->sessions().Fingerprint());
 }
 
 }  // namespace

@@ -102,16 +102,15 @@ struct Fixture {
     }
   };
 
+  // The script client submits to each ring's initial coordinator and
+  // never fails over, so it hears no heartbeats.
   ScriptClient* AddScript(std::vector<Command> script) {
-    sim::NodeSpec spec;
-    spec.infinite_cpu = true;
-    auto& node = d->net().AddNode(spec);
     auto client = std::make_unique<ScriptClient>();
     client->script = std::move(script);
     client->part = part;
     for (int r = 0; r < d->n_rings(); ++r) client->rings.push_back(d->ring(r));
     auto* raw = client.get();
-    node.BindProtocol(std::move(client));
+    d->AddClient(std::move(client), {});
     return raw;
   }
 
@@ -173,18 +172,17 @@ TEST(KvSemantics, ClientRetriesUnderLossStillCompleteEverything) {
   opts.net.seed = 9;
   Fixture f(opts, 2);
   std::vector<KvClient*> clients;
+  std::vector<int> all_rings;
+  for (int r = 0; r < f.d->n_rings(); ++r) all_rings.push_back(r);
   for (int c = 0; c < 3; ++c) {
-    sim::NodeSpec spec;
-    spec.infinite_cpu = true;
-    auto& node = f.d->net().AddNode(spec);
     KvClientConfig cc;
     cc.partitioning = f.part;
-    for (int r = 0; r < f.d->n_rings(); ++r) cc.rings.push_back(f.d->ring(r));
+    for (int r : all_rings) cc.rings.push_back(f.d->ring(r));
     cc.window = 2;
     cc.retry_timeout = Millis(150);
     auto client = std::make_unique<KvClient>(cc);
     clients.push_back(client.get());
-    node.BindProtocol(std::move(client));
+    f.d->AddClient(std::move(client), all_rings);
   }
   f.d->Start();
   f.d->RunFor(Seconds(4));

@@ -116,18 +116,17 @@ struct Service {
         }
       }
     }
+    std::vector<int> all_rings;
+    for (int r = 0; r < d->n_rings(); ++r) all_rings.push_back(r);
     for (int c = 0; c < clients; ++c) {
-      sim::NodeSpec spec;
-      spec.infinite_cpu = true;
-      auto& node = d->net().AddNode(spec);
       KvClientConfig cc;
       cc.partitioning = part;
-      for (int r = 0; r < d->n_rings(); ++r) cc.rings.push_back(d->ring(r));
+      for (int r : all_rings) cc.rings.push_back(d->ring(r));
       cc.window = 2;
       cc.multi_partition_ratio = multi_ratio;
       auto client = std::make_unique<KvClient>(cc);
       this->clients.push_back(client.get());
-      node.BindProtocol(std::move(client));
+      d->AddClient(std::move(client), all_rings);
     }
     d->Start();
   }
@@ -170,6 +169,59 @@ TEST(KvService, MultiPartitionQueriesCollectAllPartitions) {
   std::uint64_t discarded = 0;
   for (auto* r : s.replicas) discarded += r->discarded();
   EXPECT_GT(discarded, 0u);
+}
+
+// Coordinator failover: one ring of 2 members plus a spare, two
+// session-enabled replicas and one client. The coordinator crashes at
+// 1 s; the spare takes over, and the client must follow it there (its
+// heartbeat-fed coordinator hint moves, and its retries reach the new
+// coordinator) instead of retrying the dead node for good.
+std::uint64_t CompletedAfterCoordinatorCrash(std::uint64_t session_id) {
+  DeploymentOptions opts;
+  opts.n_rings = 1;
+  opts.ring_size = 2;
+  opts.n_spares = 1;
+  opts.lambda_per_sec = 9000;
+  SimDeployment d(opts);
+  for (int r = 0; r < 2; ++r) {
+    auto& node = d.net().AddNode();
+    ReplicaConfig rc;
+    rc.partition_ring.ring = d.ring(0);
+    rc.respond = (r == 0);
+    rc.sessions = true;
+    node.BindProtocol(std::make_unique<Replica>(rc));
+    d.net().Subscribe(node.self(), d.ring(0).data_channel);
+    d.net().Subscribe(node.self(), d.ring(0).control_channel);
+  }
+  KvClientConfig cc;
+  cc.rings = {d.ring(0)};
+  cc.window = 4;
+  cc.session_id = session_id;
+  auto owned = std::make_unique<KvClient>(cc);
+  KvClient* client = owned.get();
+  d.AddClient(std::move(owned), {0});
+  d.Start();
+  d.RunFor(Seconds(1));
+  EXPECT_GT(client->completed(), 100u) << "no steady state before the crash";
+  d.coordinator_node(0)->SetDown(true);
+  const std::uint64_t before = client->completed();
+  d.RunFor(Seconds(3));
+  auto is_coordinator = [&d](int member) {
+    return d.acceptor_node(0, member)
+        ->protocol_as<ringpaxos::RingNode>()
+        ->is_coordinator();
+  };
+  EXPECT_TRUE(is_coordinator(1) || is_coordinator(2))
+      << "no surviving acceptor took over";
+  return client->completed() - before;
+}
+
+TEST(KvFailover, PlainClientFollowsCoordinatorToSpare) {
+  EXPECT_GE(CompletedAfterCoordinatorCrash(/*session_id=*/0), 100u);
+}
+
+TEST(KvFailover, SessionClientFollowsCoordinatorToSpare) {
+  EXPECT_GE(CompletedAfterCoordinatorCrash(/*session_id=*/7), 100u);
 }
 
 TEST(KvService, DummyModeDiscardsEverything) {

@@ -19,7 +19,6 @@
 #include "workload/arrival.h"
 #include "workload/driver.h"
 #include "workload/keyspace.h"
-#include "workload/sim_harness.h"
 #include "workload/tenant.h"
 
 namespace mrp::workload {
@@ -224,7 +223,10 @@ TEST(WorkloadDriver, DrivesMultiTenantTrafficAcrossRingsEndToEnd) {
 
   DriverConfig cfg;
   cfg.mix = DefaultMix();
-  auto* driver = AddWorkloadDriver(d, std::move(cfg), {0, 1});
+  cfg.rings = {d.ring(0), d.ring(1)};
+  auto* driver =
+      d.AddClient(std::make_unique<WorkloadDriver>(std::move(cfg)), {0, 1})
+          .protocol_as<WorkloadDriver>();
 
   auto& lnode = d.net().AddNode();
   MergeLearner::Options mo;
@@ -282,7 +284,10 @@ TEST(WorkloadDriver, CommandModeStampsContiguousSessionSeqs) {
   t.encode_commands = true;
   cfg.mix.tenants.push_back(t);
   cfg.driver_id = 4;
-  auto* driver = AddWorkloadDriver(d, std::move(cfg), {0});
+  cfg.rings = {d.ring(0)};
+  auto* driver =
+      d.AddClient(std::make_unique<WorkloadDriver>(std::move(cfg)), {0})
+          .protocol_as<WorkloadDriver>();
 
   // A session-enabled replica applies the stream with exactly-once
   // dedup; decode every delivered command to check the stamps.
@@ -346,7 +351,10 @@ TEST(WorkloadDriver, IdenticalSeedsGiveIdenticalRuns) {
     SimDeployment d(opts);
     DriverConfig cfg;
     cfg.mix = DefaultMix();
-    auto* driver = AddWorkloadDriver(d, std::move(cfg), {0, 1});
+    cfg.rings = {d.ring(0), d.ring(1)};
+    auto* driver =
+        d.AddClient(std::make_unique<WorkloadDriver>(std::move(cfg)), {0, 1})
+            .protocol_as<WorkloadDriver>();
     d.Start();
     d.RunFor(Seconds(2));
     struct Result {
@@ -382,11 +390,14 @@ TEST(WorkloadDriver, ScalesToManyRingsAndThousandsOfSessions) {
   t.keys.kind = KeyDistKind::kZipfian;
   t.payload_bytes = 32;
   cfg.mix.tenants.push_back(t);
-  auto* driver = AddWorkloadDriver(d, std::move(cfg), [&] {
-    std::vector<int> all;
-    for (int r = 0; r < 50; ++r) all.push_back(r);
-    return all;
-  }());
+  std::vector<int> all;
+  for (int r = 0; r < 50; ++r) {
+    all.push_back(r);
+    cfg.rings.push_back(d.ring(r));
+  }
+  auto* driver =
+      d.AddClient(std::make_unique<WorkloadDriver>(std::move(cfg)), all)
+          .protocol_as<WorkloadDriver>();
   d.Start();
   d.RunFor(Millis(500));
   EXPECT_EQ(driver->session_count(), 2000u);

@@ -68,10 +68,9 @@
 #include "ringpaxos/proposer.h"
 #include "smr/client.h"
 #include "session/admission.h"
-#include "session/client.h"
 #include "session/lease.h"
 #include "smr/replica.h"
-#include "workload/sim_harness.h"
+#include "workload/driver.h"
 
 namespace {
 
@@ -225,7 +224,7 @@ int main(int argc, char** argv) {
   // scripted duplicate / retry storm / lease drop / abandon sequence so
   // dedup suppression, read fallback and generation bumps all land in
   // the byte-compared outputs.
-  mrp::session::SessionClient* session_client = nullptr;
+  mrp::smr::KvClient* session_client = nullptr;
   mrp::sim::SimNode* session_client_node = nullptr;
   mrp::session::LeaseGrantor* lease_grantor = nullptr;
   mrp::sim::SimNode* lease_grantor_node = nullptr;
@@ -253,6 +252,7 @@ int main(int argc, char** argv) {
       gc.burst = 32;
       gc.max_queue = 32;
       gw_node.BindProtocol(std::make_unique<mrp::session::Gateway>(gc));
+      d.net().Subscribe(gw_node.self(), d.ring(0).control_channel);
     }
     {
       auto& node = d.net().AddNode();
@@ -268,19 +268,16 @@ int main(int argc, char** argv) {
       d.net().Subscribe(node.self(), d.ring(0).control_channel);
     }
     {
-      mrp::sim::NodeSpec spec;
-      spec.infinite_cpu = true;
-      auto& node = d.net().AddNode(spec);
-      mrp::session::SessionClientConfig sc;
+      mrp::smr::KvClientConfig sc;
       sc.session_id = 1;
-      sc.ring = d.ring(0);
+      sc.rings = {d.ring(0)};
       sc.gateway = gw_node.self();
       sc.read_replica = replica_nodes[1]->self();
       sc.window = 4;
-      auto cl = std::make_unique<mrp::session::SessionClient>(sc);
+      sc.query_ratio = 0.5;
+      auto cl = std::make_unique<mrp::smr::KvClient>(sc);
       session_client = cl.get();
-      session_client_node = &node;
-      node.BindProtocol(std::move(cl));
+      session_client_node = &d.AddClient(std::move(cl), {0});
     }
     auto& sched = d.net().scheduler();
     auto at_frac = [run_ms](std::int64_t num, std::int64_t den) {
@@ -358,19 +355,17 @@ int main(int argc, char** argv) {
     }
     mrp::sim::SimNode* client_node = nullptr;
     {
-      mrp::sim::NodeSpec spec;
-      spec.infinite_cpu = true;
-      auto& node = d.net().AddNode(spec);
       mrp::smr::KvClientConfig cc;
       cc.rings.push_back(d.ring(0));
       cc.window = 4;
       cc.holder = &holder;
       cc.session_id = 5;
-      client_node = &node;
-      node.BindProtocol(std::make_unique<mrp::smr::KvClient>(cc));
+      client_node =
+          &d.AddClient(std::make_unique<mrp::smr::KvClient>(cc), {0, 1});
     }
     {
       auto& node = d.net().AddNode();
+      d.net().Subscribe(node.self(), d.ring(0).control_channel);
       mrp::reconfig::RepartitionConfig pc;
       pc.plan = mrp::reconfig::ReconfigPlan::Split(
           kPlanId, d.ring(0).group, d.ring(1).group, kSplitLo, kKeyMax,
@@ -393,8 +388,10 @@ int main(int argc, char** argv) {
   if (workload) {
     mrp::workload::DriverConfig wc;
     wc.mix = mrp::workload::DefaultMix();
-    auto* driver = mrp::workload::AddWorkloadDriver(d, std::move(wc),
-                                                    all_rings);
+    for (int r : all_rings) wc.rings.push_back(d.ring(r));
+    auto owned = std::make_unique<mrp::workload::WorkloadDriver>(wc);
+    auto* driver = owned.get();
+    d.AddClient(std::move(owned), all_rings);
     // Deliveries feed back into the driver's per-tenant accounting, so
     // the metrics snapshot the gate byte-compares covers both ends.
     d.AddMergeLearner(all_rings)->set_on_deliver(

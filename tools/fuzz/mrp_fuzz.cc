@@ -48,7 +48,6 @@
 #include "ringpaxos/proposer.h"
 #include "ringpaxos/ring_node.h"
 #include "session/admission.h"
-#include "session/client.h"
 #include "session/lease.h"
 #include "session/messages.h"
 #include "sim/topology.h"
@@ -329,7 +328,7 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
   sim::SimNode* reconfig_target_node = nullptr;
   reconfig::RepartitionCoordinator* repart = nullptr;
   sim::SimNode* repart_node = nullptr;
-  session::SessionClient* session_client = nullptr;
+  smr::KvClient* session_client = nullptr;
   sim::SimNode* session_client_node = nullptr;
   session::LeaseGrantor* lease_grantor = nullptr;
   sim::SimNode* lease_grantor_node = nullptr;
@@ -376,9 +375,6 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
       d.net().Subscribe(node.self(), d.ring(0).control_channel);
     }
     {
-      sim::NodeSpec spec;
-      spec.infinite_cpu = true;
-      auto& node = d.net().AddNode(spec);
       smr::KvClientConfig cc;
       cc.rings.push_back(d.ring(0));
       cc.window = 2;
@@ -397,8 +393,10 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
       }
       auto client = std::make_unique<smr::KvClient>(cc);
       kv_client = client.get();
-      kv_client_node = &node;
-      node.BindProtocol(std::move(client));
+      // Holder-routed traffic reaches ring 1 after the split.
+      std::vector<int> heard{0};
+      if (reconfig_on) heard = all_rings;
+      kv_client_node = &d.AddClient(std::move(client), heard);
     }
     // Admission gateway: the session client's submissions funnel through
     // it; retry storms overflow the token bucket and exercise the
@@ -413,6 +411,7 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
       gc.burst = 64;
       gc.max_queue = 64;
       node.BindProtocol(std::make_unique<session::Gateway>(gc));
+      d.net().Subscribe(node.self(), d.ring(0).control_channel);
       gateway_id = node.self();
     }
     {
@@ -429,23 +428,19 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
       d.net().Subscribe(node.self(), d.ring(0).control_channel);
     }
     {
-      sim::NodeSpec spec;
-      spec.infinite_cpu = true;
-      auto& node = d.net().AddNode(spec);
-      session::SessionClientConfig sc;
+      smr::KvClientConfig sc;
       sc.session_id = 1;
-      sc.ring = d.ring(0);
-      sc.partition = 0;
+      sc.rings = {d.ring(0)};
       sc.gateway = gateway_id;
       sc.read_replica = replica_nodes[1]->self();
       sc.window = 4;
+      sc.query_ratio = 0.5;
       sc.on_submit = [&oracle](const paxos::ClientMsg& m) {
         oracle.OnPropose(m);
       };
-      auto cl = std::make_unique<session::SessionClient>(sc);
+      auto cl = std::make_unique<smr::KvClient>(sc);
       session_client = cl.get();
-      session_client_node = &node;
-      node.BindProtocol(std::move(cl));
+      session_client_node = &d.AddClient(std::move(cl), {0});
     }
     if (reconfig_on) {
       auto route_of = [&d](int r) {
@@ -536,6 +531,7 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
       // RoutingUpdate messages (the wire path, not a shared holder).
       if (has_split) {
         auto& node = d.net().AddNode();
+        d.net().Subscribe(node.self(), d.ring(0).control_channel);
         reconfig::RepartitionConfig pc;
         pc.plan = reconfig::ReconfigPlan::Split(
             kSplitPlanId, d.ring(0).group, d.ring(1).group, kSplitLo,
@@ -724,6 +720,13 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
                         static_cast<sim::SiteId>(b), true);
     }
   }
+  // Client progress is judged inside the quiesce window: a client that
+  // stalled for good once a coordinator moved must not pass on the
+  // strength of what it completed before the move.
+  const std::uint64_t kv_before =
+      kv_client != nullptr ? kv_client->completed() : 0;
+  const std::uint64_t session_before =
+      session_client != nullptr ? session_client->completed() : 0;
   d.RunFor(kQuiesce);
 
   oracle.Finish();
@@ -758,16 +761,20 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
         }
       }
     }
-    if (kv_client != nullptr && kv_client->completed() < 10) {
-      oracle.Flag("liveness", "kv client completed " +
-                                  std::to_string(kv_client->completed()) +
-                                  " < 10 operations");
+    if (kv_client != nullptr) {
+      const std::uint64_t done = kv_client->completed() - kv_before;
+      if (done < 10) {
+        oracle.Flag("liveness", "kv client completed " + std::to_string(done) +
+                                    " < 10 operations in the final quiesce");
+      }
     }
-    if (session_client != nullptr && session_client->completed() < 10) {
-      oracle.Flag("liveness",
-                  "session client completed " +
-                      std::to_string(session_client->completed()) +
-                      " < 10 operations");
+    if (session_client != nullptr) {
+      const std::uint64_t done = session_client->completed() - session_before;
+      if (done < 10) {
+        oracle.Flag("liveness",
+                    "session client completed " + std::to_string(done) +
+                        " < 10 operations in the final quiesce");
+      }
     }
     if (repart != nullptr && !repart->done()) {
       oracle.Flag("liveness",
