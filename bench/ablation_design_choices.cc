@@ -141,18 +141,15 @@ void AblationGroupMapping(Duration warm, Duration measure) {
     // One single-group subscriber per group.
     std::vector<MergeLearner*> learners;
     for (GroupId g = 0; g < 2; ++g) {
-      auto& node = d.net().AddNode();
-      MergeLearner::Options mo;
-      mo.send_delivery_acks = true;
-      ringpaxos::LearnerOptions lo;
-      lo.ring = d.ring(shared ? 0 : static_cast<int>(g));
-      lo.subscribe_only = {g};
-      mo.groups.push_back(lo);
-      auto learner = std::make_unique<MergeLearner>(std::move(mo));
-      learners.push_back(learner.get());
-      node.BindProtocol(std::move(learner));
-      d.net().Subscribe(node.self(), lo.ring.data_channel);
-      d.net().Subscribe(node.self(), lo.ring.control_channel);
+      learners.push_back(d.AddLearnerNode(
+          {shared ? 0 : static_cast<int>(g)},
+          [g](sim::SimNode&, std::vector<ringpaxos::LearnerOptions> groups) {
+            MergeLearner::Options mo;
+            mo.send_delivery_acks = true;
+            groups[0].subscribe_only = {g};
+            mo.groups = std::move(groups);
+            return std::make_unique<MergeLearner>(std::move(mo));
+          }));
     }
     for (GroupId g = 0; g < 2; ++g) {
       ringpaxos::ProposerConfig pc;

@@ -42,9 +42,7 @@ Result RunPartitions(int partitions, Duration warm, Duration measure) {
   for (int p = 0; p < partitions; ++p) {
     auto pl = std::make_unique<PartitionLearner>();
     auto* raw = pl.get();
-    auto& node = d.net().AddNode();
     RingLearner::Options lo;
-    lo.learner.ring = d.ring(0);
     lo.send_delivery_acks = (p == 0);  // one acker is enough for flow control
     // Requests are evenly spread: proposer c belongs to partition
     // c % partitions. The learner discards foreign-partition messages
@@ -55,11 +53,7 @@ Result RunPartitions(int partitions, Duration warm, Duration measure) {
         ++raw->my_msgs;
       }
     };
-    auto learner = std::make_unique<RingLearner>(std::move(lo));
-    raw->learner = learner.get();
-    node.BindProtocol(std::move(learner));
-    d.net().Subscribe(node.self(), d.ring(0).data_channel);
-    d.net().Subscribe(node.self(), d.ring(0).control_channel);
+    raw->learner = d.AddRingLearner(0, std::move(lo));
     parts.push_back(std::move(pl));
   }
 

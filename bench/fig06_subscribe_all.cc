@@ -25,8 +25,9 @@ Measurement RunPoint(int rings, bool disk, Duration warm, Duration measure) {
 
   std::vector<int> all;
   for (int r = 0; r < rings; ++r) all.push_back(r);
-  auto* learner = d.AddMergeLearner(all, /*m=*/1, /*max_buffer=*/0,
-                                    /*acks=*/true);
+  multiring::MergeLearner::Options mo;
+  mo.send_delivery_acks = true;
+  auto* learner = d.AddMergeLearner(all, std::move(mo));
   // Enough closed-loop load per ring to drive each ring to its own
   // ceiling, so the learner's ingress link becomes the aggregate bound.
   for (int r = 0; r < rings; ++r) {

@@ -26,7 +26,9 @@ Point RunPoint(std::uint32_t m, double per_ring_rate, Duration warm,
   opts.n_rings = 2;
   opts.lambda_per_sec = 9000;
   SimDeployment d(opts);
-  auto* learner = d.AddMergeLearner({0, 1}, m);
+  multiring::MergeLearner::Options mo;
+  mo.m = m;
+  auto* learner = d.AddMergeLearner({0, 1}, std::move(mo));
   for (int r = 0; r < 2; ++r) {
     AddOpenLoopClient(d, r, {{Seconds(0), per_ring_rate}}, 8 * 1024);
   }

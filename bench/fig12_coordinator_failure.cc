@@ -31,8 +31,9 @@ int main(int argc, char** argv) {
   // Figure 12 restarts the same coordinator; disable fail-over.
   opts.suspect_after = Seconds(600);
   SimDeployment d(opts);
-  auto* learner = d.AddMergeLearner({0, 1}, 1, /*max_buffer=*/0,
-                                    /*send_delivery_acks=*/true);
+  multiring::MergeLearner::Options mo;
+  mo.send_delivery_acks = true;
+  auto* learner = d.AddMergeLearner({0, 1}, std::move(mo));
   for (int r = 0; r < 2; ++r) {
     ringpaxos::ProposerConfig pc;
     pc.schedule = {{Seconds(0), 4000.0}};

@@ -70,12 +70,11 @@ void RunPerSiteCdfs(bool quick, const char* csv_dir) {
   // without latency compensation (target above the 35 ms diameter).
   std::vector<MergeLearner*> ring0, plain, comp;
   for (sim::SiteId s = 0; s < 3; ++s) {
-    SimDeployment::LearnerSpec ls;
-    ls.site = s;
-    ring0.push_back(d.AddMergeLearner({0}, ls));
-    plain.push_back(d.AddMergeLearner({0, 1, 2}, ls));
-    ls.latency_compensation = Millis(45);
-    comp.push_back(d.AddMergeLearner({0, 1, 2}, ls));
+    ring0.push_back(d.AddMergeLearner({0}, {}, s));
+    plain.push_back(d.AddMergeLearner({0, 1, 2}, {}, s));
+    MergeLearner::Options compensated;
+    compensated.latency_compensation = Millis(45);
+    comp.push_back(d.AddMergeLearner({0, 1, 2}, std::move(compensated), s));
   }
   for (int r = 0; r < 3; ++r) {
     AddOpenLoopClient(d, r, {{Seconds(0), 400}}, 1024);
@@ -148,9 +147,9 @@ void RunThroughputVsRtt(bool quick, const char* csv_dir) {
     opts.net.topology = topo;
     opts.ring_sites = {0, 1};
     SimDeployment d(opts);
-    SimDeployment::LearnerSpec ls;
-    ls.send_delivery_acks = true;
-    auto* learner = d.AddMergeLearner({0, 1}, ls);
+    MergeLearner::Options mo;
+    mo.send_delivery_acks = true;
+    auto* learner = d.AddMergeLearner({0, 1}, std::move(mo));
     for (int r = 0; r < 2; ++r) {
       ringpaxos::ProposerConfig pc;
       pc.max_outstanding = 16;

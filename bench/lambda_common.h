@@ -36,7 +36,9 @@ inline void RunLambdaSeries(double lambda, const LambdaScenario& sc,
   opts.lambda_per_sec = lambda;
   opts.delta = Millis(1);
   multiring::SimDeployment d(opts);
-  auto* learner = d.AddMergeLearner({0, 1}, /*m=*/1, sc.max_buffer_msgs);
+  multiring::MergeLearner::Options mo;
+  mo.max_buffer_msgs = sc.max_buffer_msgs;
+  auto* learner = d.AddMergeLearner({0, 1}, std::move(mo));
   for (int r = 0; r < 2; ++r) {
     ringpaxos::ProposerConfig pc;
     pc.schedule = r == 0 ? sc.ring1 : sc.ring2;

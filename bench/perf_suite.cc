@@ -218,28 +218,27 @@ ScenarioResult SessionLocalReads(bool quick) {
   multiring::SimDeployment d(opts);
   std::vector<sim::SimNode*> replica_nodes;
   for (int r = 0; r < 2; ++r) {
-    auto& node = d.net().AddNode();
-    smr::ReplicaConfig rc;
-    rc.partition = 0;
-    rc.partition_ring.ring = d.ring(0);
-    rc.respond = (r == 0);
-    rc.sessions = true;
-    rc.serve_local_reads = (r == 1);
-    node.BindProtocol(std::make_unique<smr::Replica>(rc));
-    replica_nodes.push_back(&node);
-    d.net().Subscribe(node.self(), d.ring(0).data_channel);
-    d.net().Subscribe(node.self(), d.ring(0).control_channel);
+    d.AddLearnerNode(
+        {0}, [&](sim::SimNode& node,
+                 std::vector<ringpaxos::LearnerOptions> groups) {
+          replica_nodes.push_back(&node);
+          smr::ReplicaConfig rc;
+          rc.partition = 0;
+          rc.partition_ring = groups[0];
+          rc.respond = (r == 0);
+          rc.sessions = true;
+          rc.serve_local_reads = (r == 1);
+          return std::make_unique<smr::Replica>(rc);
+        });
   }
-  {
-    auto& node = d.net().AddNode();
-    session::LeaseGrantorConfig lc;
-    lc.ring = d.ring(0).ring;
-    lc.group = d.ring(0).group;
-    lc.holder = replica_nodes[1]->self();
-    node.BindProtocol(std::make_unique<session::LeaseGrantor>(lc));
-    d.net().Subscribe(node.self(), d.ring(0).data_channel);
-    d.net().Subscribe(node.self(), d.ring(0).control_channel);
-  }
+  d.AddLearnerNode(
+      {0}, [&](sim::SimNode&, std::vector<ringpaxos::LearnerOptions>) {
+        session::LeaseGrantorConfig lc;
+        lc.ring = d.ring(0).ring;
+        lc.group = d.ring(0).group;
+        lc.holder = replica_nodes[1]->self();
+        return std::make_unique<session::LeaseGrantor>(lc);
+      });
   AddOpenLoopClient(d, 0, {{TimePoint(0), 1000}}, /*payload=*/512);
   smr::KvClient* client = nullptr;
   {

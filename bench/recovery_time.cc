@@ -16,7 +16,10 @@
 #include "bench/bench_common.h"
 #include "check/oracles.h"
 #include "check/recovery_oracle.h"
-#include "recovery/sim_harness.h"
+#include "recovery/checkpoint.h"
+#include "recovery/hash_app.h"
+#include "recovery/recoverable_learner.h"
+#include "sim/snapshot_disk.h"
 
 namespace {
 
@@ -60,8 +63,10 @@ Result RunScenario(bool snapshot_mode, std::uint64_t log_len,
   std::vector<std::unique_ptr<recovery::HashApp>> apps;
 
   auto& coord_node = d.net().AddNode();
-  recovery::SimRecoveryNode rec_a;  // reference + snapshot server
-  recovery::SimRecoveryNode rec_b;  // crash target
+  // Snapshot disks outlive the crash-replaced protocol objects.
+  std::vector<std::unique_ptr<sim::SimSnapshotPersistence>> disks;
+  sim::SimNode* rec_a = nullptr;  // reference + snapshot server
+  sim::SimNode* rec_b = nullptr;  // crash target
 
   auto make_opts = [&](bool target) {
     recovery::RecoverableLearner::Options ro;
@@ -70,7 +75,7 @@ Result RunScenario(bool snapshot_mode, std::uint64_t log_len,
     ro.app = app;
     ro.coordinator = coord_node.self();
     if (target) {
-      if (snapshot_mode) ro.fetch.peers = {rec_a.node->self()};
+      if (snapshot_mode) ro.fetch.peers = {rec_a->self()};
       ro.merge.on_deliver = [app, &oracle](GroupId g,
                                            const paxos::ClientMsg& m) {
         oracle.OnRecoveredDeliver(g, m);
@@ -90,10 +95,26 @@ Result RunScenario(bool snapshot_mode, std::uint64_t log_len,
     return ro;
   };
 
-  rec_a = recovery::AddRecoverableLearner(d, rings, make_opts(false));
-  rec_b = recovery::AddRecoverableLearner(d, rings, make_opts(true));
-  recovery::BindCheckpointCoordinator(
-      d, coord_node, {rec_a.node->self(), rec_b.node->self()}, snap_interval);
+  for (auto* rec : {&rec_a, &rec_b}) {
+    d.AddLearnerNode(
+        rings, [&](sim::SimNode& node,
+                   std::vector<ringpaxos::LearnerOptions> groups) {
+          *rec = &node;
+          disks.push_back(std::make_unique<sim::SimSnapshotPersistence>(node));
+          auto ro = make_opts(rec == &rec_b);
+          ro.persistence = disks.back().get();
+          ro.merge.groups = std::move(groups);
+          return std::make_unique<recovery::RecoverableLearner>(std::move(ro));
+        });
+  }
+  recovery::CheckpointCoordinator::Options co;
+  co.interval = snap_interval;
+  co.learners = {rec_a->self(), rec_b->self()};
+  for (int r : rings) {
+    co.rings.emplace_back(d.ring(r).ring, d.ring(r).control_channel);
+  }
+  coord_node.BindProtocol(
+      std::make_unique<recovery::CheckpointCoordinator>(std::move(co)));
   auto* app_a = apps[0].get();
   auto* app_b = apps[1].get();
 
@@ -121,16 +142,22 @@ Result RunScenario(bool snapshot_mode, std::uint64_t log_len,
   res.ref_rate_steady = static_cast<double>(app_a->count()) / steady_window_s;
 
   // Phase 2: crash the target, let traffic continue briefly.
-  rec_b.node->SetDown(true);
+  rec_b->SetDown(true);
   d.RunFor(Millis(100));
 
   // Phase 3: revive and measure catch-up. In log-replay mode the fetch
   // peer list is empty, so the manager completes immediately with an
   // empty checkpoint and the merge cold-starts at instance 0.
-  recovery::ReviveRecoverableLearner(d, rec_b, rings, make_opts(true));
+  auto revived = make_opts(true);
+  revived.recover_on_start = true;
+  revived.persistence = disks[1].get();
+  revived.merge.groups = d.spec().LearnerGroups(rings);
+  rec_b->ReplaceProtocol(
+      std::make_unique<recovery::RecoverableLearner>(std::move(revived)));
+  auto* learner_b = rec_b->protocol_as<recovery::RecoverableLearner>();
   app_b = apps.back().get();  // the revived learner got a fresh app
-  rec_b.node->SetDown(false);
-  rec_b.node->Start();
+  rec_b->SetDown(false);
+  rec_b->Start();
   const TimePoint revive_at = d.net().now();
   const std::uint64_t a_at_revive = app_a->count();
 
@@ -153,11 +180,11 @@ Result RunScenario(bool snapshot_mode, std::uint64_t log_len,
   // since revive to isolate the replayed backlog.
   const std::uint64_t live_suffix = app_a->count() - a_at_revive;
   const std::uint64_t applied_since_restore =
-      app_b->count() - rec_b.learner->resume_index();
+      app_b->count() - learner_b->resume_index();
   res.reapplied = applied_since_restore > live_suffix
                       ? applied_since_restore - live_suffix
                       : 0;
-  res.chunks = rec_b.learner->fetcher().chunks_received();
+  res.chunks = learner_b->fetcher().chunks_received();
   const double recovery_window_s =
       static_cast<double>((caught_up_at - revive_at).count()) / 1e9;
   res.ref_rate_dip =

@@ -74,59 +74,50 @@ ScenarioResult RunScenario(bool live_split, Duration total, Duration split_at,
   ReconfigOracle oracle(&suite);
   reconfig::RingHolder holder;
 
-  auto route_of = [&d](int r) {
-    reconfig::GroupRoute gr;
-    gr.group = d->ring(r).group;
-    gr.ring = d->ring(r).ring;
-    gr.coordinator = d->ring(r).ring_members[0];
-    gr.data_channel = d->ring(r).data_channel;
-    gr.control_channel = d->ring(r).control_channel;
-    gr.ring_members = d->ring(r).ring_members;
-    return gr;
-  };
-  holder.Install(
-      reconfig::RingConfiguration(1, {route_of(0)}, {{0, kKeyMax, g0}}));
+  holder.Install(reconfig::RingConfiguration(
+      1, {reconfig::RouteFor(d->ring(0))}, {{0, kKeyMax, g0}}));
 
   std::vector<sim::SimNode*> source_nodes;
   for (int r = 0; r < 2; ++r) {
-    auto& node = d->net().AddNode();
-    smr::ReplicaConfig rc;
-    rc.partition = g0;
-    rc.partition_ring.ring = d->ring(0);
-    rc.respond = (r == 0);
-    rc.sessions = true;
-    const int ridx = oracle.RegisterReplica("source" + std::to_string(r), g0);
-    rc.on_session_apply = [&oracle, ridx](std::uint64_t sid,
-                                          std::uint64_t seq) {
-      oracle.OnSessionApply(ridx, sid, seq);
-    };
-    source_nodes.push_back(&node);
-    node.BindProtocol(std::make_unique<smr::Replica>(rc));
-    d->net().Subscribe(node.self(), d->ring(0).data_channel);
-    d->net().Subscribe(node.self(), d->ring(0).control_channel);
+    d->AddLearnerNode(
+        {0}, [&](sim::SimNode& node,
+                 std::vector<ringpaxos::LearnerOptions> groups) {
+          smr::ReplicaConfig rc;
+          rc.partition = g0;
+          rc.partition_ring = groups[0];
+          rc.respond = (r == 0);
+          rc.sessions = true;
+          const int ridx =
+              oracle.RegisterReplica("source" + std::to_string(r), g0);
+          rc.on_session_apply = [&oracle, ridx](std::uint64_t sid,
+                                                std::uint64_t seq) {
+            oracle.OnSessionApply(ridx, sid, seq);
+          };
+          source_nodes.push_back(&node);
+          return std::make_unique<smr::Replica>(rc);
+        });
   }
 
   sim::SimNode* target_node = nullptr;
-  {
-    auto& node = d->net().AddNode();
-    smr::ReplicaConfig rc;
-    rc.partition = g1;
-    rc.range = {kSplitLo, kKeyMax};
-    rc.partition_ring.ring = d->ring(1);
-    rc.respond = true;
-    rc.sessions = true;
-    rc.handoff_plan = kPlanId;
-    rc.handoff_peers = {source_nodes[0]->self(), source_nodes[1]->self()};
-    const int ridx = oracle.RegisterReplica("target", g1);
-    rc.on_session_apply = [&oracle, ridx](std::uint64_t sid,
-                                          std::uint64_t seq) {
-      oracle.OnSessionApply(ridx, sid, seq);
-    };
-    target_node = &node;
-    node.BindProtocol(std::make_unique<smr::Replica>(rc));
-    d->net().Subscribe(node.self(), d->ring(1).data_channel);
-    d->net().Subscribe(node.self(), d->ring(1).control_channel);
-  }
+  d->AddLearnerNode(
+      {1}, [&](sim::SimNode& node,
+               std::vector<ringpaxos::LearnerOptions> groups) {
+        smr::ReplicaConfig rc;
+        rc.partition = g1;
+        rc.range = {kSplitLo, kKeyMax};
+        rc.partition_ring = groups[0];
+        rc.respond = true;
+        rc.sessions = true;
+        rc.handoff_plan = kPlanId;
+        rc.handoff_peers = {source_nodes[0]->self(), source_nodes[1]->self()};
+        const int ridx = oracle.RegisterReplica("target", g1);
+        rc.on_session_apply = [&oracle, ridx](std::uint64_t sid,
+                                              std::uint64_t seq) {
+          oracle.OnSessionApply(ridx, sid, seq);
+        };
+        target_node = &node;
+        return std::make_unique<smr::Replica>(rc);
+      });
 
   // The workload under measurement: closed-loop, holder-routed,
   // session-stamped writes plus a small query mix. Latencies land in
@@ -158,7 +149,7 @@ ScenarioResult RunScenario(bool live_split, Duration total, Duration split_at,
                                             kKeyMax, d->ring(1).ring);
     pc.source_ring = d->ring(0);
     pc.next = reconfig::RingConfiguration(
-        2, {route_of(0), route_of(1)},
+        2, {reconfig::RouteFor(d->ring(0)), reconfig::RouteFor(d->ring(1))},
         {{0, kSplitLo - 1, g0}, {kSplitLo, kKeyMax, g1}});
     pc.target_replica = target_node->self();
     pc.notify = {client_node->self()};

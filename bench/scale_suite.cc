@@ -151,10 +151,11 @@ ScenarioResult WorkloadMix(bool quick) {
   auto owned = std::make_unique<workload::WorkloadDriver>(std::move(cfg));
   auto* driver = owned.get();
   d.AddClient(std::move(owned), rings);
-  d.AddMergeLearner(rings)->set_on_deliver(
-      [driver, &d](GroupId, const paxos::ClientMsg& m) {
-        driver->RecordDelivery(d.net().now(), m);
-      });
+  multiring::MergeLearner::Options mo;
+  mo.on_deliver = [driver, &d](GroupId, const paxos::ClientMsg& m) {
+    driver->RecordDelivery(d.net().now(), m);
+  };
+  d.AddMergeLearner(rings, std::move(mo));
 
   d.Start();
   d.RunFor(Seconds(1));  // warm up batching + the MMPP/diurnal phases
@@ -299,10 +300,11 @@ void RunSweep(bool quick) {
           drivers.push_back(owned.get());
           d.AddClient(std::move(owned), {r});
         }
-        d.AddMergeLearner(rings)->set_on_deliver(
-            [&drivers, &d](GroupId, const paxos::ClientMsg& m) {
-              for (auto* dr : drivers) dr->RecordDelivery(d.net().now(), m);
-            });
+        multiring::MergeLearner::Options mo;
+        mo.on_deliver = [&drivers, &d](GroupId, const paxos::ClientMsg& m) {
+          for (auto* dr : drivers) dr->RecordDelivery(d.net().now(), m);
+        };
+        d.AddMergeLearner(rings, std::move(mo));
         d.Start();
         const Duration warm = Seconds(1);
         const Duration meas = quick ? Seconds(1) : Seconds(4);

@@ -53,49 +53,47 @@ ScenarioResult RunScenario(bool lease_local, double write_lambda,
   std::vector<smr::Replica*> replicas;
   std::vector<sim::SimNode*> replica_nodes;
   for (int r = 0; r < 2; ++r) {
-    auto& node = d->net().AddNode();
-    smr::ReplicaConfig rc;
-    rc.partition = 0;
-    rc.partition_ring.ring = d->ring(0);
-    rc.respond = (r == 0);
-    rc.sessions = true;
-    rc.serve_local_reads = (r == 1);
-    const int idx = oracle.RegisterReplica("replica" + std::to_string(r), 0);
-    rc.on_apply = [&oracle, idx](const smr::Command& cmd) {
-      oracle.OnSmrApply(idx, cmd);
-    };
-    const int sidx =
-        session_oracle.RegisterReplica("replica" + std::to_string(r));
-    rc.on_session_apply = [&session_oracle, sidx](std::uint64_t sid,
-                                                  std::uint64_t seq) {
-      session_oracle.OnSessionApply(sidx, sid, seq);
-    };
-    if (r == 1) {
-      rc.on_local_read = [&session_oracle, sidx](std::uint64_t epoch,
-                                                 bool lease_valid,
-                                                 InstanceId grant_point,
-                                                 InstanceId frontier) {
-        session_oracle.OnLocalRead(sidx, epoch, lease_valid, grant_point,
-                                   frontier);
-      };
-    }
-    auto rep = std::make_unique<smr::Replica>(rc);
-    replicas.push_back(rep.get());
-    replica_nodes.push_back(&node);
-    node.BindProtocol(std::move(rep));
-    d->net().Subscribe(node.self(), d->ring(0).data_channel);
-    d->net().Subscribe(node.self(), d->ring(0).control_channel);
+    replicas.push_back(d->AddLearnerNode(
+        {0}, [&](sim::SimNode& node,
+                 std::vector<ringpaxos::LearnerOptions> groups) {
+          replica_nodes.push_back(&node);
+          smr::ReplicaConfig rc;
+          rc.partition = 0;
+          rc.partition_ring = groups[0];
+          rc.respond = (r == 0);
+          rc.sessions = true;
+          rc.serve_local_reads = (r == 1);
+          const int idx =
+              oracle.RegisterReplica("replica" + std::to_string(r), 0);
+          rc.on_apply = [&oracle, idx](const smr::Command& cmd) {
+            oracle.OnSmrApply(idx, cmd);
+          };
+          const int sidx =
+              session_oracle.RegisterReplica("replica" + std::to_string(r));
+          rc.on_session_apply = [&session_oracle, sidx](std::uint64_t sid,
+                                                        std::uint64_t seq) {
+            session_oracle.OnSessionApply(sidx, sid, seq);
+          };
+          if (r == 1) {
+            rc.on_local_read = [&session_oracle, sidx](std::uint64_t epoch,
+                                                       bool lease_valid,
+                                                       InstanceId grant_point,
+                                                       InstanceId frontier) {
+              session_oracle.OnLocalRead(sidx, epoch, lease_valid, grant_point,
+                                         frontier);
+            };
+          }
+          return std::make_unique<smr::Replica>(rc);
+        }));
   }
-  {
-    auto& node = d->net().AddNode();
-    session::LeaseGrantorConfig lc;
-    lc.ring = d->ring(0).ring;
-    lc.group = d->ring(0).group;
-    lc.holder = replica_nodes[1]->self();
-    node.BindProtocol(std::make_unique<session::LeaseGrantor>(lc));
-    d->net().Subscribe(node.self(), d->ring(0).data_channel);
-    d->net().Subscribe(node.self(), d->ring(0).control_channel);
-  }
+  d->AddLearnerNode(
+      {0}, [&](sim::SimNode&, std::vector<ringpaxos::LearnerOptions>) {
+        session::LeaseGrantorConfig lc;
+        lc.ring = d->ring(0).ring;
+        lc.group = d->ring(0).group;
+        lc.holder = replica_nodes[1]->self();
+        return std::make_unique<session::LeaseGrantor>(lc);
+      });
 
   // Equal write lambda in both scenarios: an open-loop Poisson proposer.
   AddOpenLoopClient(*d, 0, {{TimePoint(0), write_lambda}}, /*payload=*/512);

@@ -231,18 +231,12 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(partitions));
   for (int p = 0; p < partitions; ++p) {
     for (int copy = 0; copy < 2; ++copy) {
-      auto& node = d.net().AddNode();
-      std::vector<ringpaxos::LearnerOptions> groups(2);
-      groups[0].ring = d.ring(p);
-      groups[1].ring = d.ring(partitions);
-      auto rep = std::make_unique<BankReplica>(static_cast<GroupId>(p), partitions,
-                                               std::move(groups));
-      replicas[static_cast<std::size_t>(p)].push_back(rep.get());
-      node.BindProtocol(std::move(rep));
-      for (int r : {p, partitions}) {
-        d.net().Subscribe(node.self(), d.ring(r).data_channel);
-        d.net().Subscribe(node.self(), d.ring(r).control_channel);
-      }
+      replicas[static_cast<std::size_t>(p)].push_back(d.AddLearnerNode(
+          {p, partitions}, [&](sim::SimNode&,
+                               std::vector<ringpaxos::LearnerOptions> groups) {
+            return std::make_unique<BankReplica>(static_cast<GroupId>(p),
+                                                 partitions, std::move(groups));
+          }));
     }
   }
 

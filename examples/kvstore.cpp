@@ -32,22 +32,17 @@ int main(int argc, char** argv) {
   std::vector<smr::Replica*> replicas;
   for (int p = 0; p < partitions; ++p) {
     for (int r = 0; r < 2; ++r) {
-      auto& node = d.net().AddNode();
-      smr::ReplicaConfig rc;
-      rc.partition = static_cast<GroupId>(p);
-      rc.range = part.RangeOf(rc.partition);
-      rc.partition_ring.ring = d.ring(p);
-      ringpaxos::LearnerOptions all;
-      all.ring = d.ring(partitions);
-      rc.all_ring = all;
-      rc.respond = (r == 0);
-      auto rep = std::make_unique<smr::Replica>(rc);
-      replicas.push_back(rep.get());
-      node.BindProtocol(std::move(rep));
-      d.net().Subscribe(node.self(), d.ring(p).data_channel);
-      d.net().Subscribe(node.self(), d.ring(p).control_channel);
-      d.net().Subscribe(node.self(), d.ring(partitions).data_channel);
-      d.net().Subscribe(node.self(), d.ring(partitions).control_channel);
+      replicas.push_back(d.AddLearnerNode(
+          {p, partitions}, [&](sim::SimNode&,
+                               std::vector<ringpaxos::LearnerOptions> groups) {
+            smr::ReplicaConfig rc;
+            rc.partition = static_cast<GroupId>(p);
+            rc.range = part.RangeOf(rc.partition);
+            rc.partition_ring = groups[0];
+            rc.all_ring = groups[1];
+            rc.respond = (r == 0);
+            return std::make_unique<smr::Replica>(rc);
+          }));
     }
   }
 

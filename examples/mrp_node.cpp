@@ -1,242 +1,142 @@
-// Real-deployment node: runs one Multi-Ring Paxos role over UDP with
-// genuine ip-multicast. Launch one process per role to form a cluster on
-// a LAN (or on loopback):
+// Real-deployment node: runs Multi-Ring Paxos over UDP with genuine
+// ip-multicast. A cluster file (format in src/runtime/cluster_config.h)
+// describes the rings and the learner and proposer roles; every node id
+// and role is derived from it. Launch one process per node id to form a
+// cluster on a LAN (or on loopback):
 //
-//   ./mrp_node acceptor --id 0 --ring 0 --members 0,1
-//   ./mrp_node acceptor --id 1 --ring 0 --members 0,1
-//   ./mrp_node learner  --id 2 --ring 0 --members 0,1
-//   ./mrp_node proposer --id 3 --ring 0 --members 0,1 --rate 100
+//   ./mrp_node --config examples/cluster.cfg --id <N> [--seconds S]
 //
-// With no arguments it runs a self-contained demo: a 2-ring cluster of
-// separate UDP endpoints inside this one process (same sockets and
-// codec a distributed deployment uses), for three seconds.
+// With no arguments it runs a self-contained demo: a built-in 2-ring
+// cluster file run on a LocalCluster, every node a separate UDP endpoint
+// inside this one process (same sockets and codec a distributed
+// deployment uses), for three seconds. It exits non-zero when nothing
+// was delivered.
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "multiring/merge_learner.h"
-#include "ringpaxos/learner.h"
 #include "ringpaxos/proposer.h"
 #include "ringpaxos/ring_node.h"
 #include "runtime/cluster_config.h"
 #include "runtime/node_runtime.h"
 
 using namespace mrp;  // NOLINT
+using runtime::ClusterConfig;
 
 namespace {
 
-std::vector<NodeId> ParseIds(const std::string& csv) {
-  std::vector<NodeId> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    out.push_back(static_cast<NodeId>(std::stoul(csv.substr(pos, comma - pos))));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
+constexpr char kDemoConfig[] = R"(
+udp base_port 48100 mcast_prefix 239.255.83. mcast_port 48600
+ring 0 members 2 lambda 1000
+ring 1 members 2 lambda 1000
+node learner 0,1 acks
+node proposer 0
+node proposer 1
+)";
 
-ringpaxos::RingConfig MakeRing(RingId ring, std::vector<NodeId> members) {
-  ringpaxos::RingConfig rc;
-  rc.ring = ring;
-  rc.group = ring;
-  rc.data_channel = static_cast<ChannelId>(2 * ring);
-  rc.control_channel = static_cast<ChannelId>(2 * ring + 1);
-  rc.ring_members = std::move(members);
-  rc.lambda_per_sec = 1000;
-  return rc;
-}
-
-int RunRole(int argc, char** argv) {
-  const std::string role = argv[1];
-  NodeId id = 0;
-  RingId ring = 0;
-  std::vector<NodeId> members{0, 1};
-  double rate = 100;
-  int seconds = 10;
-  for (int i = 2; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
-    if (flag == "--id") id = static_cast<NodeId>(std::stoul(value));
-    else if (flag == "--ring") ring = static_cast<RingId>(std::stoul(value));
-    else if (flag == "--members") members = ParseIds(value);
-    else if (flag == "--rate") rate = std::stod(value);
-    else if (flag == "--seconds") seconds = std::stoi(value);
-  }
-  const auto rc = MakeRing(ring, members);
-
-  runtime::UdpTransport transport(id, {});
-  std::unique_ptr<Protocol> protocol;
-  if (role == "acceptor") {
-    transport.Subscribe(rc.data_channel);
-    transport.Subscribe(rc.control_channel);
-    protocol = std::make_unique<ringpaxos::RingNode>(rc);
-  } else if (role == "learner") {
-    transport.Subscribe(rc.data_channel);
-    transport.Subscribe(rc.control_channel);
-    ringpaxos::RingLearner::Options lo;
-    lo.learner.ring = rc;
-    lo.send_delivery_acks = true;
-    lo.on_deliver = [](const paxos::ClientMsg& m) {
-      std::printf("delivered: proposer=%u seq=%llu (%u bytes)\n", m.proposer,
-                  static_cast<unsigned long long>(m.seq), m.payload_size);
-    };
-    protocol = std::make_unique<ringpaxos::RingLearner>(std::move(lo));
-  } else if (role == "proposer") {
-    transport.Subscribe(rc.control_channel);
-    ringpaxos::ProposerConfig pc;
-    pc.ring = rc.ring;
-    pc.group = rc.group;
-    pc.coordinator = rc.ring_members[0];
-    pc.schedule = {{Seconds(0), rate}};
-    pc.payload_size = 1024;
-    protocol = std::make_unique<ringpaxos::Proposer>(pc);
-  } else {
-    std::fprintf(stderr, "unknown role '%s'\n", role.c_str());
-    return 2;
-  }
-
-  runtime::NodeRuntime node(id, std::move(protocol), transport);
-  transport.Start();
-  node.Start();
-  std::printf("%s %u running for %d s (ring %u, members", role.c_str(), id,
-              seconds, ring);
-  for (NodeId m : rc.ring_members) std::printf(" %u", m);
-  std::printf(")\n");
-  std::this_thread::sleep_for(std::chrono::seconds(seconds));
-  node.Stop();
-  transport.Stop();
-  return 0;
-}
-
-// Config-file mode: one process per node id, roles from the file.
-int RunFromConfig(const std::string& path, NodeId id, int seconds) {
-  std::string error;
-  auto cfg = runtime::ClusterConfig::Load(path, &error);
-  if (!cfg) {
-    std::fprintf(stderr, "config error: %s\n", error.c_str());
-    return 2;
-  }
-  auto nit = cfg->nodes.find(id);
-  if (nit == cfg->nodes.end()) {
-    std::fprintf(stderr, "node %u not in config\n", id);
-    return 2;
-  }
-  const auto& node_cfg = nit->second;
-
-  runtime::UdpTransport transport(id, cfg->udp);
-  std::unique_ptr<Protocol> protocol;
-  if (node_cfg.acceptor_of) {
-    const auto& rc = cfg->rings.at(*node_cfg.acceptor_of);
-    transport.Subscribe(rc.data_channel);
-    transport.Subscribe(rc.control_channel);
-    protocol = std::make_unique<ringpaxos::RingNode>(rc);
-    std::printf("node %u: acceptor of ring %u\n", id, rc.ring);
-  } else if (node_cfg.learner) {
-    multiring::MergeLearner::Options mo;
-    mo.send_delivery_acks = node_cfg.learner->acks;
-    mo.on_deliver = [](GroupId g, const paxos::ClientMsg& m) {
-      static std::uint64_t count = 0;
-      if (++count % 100 == 0) {
-        std::printf("delivered %llu (latest: group %u seq %llu)\n",
-                    static_cast<unsigned long long>(count), g,
-                    static_cast<unsigned long long>(m.seq));
-      }
-    };
-    for (RingId r : node_cfg.learner->rings) {
-      ringpaxos::LearnerOptions lo;
-      lo.ring = cfg->rings.at(r);
-      mo.groups.push_back(lo);
-      transport.Subscribe(lo.ring.data_channel);
-      transport.Subscribe(lo.ring.control_channel);
-    }
-    protocol = std::make_unique<multiring::MergeLearner>(std::move(mo));
-    std::printf("node %u: learner of %zu groups\n", id,
-                node_cfg.learner->rings.size());
-  } else if (node_cfg.proposer) {
-    const auto& rc = cfg->rings.at(node_cfg.proposer->ring);
-    transport.Subscribe(rc.control_channel);
-    ringpaxos::ProposerConfig pc;
-    pc.ring = rc.ring;
-    pc.group = rc.group;
-    pc.coordinator = rc.ring_members[0];
-    pc.payload_size = node_cfg.proposer->payload;
-    if (node_cfg.proposer->rate > 0) {
-      pc.schedule = {{Seconds(0), node_cfg.proposer->rate}};
-      pc.max_outstanding = node_cfg.proposer->window;
-    } else {
-      pc.max_outstanding = node_cfg.proposer->window;
-    }
-    protocol = std::make_unique<ringpaxos::Proposer>(pc);
-    std::printf("node %u: proposer on ring %u\n", id, rc.ring);
-  } else {
-    std::fprintf(stderr, "node %u has no role\n", id);
-    return 2;
-  }
-
-  runtime::NodeRuntime node(id, std::move(protocol), transport);
-  transport.Start();
-  node.Start();
-  std::this_thread::sleep_for(std::chrono::seconds(seconds));
-  node.Stop();
-  transport.Stop();
-  return 0;
-}
-
-int RunDemo() {
-  std::printf("mrp_node demo: 2 rings x 2 acceptors + merge learner + 2\n"
-              "proposers, every node a separate UDP endpoint with real\n"
-              "ip-multicast on loopback. Running for 3 seconds...\n\n");
-  runtime::UdpConfig udp;
-  udp.base_port = 48100;
-  udp.mcast_port_base = 48600;
-  udp.mcast_prefix = "239.255.83.";
-  runtime::LocalCluster cluster(runtime::LocalCluster::Kind::kUdp, udp);
-
-  std::vector<ringpaxos::RingConfig> rings;
-  for (RingId r = 0; r < 2; ++r) {
-    rings.push_back(MakeRing(r, {static_cast<NodeId>(2 * r),
-                                 static_cast<NodeId>(2 * r + 1)}));
-  }
-  for (const auto& rc : rings) {
-    for (int a = 0; a < 2; ++a) {
-      cluster.AddNode(std::make_unique<ringpaxos::RingNode>(rc),
-                      {rc.data_channel, rc.control_channel});
-    }
-  }
+// The merge learner of a learner role, counting into `delivered`.
+multiring::MergeLearner::Options MergeOptionsFor(
+    const ClusterConfig::LearnerRole& role,
+    std::atomic<std::uint64_t>& delivered) {
   multiring::MergeLearner::Options mo;
-  mo.send_delivery_acks = true;
-  std::atomic<std::uint64_t> delivered{0};
-  mo.on_deliver = [&](GroupId g, const paxos::ClientMsg& m) {
+  mo.send_delivery_acks = role.acks;
+  mo.on_deliver = [&delivered](GroupId g, const paxos::ClientMsg& m) {
     const auto n = ++delivered;
-    if (n % 50 == 0) {
-      std::printf("  delivered %llu messages so far (latest: group %u seq %llu)\n",
+    if (n % 1000 == 0) {
+      std::printf("  delivered %llu messages (latest: group %u seq %llu)\n",
                   static_cast<unsigned long long>(n), g,
                   static_cast<unsigned long long>(m.seq));
     }
   };
-  for (const auto& rc : rings) {
-    ringpaxos::LearnerOptions lo;
-    lo.ring = rc;
-    mo.groups.push_back(lo);
+  return mo;
+}
+
+// The workload of a proposer role; the ring binding is filled by the
+// caller.
+ringpaxos::ProposerConfig ProposerConfigFor(
+    const ClusterConfig::ProposerRole& role) {
+  ringpaxos::ProposerConfig pc;
+  pc.payload_size = role.payload;
+  pc.max_outstanding = role.window;
+  if (role.rate > 0) pc.schedule = {{Seconds(0), role.rate}};
+  return pc;
+}
+
+// Config-file mode: this process runs node `id` of the file's cluster.
+int RunNode(const ClusterConfig& cfg, NodeId id, int seconds) {
+  const auto& spec = cfg.spec;
+  const auto ring_nodes = static_cast<NodeId>(spec.ring_node_count());
+  std::atomic<std::uint64_t> delivered{0};
+  std::unique_ptr<Protocol> protocol;
+  std::vector<ChannelId> channels;
+  if (const int r = spec.acceptor_ring(id); r >= 0) {
+    protocol = std::make_unique<ringpaxos::RingNode>(spec.Ring(r));
+    channels = spec.LearnerChannels({r});
+    std::printf("node %u: acceptor of ring %d\n", id, r);
+  } else if (id - ring_nodes < cfg.roles.size()) {
+    const auto& role = cfg.roles[id - ring_nodes];
+    if (const auto* lr = std::get_if<ClusterConfig::LearnerRole>(&role)) {
+      auto mo = MergeOptionsFor(*lr, delivered);
+      mo.groups = spec.LearnerGroups(lr->rings);
+      protocol = std::make_unique<multiring::MergeLearner>(std::move(mo));
+      channels = spec.LearnerChannels(lr->rings);
+      std::printf("node %u: learner of %zu groups\n", id, lr->rings.size());
+    } else {
+      const auto& pr = std::get<ClusterConfig::ProposerRole>(role);
+      const auto rc = spec.Ring(pr.ring);
+      auto pc = ProposerConfigFor(pr);
+      pc.ring = rc.ring;
+      pc.group = rc.group;
+      pc.coordinator = rc.ring_members[0];
+      protocol = std::make_unique<ringpaxos::Proposer>(pc);
+      channels = spec.ClientChannels({pr.ring});
+      std::printf("node %u: proposer on ring %d\n", id, pr.ring);
+    }
+  } else {
+    std::fprintf(stderr, "node %u not in config (it has %zu nodes)\n", id,
+                 ring_nodes + cfg.roles.size());
+    return 2;
   }
-  cluster.AddNode(std::make_unique<multiring::MergeLearner>(std::move(mo)),
-                  {0, 1, 2, 3});
-  for (const auto& rc : rings) {
-    ringpaxos::ProposerConfig pc;
-    pc.ring = rc.ring;
-    pc.group = rc.group;
-    pc.coordinator = rc.ring_members[0];
-    pc.max_outstanding = 4;
-    pc.payload_size = 1024;
-    cluster.AddNode(std::make_unique<ringpaxos::Proposer>(pc),
-                    {rc.control_channel});
+
+  runtime::UdpTransport transport(id, cfg.udp);
+  for (ChannelId ch : channels) transport.Subscribe(ch);
+  runtime::NodeRuntime node(id, std::move(protocol), transport);
+  transport.Start();
+  node.Start();
+  std::this_thread::sleep_for(std::chrono::seconds(seconds));
+  node.Stop();
+  transport.Stop();
+  return 0;
+}
+
+// Demo mode: the whole built-in cluster on one LocalCluster over UDP.
+int RunDemo() {
+  std::printf("mrp_node demo: 2 rings x 2 acceptors + merge learner + 2\n"
+              "proposers, every node a separate UDP endpoint with real\n"
+              "ip-multicast on loopback. Running for 3 seconds...\n\n");
+  std::string error;
+  const auto cfg = ClusterConfig::Parse(kDemoConfig, &error);
+  if (!cfg) {
+    std::fprintf(stderr, "demo config error: %s\n", error.c_str());
+    return 2;
+  }
+  runtime::LocalCluster cluster(cfg->spec, runtime::LocalCluster::Kind::kUdp,
+                                cfg->udp);
+  std::atomic<std::uint64_t> delivered{0};
+  for (const auto& role : cfg->roles) {
+    if (const auto* lr = std::get_if<ClusterConfig::LearnerRole>(&role)) {
+      cluster.AddMergeLearner(lr->rings, MergeOptionsFor(*lr, delivered));
+    } else {
+      const auto& pr = std::get<ClusterConfig::ProposerRole>(role);
+      cluster.AddProposer(pr.ring, ProposerConfigFor(pr));
+    }
   }
 
   cluster.Start();
@@ -247,25 +147,39 @@ int RunDemo() {
   return delivered.load() > 0 ? 0 : 1;
 }
 
+// A whole-token integer argument in [0, max], or -1.
+long ParseArg(const char* s, long max) {
+  char* end = nullptr;
+  const long v = std::strtol(s, &end, 10);
+  return end != s && *end == '\0' && v >= 0 && v <= max ? v : -1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return RunDemo();
-  if (std::string(argv[1]) == "--config") {
-    std::string path;
-    NodeId id = kNoNode;
-    int seconds = 30;
-    for (int i = 1; i + 1 < argc; i += 2) {
-      const std::string flag = argv[i];
-      if (flag == "--config") path = argv[i + 1];
-      else if (flag == "--id") id = static_cast<NodeId>(std::stoul(argv[i + 1]));
-      else if (flag == "--seconds") seconds = std::atoi(argv[i + 1]);
-    }
-    if (path.empty() || id == kNoNode) {
-      std::fprintf(stderr, "usage: mrp_node --config <file> --id <node> [--seconds n]\n");
-      return 2;
-    }
-    return RunFromConfig(path, id, seconds);
+  std::string path;
+  long id = -1;
+  long seconds = 30;
+  bool ok = argc % 2 == 1;
+  for (int i = 1; ok && i + 1 < argc; i += 2) {
+    const std::string flag = argv[i];
+    if (flag == "--config") path = argv[i + 1];
+    else if (flag == "--id") id = ParseArg(argv[i + 1], 65535);
+    else if (flag == "--seconds") seconds = ParseArg(argv[i + 1], 1'000'000);
+    else ok = false;
   }
-  return RunRole(argc, argv);
+  if (!ok || path.empty() || id < 0 || seconds < 0) {
+    std::fprintf(stderr,
+                 "usage: mrp_node --config <file> --id <node> [--seconds n]\n"
+                 "       mrp_node            (self-contained demo)\n");
+    return 2;
+  }
+  std::string error;
+  const auto cfg = ClusterConfig::Load(path, &error);
+  if (!cfg) {
+    std::fprintf(stderr, "config error: %s\n", error.c_str());
+    return 2;
+  }
+  return RunNode(*cfg, static_cast<NodeId>(id), static_cast<int>(seconds));
 }

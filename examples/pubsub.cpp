@@ -21,24 +21,13 @@ multiring::MergeLearner* AddSubscriber(multiring::SimDeployment& d,
                                        const std::string& name,
                                        const std::vector<int>& topics,
                                        bool ack) {
-  auto& node = d.net().AddNode();
   multiring::MergeLearner::Options opts;
   opts.send_delivery_acks = ack;
   opts.on_deliver = [name](GroupId topic, const paxos::ClientMsg& m) {
     std::printf("  %-6s <- topic %u : msg %llu from publisher %u\n", name.c_str(),
                 topic, static_cast<unsigned long long>(m.seq), m.proposer);
   };
-  for (int t : topics) {
-    ringpaxos::LearnerOptions lo;
-    lo.ring = d.ring(t);
-    opts.groups.push_back(lo);
-    d.net().Subscribe(node.self(), d.ring(t).data_channel);
-    d.net().Subscribe(node.self(), d.ring(t).control_channel);
-  }
-  auto learner = std::make_unique<multiring::MergeLearner>(std::move(opts));
-  auto* raw = learner.get();
-  node.BindProtocol(std::move(learner));
-  return raw;
+  return d.AddMergeLearner(topics, std::move(opts));
 }
 
 }  // namespace

@@ -29,18 +29,14 @@ int main() {
   // Two learners, each printing what it delivers: atomic broadcast
   // guarantees they print the identical sequence.
   for (int l = 0; l < 2; ++l) {
-    auto& node = d.net().AddNode();
     ringpaxos::RingLearner::Options lo;
-    lo.learner.ring = d.ring(0);
     lo.send_delivery_acks = (l == 0);
     lo.on_deliver = [l](const paxos::ClientMsg& m) {
       std::printf("  learner %d delivered: proposer=%u seq=%llu (%u bytes)\n", l,
                   m.proposer, static_cast<unsigned long long>(m.seq),
                   m.payload_size);
     };
-    node.BindProtocol(std::make_unique<ringpaxos::RingLearner>(std::move(lo)));
-    d.net().Subscribe(node.self(), d.ring(0).data_channel);
-    d.net().Subscribe(node.self(), d.ring(0).control_channel);
+    d.AddRingLearner(0, std::move(lo));
   }
 
   // A closed-loop client broadcasting 1 kB messages, at most 2 in flight.

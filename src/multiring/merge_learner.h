@@ -115,10 +115,6 @@ class MergeLearner final : public Protocol {
 
   explicit MergeLearner(Options opts);
 
-  // Late-bound delivery tap, for call sites (SimDeployment helpers) that
-  // only get the learner after construction. Set before Start.
-  void set_on_deliver(DeliverFn fn) { opts_.on_deliver = std::move(fn); }
-
   void OnStart(Env& env) override;
   void OnMessage(Env& env, NodeId from, const MessagePtr& m) override;
 

@@ -1,11 +1,12 @@
-// SimDeployment: builds a complete Multi-Ring Paxos cluster on the
-// discrete-event simulator — rings (acceptor universes with in-memory or
-// simulated-disk storage), merge/single-group learners, workload
-// proposers and other client nodes — and wires multicast subscriptions.
+// SimDeployment: instantiates a DeploymentSpec on the discrete-event
+// simulator — rings (acceptor universes with in-memory or simulated-disk
+// storage), then merge/single-group learners, workload proposers and
+// other client nodes by ring index — and wires multicast subscriptions.
 // Shared by the tests and every benchmark so topologies are declared,
 // not hand-assembled.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "multiring/deployment_spec.h"
 #include "multiring/merge_learner.h"
 #include "ringpaxos/config.h"
 #include "ringpaxos/learner.h"
@@ -23,36 +25,17 @@
 
 namespace mrp::multiring {
 
-struct DeploymentOptions {
-  int n_rings = 1;
-  int ring_size = 2;   // in-ring acceptors (f+1), coordinator included
-  int n_spares = 0;    // spare acceptors per ring
+// A DeploymentSpec (the ring layout and knobs, shared with the real
+// runtime's LocalCluster) plus the simulator-only placement: network,
+// storage, sites and node specs.
+struct DeploymentOptions : DeploymentSpec {
   bool disk = false;   // recoverable mode: acceptors write to simulated disk
-  double lambda_per_sec = 9000;   // paper default
-  Duration delta = Millis(1);     // paper default
   sim::NetConfig net;
-  // Per-ring tuning knobs copied into every RingConfig.
-  std::size_t batch_bytes = 8 * 1024;
-  Duration batch_timeout = Millis(1);
-  std::size_t window = 64;
-  bool ack_submits = false;
-  bool batch_skips = true;  // false = Algorithm-1-literal skips (ablation)
-  bool skip_resync = false;  // absolute lambda*t schedule (extension)
-  std::size_t trim_keep = 50'000;  // acceptor log retention (instances)
-  // Safety-tied trimming (docs/RECOVERY.md): acceptors only trim below
-  // the stable checkpoint frontier advertised by a CheckpointCoordinator.
-  bool frontier_gated_trim = false;
-  Duration suspect_after = Millis(100);
-  Duration heartbeat_interval = Millis(20);
   // ---- Geo placement (docs/TOPOLOGY.md) ----
   // Site of ring r's acceptors (and, by default, its proposers). Shorter
   // vectors are padded with site 0, so single-site deployments need not
   // set this at all.
   std::vector<sim::SiteId> ring_sites;
-  // Per-ring maximum-rate override lambda_r (msgs/s); rings beyond the
-  // vector use the uniform lambda_per_sec. Rate-skewed rings are the
-  // scenario per-group merge quotas M_g exist for.
-  std::vector<double> ring_lambda;
   // Heterogeneous hardware: node spec per site, and per individual ring
   // member (ring index, member index) — the latter wins. Nodes in
   // unlisted sites use net.default_spec.
@@ -71,6 +54,7 @@ class SimDeployment {
   }
 
   sim::SimNetwork& net() { return net_; }
+  const DeploymentSpec& spec() const { return opts_; }
   const ringpaxos::RingConfig& ring(int i) const { return rings_[i]; }
   int n_rings() const { return static_cast<int>(rings_.size()); }
 
@@ -85,11 +69,7 @@ class SimDeployment {
   // the chaos fuzzer's disk-stall fault injection.
   sim::SimDiskStorage* disk_storage(int r, int idx) {
     if (!opts_.disk) return nullptr;
-    const auto universe =
-        static_cast<std::size_t>(opts_.ring_size + opts_.n_spares);
-    return disks_[static_cast<std::size_t>(r) * universe +
-                  static_cast<std::size_t>(idx)]
-        .get();
+    return disks_[static_cast<std::size_t>(opts_.acceptor_id(r, idx))].get();
   }
   const std::vector<sim::SimNode*>& ring_universe(int i) { return ring_nodes_[i]; }
   // Site ring r's acceptors were placed in.
@@ -98,75 +78,58 @@ class SimDeployment {
                                                          : 0;
   }
 
-  // Geo-aware merge-learner knobs (each defaulting to the seed
-  // behaviour): placement site, per-group quotas, latency compensation.
-  struct LearnerSpec {
-    std::uint32_t m = 1;
-    std::map<GroupId, std::uint32_t> m_per_group;
-    Duration latency_compensation{0};
-    std::size_t max_buffer_msgs = 0;
-    bool send_delivery_acks = false;
-    Duration recovery_interval = Millis(10);
-    sim::SiteId site = 0;
-  };
-
-  // Learner subscribed to the given rings (by ring index).
-  MergeLearner* AddMergeLearner(const std::vector<int>& ring_indices,
-                                std::uint32_t m = 1,
-                                std::size_t max_buffer_msgs = 0,
-                                bool send_delivery_acks = false,
-                                Duration recovery_interval = Millis(10)) {
-    LearnerSpec spec;
-    spec.m = m;
-    spec.max_buffer_msgs = max_buffer_msgs;
-    spec.send_delivery_acks = send_delivery_acks;
-    spec.recovery_interval = recovery_interval;
-    return AddMergeLearner(ring_indices, spec);
-  }
-
-  MergeLearner* AddMergeLearner(const std::vector<int>& ring_indices,
-                                const LearnerSpec& spec) {
-    auto& node = net_.AddNode(SpecForSite(spec.site), spec.site);
-    MergeLearner::Options opts;
-    opts.m = spec.m;
-    opts.m_per_group = spec.m_per_group;
-    opts.latency_compensation = spec.latency_compensation;
-    opts.max_buffer_msgs = spec.max_buffer_msgs;
-    opts.send_delivery_acks = spec.send_delivery_acks;
-    for (int idx : ring_indices) {
-      ringpaxos::LearnerOptions lo;
-      lo.ring = rings_[idx];
-      lo.recovery_interval = spec.recovery_interval;
-      opts.groups.push_back(lo);
-      net_.Subscribe(node.self(), rings_[idx].data_channel);
-      net_.Subscribe(node.self(), rings_[idx].control_channel);
+  // Learner node in `site` for the given rings (by ring index):
+  // `make(node, groups)` returns the protocol, built from one
+  // LearnerOptions per ring, and the node joins each ring's data and
+  // control channels. Merge and ring learners, replicas, recoverable
+  // learners and test probes all come through here. Returns the protocol.
+  template <typename Make>
+  auto* AddLearnerNode(const std::vector<int>& ring_indices, Make&& make,
+                       sim::SiteId site = 0) {
+    auto& node = net_.AddNode(SpecForSite(site), site);
+    auto protocol = make(node, opts_.LearnerGroups(ring_indices));
+    auto* raw = protocol.get();
+    node.BindProtocol(std::move(protocol));
+    for (ChannelId ch : opts_.LearnerChannels(ring_indices)) {
+      net_.Subscribe(node.self(), ch);
     }
-    auto learner = std::make_unique<MergeLearner>(std::move(opts));
-    auto* raw = learner.get();
-    node.BindProtocol(std::move(learner));
     learner_nodes_.push_back(&node);
     return raw;
+  }
+
+  // Merge learner of the given rings, placed in `site`; `opts.groups`
+  // is filled here.
+  MergeLearner* AddMergeLearner(const std::vector<int>& ring_indices,
+                                MergeLearner::Options opts = {},
+                                sim::SiteId site = 0) {
+    return AddLearnerNode(
+        ring_indices,
+        [&opts](sim::SimNode&, auto groups) {
+          opts.groups = std::move(groups);
+          return std::make_unique<MergeLearner>(std::move(opts));
+        },
+        site);
   }
 
   sim::SimNode* learner_node(std::size_t i) { return learner_nodes_[i]; }
 
-  // Single-group learner on ring `idx`, placed in `site` (defaults to
-  // the ring's own site).
-  ringpaxos::RingLearner* AddRingLearner(
-      int idx, bool send_delivery_acks = false,
-      std::optional<sim::SiteId> site = std::nullopt) {
-    const sim::SiteId s = site.value_or(ring_site(idx));
-    auto& node = net_.AddNode(SpecForSite(s), s);
+  // Single-group learner on ring `idx`, placed in the ring's site;
+  // `opts.learner` is filled here.
+  ringpaxos::RingLearner* AddRingLearner(int idx,
+                                         ringpaxos::RingLearner::Options opts) {
+    return AddLearnerNode(
+        {idx},
+        [&opts](sim::SimNode&, auto groups) {
+          opts.learner = std::move(groups[0]);
+          return std::make_unique<ringpaxos::RingLearner>(std::move(opts));
+        },
+        ring_site(idx));
+  }
+  ringpaxos::RingLearner* AddRingLearner(int idx,
+                                         bool send_delivery_acks = false) {
     ringpaxos::RingLearner::Options opts;
-    opts.learner.ring = rings_[idx];
     opts.send_delivery_acks = send_delivery_acks;
-    auto learner = std::make_unique<ringpaxos::RingLearner>(std::move(opts));
-    auto* raw = learner.get();
-    node.BindProtocol(std::move(learner));
-    net_.Subscribe(node.self(), rings_[idx].data_channel);
-    net_.Subscribe(node.self(), rings_[idx].control_channel);
-    learner_nodes_.push_back(&node);
-    return raw;
+    return AddRingLearner(idx, std::move(opts));
   }
 
   // Client node running `protocol`: infinite CPU (clients are never the
@@ -180,8 +143,8 @@ class SimDeployment {
     spec.infinite_cpu = true;
     auto& node = net_.AddNode(spec, site);
     node.BindProtocol(std::move(protocol));
-    for (int idx : ring_indices) {
-      net_.Subscribe(node.self(), rings_[idx].control_channel);
+    for (ChannelId ch : opts_.ClientChannels(ring_indices)) {
+      net_.Subscribe(node.self(), ch);
     }
     return node;
   }
@@ -222,39 +185,17 @@ class SimDeployment {
     return it != opts_.ring_node_specs.end() ? it->second : SpecForSite(site);
   }
 
+  // Creates ring r's universe; the network hands out the spec's ids
+  // because rings are built first, in ring order.
   void AddRing(int r) {
-    ringpaxos::RingConfig cfg;
-    cfg.ring = static_cast<RingId>(r);
-    cfg.group = static_cast<GroupId>(r);
-    cfg.data_channel = static_cast<ChannelId>(2 * r);
-    cfg.control_channel = static_cast<ChannelId>(2 * r + 1);
-    cfg.lambda_per_sec = r < static_cast<int>(opts_.ring_lambda.size())
-                             ? opts_.ring_lambda[r]
-                             : opts_.lambda_per_sec;
-    cfg.delta = opts_.delta;
-    cfg.batch_bytes = opts_.batch_bytes;
-    cfg.batch_timeout = opts_.batch_timeout;
-    cfg.window = opts_.window;
-    cfg.ack_submits = opts_.ack_submits;
-    cfg.batch_skips = opts_.batch_skips;
-    cfg.skip_resync = opts_.skip_resync;
-    cfg.trim_keep = opts_.trim_keep;
-    cfg.frontier_gated_trim = opts_.frontier_gated_trim;
-    cfg.suspect_after = opts_.suspect_after;
-    cfg.heartbeat_interval = opts_.heartbeat_interval;
-
-    std::vector<sim::SimNode*> nodes;
-    for (int i = 0; i < opts_.ring_size + opts_.n_spares; ++i) {
+    rings_.push_back(opts_.Ring(r));
+    auto& nodes = ring_nodes_.emplace_back();
+    for (int i = 0; i < opts_.universe_size(); ++i) {
       auto st = opts_.ring_node_sites.find({r, i});
       const sim::SiteId site =
           st != opts_.ring_node_sites.end() ? st->second : ring_site(r);
-      auto& node = net_.AddNode(SpecForMember(r, i, site), site);
-      nodes.push_back(&node);
-      if (i < opts_.ring_size) {
-        cfg.ring_members.push_back(node.self());
-      } else {
-        cfg.spares.push_back(node.self());
-      }
+      nodes.push_back(&net_.AddNode(SpecForMember(r, i, site), site));
+      assert(nodes.back()->self() == opts_.acceptor_id(r, i));
     }
     for (auto* node : nodes) {
       paxos::Storage* storage = nullptr;
@@ -262,12 +203,12 @@ class SimDeployment {
         disks_.push_back(std::make_unique<sim::SimDiskStorage>(*node));
         storage = disks_.back().get();
       }
-      node->BindProtocol(std::make_unique<ringpaxos::RingNode>(cfg, storage));
-      net_.Subscribe(node->self(), cfg.data_channel);
-      net_.Subscribe(node->self(), cfg.control_channel);
+      node->BindProtocol(
+          std::make_unique<ringpaxos::RingNode>(rings_.back(), storage));
+      for (ChannelId ch : opts_.LearnerChannels({r})) {
+        net_.Subscribe(node->self(), ch);
+      }
     }
-    rings_.push_back(std::move(cfg));
-    ring_nodes_.push_back(std::move(nodes));
   }
 
   DeploymentOptions opts_;

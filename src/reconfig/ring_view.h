@@ -26,6 +26,7 @@
 #include "common/bytes.h"
 #include "common/fingerprint.h"
 #include "common/types.h"
+#include "ringpaxos/config.h"
 
 namespace mrp::reconfig {
 
@@ -42,6 +43,12 @@ struct GroupRoute {
 
   friend bool operator==(const GroupRoute&, const GroupRoute&) = default;
 };
+
+// The deployment-time route of the group ring `rc` orders.
+inline GroupRoute RouteFor(const ringpaxos::RingConfig& rc) {
+  return {rc.group,        rc.ring,            rc.ring_members[0],
+          rc.data_channel, rc.control_channel, rc.ring_members};
+}
 
 // One contiguous slice of the SMR key space and the group that owns it.
 struct RangeAssignment {

@@ -26,24 +26,6 @@
 
 namespace mrp::ringpaxos {
 
-struct LearnerOptions {
-  RingConfig ring;
-  Duration recovery_interval = Millis(10);
-  std::uint32_t recovery_batch = 32;
-  // When several groups are mapped to this ring (Section IV-D), a
-  // learner may subscribe to a subset: unsubscribed messages are still
-  // received and ordered (they waste the learner's bandwidth and CPU,
-  // as the paper notes) but are discarded instead of delivered. Empty =
-  // deliver every group on the ring.
-  std::vector<GroupId> subscribe_only;
-  // Test-only fault injection (chaos fuzzer self-check, docs/CHECKING.md):
-  // the first non-skip instance >= this id popped by THIS core has its
-  // first message's seq corrupted, so this learner's decided stream
-  // diverges from its peers and the agreement oracle must fire. Never
-  // set outside tests. 0 = disabled.
-  InstanceId test_corrupt_instance = 0;
-};
-
 class LearnerCore {
  public:
   explicit LearnerCore(LearnerOptions opts) : opts_(std::move(opts)) {}

@@ -1,46 +1,47 @@
 // Cluster configuration file for real deployments: a small line-based
-// format describing rings and node roles, parsed into the structures the
-// runtime needs. Format (comments with '#', one directive per line):
+// format that describes a multiring::DeploymentSpec plus the learner
+// and proposer roles that run on it. Format (comments with '#', one
+// directive per line):
 //
-//   ring <ring-id> members <id,id,...> [spares <id,...>] [lambda <n>]
-//   node <id> acceptor <ring-id>
-//   node <id> learner <ring-id>[,<ring-id>...] [acks]
-//   node <id> proposer <ring-id> [rate <msg/s>] [window <n>] [size <bytes>]
+//   ring <r> members <n> [spares <n>] [lambda <msgs/s>]
+//   node learner <r>[,<r>...] [acks]
+//   node proposer <r> [rate <msg/s>] [window <n>] [size <bytes>]
 //   udp base_port <port> mcast_prefix <a.b.c.> mcast_port <port> [iface <ip>]
 //
-// See examples/cluster.cfg for a complete cluster.
+// Rings are listed in order from 0 and share one layout (the same member
+// and spare counts); a ring without `lambda` runs plain Ring Paxos. No
+// node id is written down: the spec derives them. Ring r's members and
+// then its spares come first, ring by ring, from id 0; the `node` lines
+// follow in file order. See examples/cluster.cfg for a complete cluster.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
-#include "ringpaxos/config.h"
+#include "multiring/deployment_spec.h"
 #include "runtime/udp.h"
 
 namespace mrp::runtime {
 
 struct ClusterConfig {
   struct LearnerRole {
-    std::vector<RingId> rings;
+    std::vector<int> rings;
     bool acks = false;
   };
   struct ProposerRole {
-    RingId ring = 0;
+    int ring = 0;
     double rate = 0;  // 0 = closed loop
     std::size_t window = 4;
     std::uint32_t payload = 1024;
   };
-  struct Node {
-    NodeId id = kNoNode;
-    std::optional<RingId> acceptor_of;
-    std::optional<LearnerRole> learner;
-    std::optional<ProposerRole> proposer;
-  };
+  using Role = std::variant<LearnerRole, ProposerRole>;
 
-  std::map<RingId, ringpaxos::RingConfig> rings;
-  std::map<NodeId, Node> nodes;
+  multiring::DeploymentSpec spec;
+  // roles[i] runs on node spec.ring_node_count() + i.
+  std::vector<Role> roles;
   UdpConfig udp;
 
   // Parses the file; returns nullopt and fills `error` on malformed

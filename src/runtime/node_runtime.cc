@@ -3,6 +3,7 @@
 #include <condition_variable>
 #include <mutex>
 
+#include "ringpaxos/ring_node.h"
 #include "runtime/file_storage.h"
 
 namespace mrp::runtime {
@@ -43,6 +44,29 @@ void NodeRuntime::RunOnLoop(std::function<void()> fn) {
   });
   std::unique_lock lock(mu);
   cv.wait(lock, [&] { return done; });
+}
+
+LocalCluster::LocalCluster(multiring::DeploymentSpec spec, Kind kind,
+                           UdpConfig udp)
+    : spec_(std::move(spec)), kind_(kind), udp_cfg_(std::move(udp)) {
+  for (int r = 0; r < spec_.n_rings; ++r) {
+    for (int i = 0; i < spec_.universe_size(); ++i) {
+      AddNode(std::make_unique<ringpaxos::RingNode>(spec_.Ring(r)),
+              spec_.LearnerChannels({r}));
+    }
+  }
+}
+
+ringpaxos::Proposer* LocalCluster::AddProposer(int idx,
+                                               ringpaxos::ProposerConfig cfg) {
+  const auto rc = spec_.Ring(idx);
+  cfg.ring = rc.ring;
+  cfg.group = rc.group;
+  cfg.coordinator = rc.ring_members[0];
+  auto proposer = std::make_unique<ringpaxos::Proposer>(cfg);
+  auto* raw = proposer.get();
+  AddClient(std::move(proposer), {idx});
+  return raw;
 }
 
 NodeId LocalCluster::AddNode(std::unique_ptr<Protocol> protocol,

@@ -9,6 +9,10 @@
 #include <vector>
 
 #include "common/env.h"
+#include "multiring/deployment_spec.h"
+#include "multiring/merge_learner.h"
+#include "ringpaxos/learner.h"
+#include "ringpaxos/proposer.h"
 #include "runtime/event_loop.h"
 #include "runtime/inproc.h"
 #include "runtime/transport.h"
@@ -75,16 +79,66 @@ class NodeRuntime final : public Env {
 };
 
 // A whole cluster in one process. Transport is either the lossless
-// in-proc bus or UDP sockets on loopback (with real ip-multicast).
+// in-proc bus or UDP sockets on loopback (with real ip-multicast). It
+// instantiates a multiring::DeploymentSpec the way SimDeployment does:
+// the ring nodes come first, in the spec's id order, then the builders
+// add learners, proposers and clients by ring index, so one spec yields
+// the same RingConfigs and node ids on the simulator and here.
 class LocalCluster {
  public:
   enum class Kind { kInProc, kUdp };
 
-  explicit LocalCluster(Kind kind, UdpConfig udp = {}) : kind_(kind), udp_cfg_(udp) {}
+  // Creates the spec's ring nodes (in-memory acceptor storage).
+  LocalCluster(multiring::DeploymentSpec spec, Kind kind, UdpConfig udp = {});
+  // No rings: every node comes from AddNode (tests of the bus, and of
+  // acceptors with their own storage).
+  explicit LocalCluster(Kind kind, UdpConfig udp = {})
+      : kind_(kind), udp_cfg_(std::move(udp)) {
+    spec_.n_rings = 0;
+  }
   ~LocalCluster() { Stop(); }
 
-  // Adds a node; returns its id. Subscriptions must be registered before
-  // Start().
+  ringpaxos::RingConfig ring(int i) const { return spec_.Ring(i); }
+
+  // Learner node of the given rings (by ring index): `make(id, groups)`
+  // returns the protocol, built from one LearnerOptions per ring, and
+  // the node joins each ring's data and control channels.
+  template <typename Make>
+  auto* AddLearnerNode(const std::vector<int>& ring_indices, Make&& make) {
+    auto protocol = make(static_cast<NodeId>(nodes_.size()),
+                         spec_.LearnerGroups(ring_indices));
+    auto* raw = protocol.get();
+    AddNode(std::move(protocol), spec_.LearnerChannels(ring_indices));
+    return raw;
+  }
+  // `opts.groups` is filled here.
+  multiring::MergeLearner* AddMergeLearner(
+      const std::vector<int>& ring_indices,
+      multiring::MergeLearner::Options opts = {}) {
+    return AddLearnerNode(ring_indices, [&opts](NodeId, auto groups) {
+      opts.groups = std::move(groups);
+      return std::make_unique<multiring::MergeLearner>(std::move(opts));
+    });
+  }
+  // `opts.learner` is filled here.
+  ringpaxos::RingLearner* AddRingLearner(
+      int idx, ringpaxos::RingLearner::Options opts = {}) {
+    return AddLearnerNode({idx}, [&opts](NodeId, auto groups) {
+      opts.learner = std::move(groups[0]);
+      return std::make_unique<ringpaxos::RingLearner>(std::move(opts));
+    });
+  }
+  // Fills the config's ring, group and initial coordinator.
+  ringpaxos::Proposer* AddProposer(int idx, ringpaxos::ProposerConfig cfg);
+  // A client joins the listed rings' control channels.
+  NodeRuntime& AddClient(std::unique_ptr<Protocol> protocol,
+                         const std::vector<int>& ring_indices) {
+    return node(
+        AddNode(std::move(protocol), spec_.ClientChannels(ring_indices)));
+  }
+
+  // Adds a node with explicit subscriptions; returns its id.
+  // Subscriptions must be registered before Start().
   NodeId AddNode(std::unique_ptr<Protocol> protocol,
                  const std::vector<ChannelId>& subscriptions = {});
 
@@ -95,6 +149,7 @@ class LocalCluster {
   void Stop();
 
  private:
+  multiring::DeploymentSpec spec_;
   Kind kind_;
   UdpConfig udp_cfg_;
   InProcBus bus_;

@@ -36,18 +36,12 @@ TEST(CatchUp, LateLearnerFastForwardsPastTrimmedHistory) {
 
   // A learner joining now cannot replay instance 0: it must fast-forward.
   std::uint64_t first_seq = 0;
-  auto& node = d.net().AddNode();
   ringpaxos::RingLearner::Options lo;
-  lo.learner.ring = d.ring(0);
   lo.on_deliver = [&first_seq](const paxos::ClientMsg& m) {
     if (first_seq == 0) first_seq = m.seq;
   };
-  auto learner = std::make_unique<ringpaxos::RingLearner>(std::move(lo));
-  auto* late = learner.get();
-  node.BindProtocol(std::move(learner));
-  d.net().Subscribe(node.self(), d.ring(0).data_channel);
-  d.net().Subscribe(node.self(), d.ring(0).control_channel);
-  node.Start();
+  auto* late = d.AddRingLearner(0, std::move(lo));
+  d.learner_node(1)->Start();  // joins the running deployment
   d.RunFor(Seconds(1));
 
   EXPECT_GT(late->delivered_msgs(), 500u) << "late learner never caught up";
@@ -65,20 +59,21 @@ TEST(CatchUp, NewReplicaBootstrapsFromPeerSnapshot) {
   smr::Partitioning part(1, 100000);
 
   auto add_replica = [&](bool bootstrap, std::vector<NodeId> peers) {
-    auto& node = d.net().AddNode();
-    smr::ReplicaConfig rc;
-    rc.partition = 0;
-    rc.range = part.RangeOf(0);
-    rc.partition_ring.ring = d.ring(0);
-    rc.respond = !bootstrap;
-    rc.bootstrap_from_peer = bootstrap;
-    rc.peers = std::move(peers);
-    auto rep = std::make_unique<smr::Replica>(rc);
-    auto* raw = rep.get();
-    node.BindProtocol(std::move(rep));
-    d.net().Subscribe(node.self(), d.ring(0).data_channel);
-    d.net().Subscribe(node.self(), d.ring(0).control_channel);
-    return std::make_pair(raw, &node);
+    sim::SimNode* node = nullptr;
+    auto* rep = d.AddLearnerNode(
+        {0}, [&](sim::SimNode& n,
+                 std::vector<ringpaxos::LearnerOptions> groups) {
+          node = &n;
+          smr::ReplicaConfig rc;
+          rc.partition = 0;
+          rc.range = part.RangeOf(0);
+          rc.partition_ring = groups[0];
+          rc.respond = !bootstrap;
+          rc.bootstrap_from_peer = bootstrap;
+          rc.peers = std::move(peers);
+          return std::make_unique<smr::Replica>(rc);
+        });
+    return std::make_pair(rep, node);
   };
   auto [primary, primary_node] = add_replica(false, {});
 
@@ -128,20 +123,13 @@ TEST(CatchUp, TrimRacesRecoveryUnderLoss) {
   std::uint64_t max_seq = 0;
   std::uint64_t deep_regressions = 0;
   auto* learner = d.AddRingLearner(0, /*acks=*/true);
-  // AddRingLearner gives no tap; attach a second, tapped learner that
-  // must survive the same race.
-  auto& node = d.net().AddNode();
+  // A second, tapped learner must survive the same race.
   ringpaxos::RingLearner::Options lo;
-  lo.learner.ring = d.ring(0);
   lo.on_deliver = [&](const paxos::ClientMsg& m) {
     if (m.seq + 64 < max_seq) ++deep_regressions;
     max_seq = std::max(max_seq, m.seq);
   };
-  auto tapped = std::make_unique<ringpaxos::RingLearner>(std::move(lo));
-  auto* late = tapped.get();
-  node.BindProtocol(std::move(tapped));
-  d.net().Subscribe(node.self(), d.ring(0).data_channel);
-  d.net().Subscribe(node.self(), d.ring(0).control_channel);
+  auto* late = d.AddRingLearner(0, std::move(lo));
 
   ringpaxos::ProposerConfig pc;
   pc.max_outstanding = 8;

@@ -31,24 +31,18 @@ struct Log {
 
 MergeLearner* AddLearner(SimDeployment& d, const std::vector<int>& rings, Log& log,
                          bool acks, std::vector<sim::SimNode*>* nodes = nullptr) {
-  auto& node = d.net().AddNode();
-  if (nodes != nullptr) nodes->push_back(&node);
   MergeLearner::Options mo;
   mo.send_delivery_acks = acks;
   mo.on_deliver = [&log](GroupId g, const paxos::ClientMsg& m) {
     log.entries.emplace_back(g, m.proposer, m.seq);
   };
-  for (int r : rings) {
-    ringpaxos::LearnerOptions lo;
-    lo.ring = d.ring(r);
-    mo.groups.push_back(lo);
-    d.net().Subscribe(node.self(), d.ring(r).data_channel);
-    d.net().Subscribe(node.self(), d.ring(r).control_channel);
-  }
-  auto learner = std::make_unique<MergeLearner>(std::move(mo));
-  auto* raw = learner.get();
-  node.BindProtocol(std::move(learner));
-  return raw;
+  return d.AddLearnerNode(
+      rings, [&](sim::SimNode& node,
+                 std::vector<ringpaxos::LearnerOptions> groups) {
+        if (nodes != nullptr) nodes->push_back(&node);
+        mo.groups = std::move(groups);
+        return std::make_unique<MergeLearner>(std::move(mo));
+      });
 }
 
 std::vector<Key> Dedup(const Log& log) {

@@ -34,8 +34,8 @@ TEST(SharedSpare, OneNodeServesAsSpareForTwoRings) {
   for (int r = 0; r < 2; ++r) {
     rings[r].ring = static_cast<RingId>(r);
     rings[r].group = static_cast<GroupId>(r);
-    rings[r].data_channel = static_cast<ChannelId>(2 * r);
-    rings[r].control_channel = static_cast<ChannelId>(2 * r + 1);
+    rings[r].data_channel = DeploymentSpec::data_channel(r);
+    rings[r].control_channel = DeploymentSpec::control_channel(r);
     rings[r].lambda_per_sec = 0;
     rings[r].suspect_after = Millis(50);
     for (int a = 0; a < 2; ++a) {
@@ -122,19 +122,14 @@ TEST(GroupMapping, TwoGroupsOnOneRingWithSubscriptionFilter) {
 
   // Learner A subscribes only to group 7; learner B to both 7 and 8.
   auto add_learner = [&](std::vector<GroupId> only) {
-    auto& node = d.net().AddNode();
-    MergeLearner::Options mo;
-    ringpaxos::LearnerOptions lo;
-    lo.ring = d.ring(0);
-    lo.subscribe_only = std::move(only);
-    mo.groups.push_back(lo);
-    mo.send_delivery_acks = true;
-    auto learner = std::make_unique<MergeLearner>(std::move(mo));
-    auto* raw = learner.get();
-    node.BindProtocol(std::move(learner));
-    d.net().Subscribe(node.self(), d.ring(0).data_channel);
-    d.net().Subscribe(node.self(), d.ring(0).control_channel);
-    return raw;
+    return d.AddLearnerNode(
+        {0}, [&](sim::SimNode&, std::vector<ringpaxos::LearnerOptions> groups) {
+          MergeLearner::Options mo;
+          groups[0].subscribe_only = std::move(only);
+          mo.groups = std::move(groups);
+          mo.send_delivery_acks = true;
+          return std::make_unique<MergeLearner>(std::move(mo));
+        });
   };
   auto* only7 = add_learner({7});
   auto* both = add_learner({});
@@ -259,22 +254,19 @@ TEST(PaxosBackedGroups, MixedSubstrates) {
   SimDeployment d(opts);
   auto g1 = AddPaxosGroup(d.net(), 1, /*decisions=*/60, /*lambda=*/2000);
 
-  auto& lnode = d.net().AddNode();
   MergeLearner::Options mo;
-  ringpaxos::LearnerOptions lo;
-  lo.ring = d.ring(0);
-  mo.groups.push_back(lo);
   PaxosGroupSource::Options po;
   po.group = 1;
   po.proposers = {g1.proposer_node->self()};
   mo.sources.push_back(std::make_unique<PaxosGroupSource>(po));
   mo.send_delivery_acks = true;
-  auto learner = std::make_unique<MergeLearner>(std::move(mo));
-  auto* learner_raw = learner.get();
-  lnode.BindProtocol(std::move(learner));
-  d.net().Subscribe(lnode.self(), d.ring(0).data_channel);
-  d.net().Subscribe(lnode.self(), d.ring(0).control_channel);
-  d.net().Subscribe(lnode.self(), 60);
+  auto* learner_raw = d.AddLearnerNode(
+      {0}, [&](sim::SimNode& lnode,
+               std::vector<ringpaxos::LearnerOptions> groups) {
+        d.net().Subscribe(lnode.self(), 60);  // the Paxos group's channel
+        mo.groups = std::move(groups);
+        return std::make_unique<MergeLearner>(std::move(mo));
+      });
 
   ProposerConfig rpc;
   rpc.max_outstanding = 2;

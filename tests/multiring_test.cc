@@ -33,23 +33,12 @@ MergeLearner* AddLoggingMergeLearner(SimDeployment& d, const std::vector<int>& r
                                      DeliveryLog& log, std::uint32_t m = 1,
                                      bool acks = false,
                                      std::size_t max_buffer = 0) {
-  auto& node = d.net().AddNode();
   MergeLearner::Options opts;
   opts.m = m;
   opts.max_buffer_msgs = max_buffer;
   opts.send_delivery_acks = acks;
   opts.on_deliver = log.Fn();
-  for (int idx : rings) {
-    ringpaxos::LearnerOptions lo;
-    lo.ring = d.ring(idx);
-    opts.groups.push_back(lo);
-    d.net().Subscribe(node.self(), d.ring(idx).data_channel);
-    d.net().Subscribe(node.self(), d.ring(idx).control_channel);
-  }
-  auto learner = std::make_unique<MergeLearner>(std::move(opts));
-  auto* raw = learner.get();
-  node.BindProtocol(std::move(learner));
-  return raw;
+  return d.AddMergeLearner(rings, std::move(opts));
 }
 
 ProposerConfig ClosedLoop(std::size_t window, std::uint32_t payload = 8 * 1024) {

@@ -32,7 +32,9 @@ TEST(Observability, TwoRingReplayCounterInvariants) {
   opts.n_rings = 2;
   SimDeployment d(opts);
   constexpr std::uint32_t kM = 3;
-  d.AddMergeLearner({0, 1}, kM);
+  MergeLearner::Options mo;
+  mo.m = kM;
+  d.AddMergeLearner({0, 1}, std::move(mo));
   sim::SimNode* merge_node = d.learner_node(0);
   // Imbalanced rates: with lambda = 9000/s both coordinators propose
   // plenty of skip instances (Algorithm 1).
@@ -118,7 +120,9 @@ std::string RunTracedScenario() {
   DeploymentOptions opts;
   opts.n_rings = 2;
   SimDeployment d(opts);
-  d.AddMergeLearner({0, 1}, 2);
+  MergeLearner::Options mo;
+  mo.m = 2;
+  d.AddMergeLearner({0, 1}, std::move(mo));
   d.AddProposer(0, OpenLoopUntil(200, Millis(400)));
   d.AddProposer(1, OpenLoopUntil(100, Millis(400)));
   d.Start();

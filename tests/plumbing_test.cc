@@ -168,18 +168,10 @@ TEST(MergeLearner, TickIntervalDrivesRecoveryCadence) {
     opts.net.loss_probability = 0.05;
     opts.net.seed = 77;
     multiring::SimDeployment d(opts);
-    auto& node = d.net().AddNode();
     multiring::MergeLearner::Options mo;
     mo.tick_interval = tick;
     mo.send_delivery_acks = true;
-    ringpaxos::LearnerOptions lo;
-    lo.ring = d.ring(0);
-    mo.groups.push_back(lo);
-    auto learner = std::make_unique<multiring::MergeLearner>(std::move(mo));
-    auto* raw = learner.get();
-    node.BindProtocol(std::move(learner));
-    d.net().Subscribe(node.self(), d.ring(0).data_channel);
-    d.net().Subscribe(node.self(), d.ring(0).control_channel);
+    auto* raw = d.AddMergeLearner({0}, std::move(mo));
     ringpaxos::ProposerConfig pc;
     pc.max_outstanding = 4;
     pc.payload_size = 1000;

@@ -35,24 +35,13 @@ struct Log {
 
 MergeLearner* AddLearner(SimDeployment& d, const std::vector<int>& rings, Log& log,
                          std::uint32_t m, bool acks) {
-  auto& node = d.net().AddNode();
   MergeLearner::Options mo;
   mo.m = m;
   mo.send_delivery_acks = acks;
   mo.on_deliver = [&log](GroupId g, const paxos::ClientMsg& msg) {
     log.entries.emplace_back(g, msg.proposer, msg.seq);
   };
-  for (int r : rings) {
-    ringpaxos::LearnerOptions lo;
-    lo.ring = d.ring(r);
-    mo.groups.push_back(lo);
-    d.net().Subscribe(node.self(), d.ring(r).data_channel);
-    d.net().Subscribe(node.self(), d.ring(r).control_channel);
-  }
-  auto learner = std::make_unique<MergeLearner>(std::move(mo));
-  auto* raw = learner.get();
-  node.BindProtocol(std::move(learner));
-  return raw;
+  return d.AddMergeLearner(rings, std::move(mo));
 }
 
 // Atomic multicast with client retransmission is at-least-once: a lost

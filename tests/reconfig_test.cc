@@ -34,6 +34,7 @@ namespace {
 using multiring::DeploymentOptions;
 using multiring::MergeLearner;
 using multiring::SimDeployment;
+using ringpaxos::LearnerOptions;
 
 GroupRoute Route(GroupId g, RingId ring, NodeId coord) {
   GroupRoute r;
@@ -226,11 +227,7 @@ TEST(DynamicSubscription, JoinAndLeaveActivateAtTurnBoundaries) {
 
   // Dynamic learner: starts subscribed to ring 0 only, but listens on
   // both rings' channels so a later join sees the decision stream.
-  auto& node = d.net().AddNode();
   MergeLearner::Options mo;
-  ringpaxos::LearnerOptions lo;
-  lo.ring = d.ring(0);
-  mo.groups.push_back(lo);
   std::map<GroupId, std::uint64_t> delivered;
   mo.on_deliver = [&delivered](GroupId g, const paxos::ClientMsg&) {
     ++delivered[g];
@@ -248,13 +245,11 @@ TEST(DynamicSubscription, JoinAndLeaveActivateAtTurnBoundaries) {
                                             const paxos::Value&) {
     if (ring == ring1 && inst < min_ring1_decide) min_ring1_decide = inst;
   };
-  auto ml = std::make_unique<MergeLearner>(std::move(mo));
-  auto* dyn = ml.get();
-  node.BindProtocol(std::move(ml));
-  for (int r = 0; r < 2; ++r) {
-    d.net().Subscribe(node.self(), d.ring(r).data_channel);
-    d.net().Subscribe(node.self(), d.ring(r).control_channel);
-  }
+  auto* dyn = d.AddLearnerNode(
+      {0, 1}, [&mo](sim::SimNode&, std::vector<LearnerOptions> groups) {
+        mo.groups = {groups[0]};
+        return std::make_unique<MergeLearner>(std::move(mo));
+      });
 
   ringpaxos::ProposerConfig pc;
   pc.max_outstanding = 4;
@@ -313,19 +308,17 @@ TEST(DynamicSubscription, DiscardCountersAttributeToMessageGroup) {
   SimDeployment d(opts);
 
   auto add_learner = [&d](std::vector<GroupId> only) {
-    auto& node = d.net().AddNode();
-    MergeLearner::Options mo;
-    ringpaxos::LearnerOptions lo;
-    lo.ring = d.ring(0);
-    lo.subscribe_only = std::move(only);
-    mo.groups.push_back(lo);
-    mo.send_delivery_acks = true;
-    auto learner = std::make_unique<MergeLearner>(std::move(mo));
-    auto* raw = learner.get();
-    node.BindProtocol(std::move(learner));
-    d.net().Subscribe(node.self(), d.ring(0).data_channel);
-    d.net().Subscribe(node.self(), d.ring(0).control_channel);
-    return std::pair{raw, &node};
+    sim::SimNode* node = nullptr;
+    auto* learner = d.AddLearnerNode(
+        {0}, [&](sim::SimNode& n, std::vector<LearnerOptions> groups) {
+          node = &n;
+          MergeLearner::Options mo;
+          groups[0].subscribe_only = std::move(only);
+          mo.groups = std::move(groups);
+          mo.send_delivery_acks = true;
+          return std::make_unique<MergeLearner>(std::move(mo));
+        });
+    return std::pair{learner, node};
   };
   auto [only7, node] = add_learner({7});
   add_learner({});  // acks group 8 so its proposer's window keeps moving
@@ -365,64 +358,51 @@ struct SplitScenario {
       : d(opts), oracle(&suite) {
     const GroupId g0 = d.ring(0).group;
     const GroupId g1 = d.ring(1).group;
-    auto route_of = [this](int r) {
-      GroupRoute gr;
-      gr.group = d.ring(r).group;
-      gr.ring = d.ring(r).ring;
-      gr.coordinator = d.ring(r).ring_members[0];
-      gr.data_channel = d.ring(r).data_channel;
-      gr.control_channel = d.ring(r).control_channel;
-      gr.ring_members = d.ring(r).ring_members;
-      return gr;
-    };
     client_holder.Install(
-        RingConfiguration(1, {route_of(0)}, {{0, kKeyMax, g0}}));
+        RingConfiguration(1, {RouteFor(d.ring(0))}, {{0, kKeyMax, g0}}));
 
     // Two source replicas of the whole key space, session-deduping.
     std::vector<sim::SimNode*> source_nodes;
     for (int r = 0; r < 2; ++r) {
-      auto& node = d.net().AddNode();
-      smr::ReplicaConfig rc;
-      rc.partition = g0;
-      rc.partition_ring.ring = d.ring(0);
-      rc.respond = (r == 0);
-      rc.sessions = true;
-      const int ridx = oracle.RegisterReplica("source" + std::to_string(r), g0);
-      rc.on_session_apply = [this, ridx](std::uint64_t sid, std::uint64_t seq) {
-        oracle.OnSessionApply(ridx, sid, seq);
-      };
-      auto rep = std::make_unique<smr::Replica>(rc);
-      sources.push_back(rep.get());
-      source_nodes.push_back(&node);
-      node.BindProtocol(std::move(rep));
-      d.net().Subscribe(node.self(), d.ring(0).data_channel);
-      d.net().Subscribe(node.self(), d.ring(0).control_channel);
+      sources.push_back(d.AddLearnerNode(
+          {0}, [&](sim::SimNode& node, std::vector<LearnerOptions> groups) {
+            source_nodes.push_back(&node);
+            smr::ReplicaConfig rc;
+            rc.partition = g0;
+            rc.partition_ring = groups[0];
+            rc.respond = (r == 0);
+            rc.sessions = true;
+            const int ridx =
+                oracle.RegisterReplica("source" + std::to_string(r), g0);
+            rc.on_session_apply = [this, ridx](std::uint64_t sid,
+                                               std::uint64_t seq) {
+              oracle.OnSessionApply(ridx, sid, seq);
+            };
+            return std::make_unique<smr::Replica>(rc);
+          }));
     }
 
     // Target replica: bootstraps [kSplitLo, kKeyMax] from the sealed
     // handoff pulled over the chunked snapshot transfer.
     sim::SimNode* target_node = nullptr;
-    {
-      auto& node = d.net().AddNode();
-      smr::ReplicaConfig rc;
-      rc.partition = g1;
-      rc.range = {kSplitLo, kKeyMax};
-      rc.partition_ring.ring = d.ring(1);
-      rc.respond = true;
-      rc.sessions = true;
-      rc.handoff_plan = kPlanId;
-      rc.handoff_peers = {source_nodes[0]->self(), source_nodes[1]->self()};
-      const int ridx = oracle.RegisterReplica("target", g1);
-      rc.on_session_apply = [this, ridx](std::uint64_t sid, std::uint64_t seq) {
-        oracle.OnSessionApply(ridx, sid, seq);
-      };
-      auto rep = std::make_unique<smr::Replica>(rc);
-      target = rep.get();
-      target_node = &node;
-      node.BindProtocol(std::move(rep));
-      d.net().Subscribe(node.self(), d.ring(1).data_channel);
-      d.net().Subscribe(node.self(), d.ring(1).control_channel);
-    }
+    target = d.AddLearnerNode(
+        {1}, [&](sim::SimNode& node, std::vector<LearnerOptions> groups) {
+          target_node = &node;
+          smr::ReplicaConfig rc;
+          rc.partition = g1;
+          rc.range = {kSplitLo, kKeyMax};
+          rc.partition_ring = groups[0];
+          rc.respond = true;
+          rc.sessions = true;
+          rc.handoff_plan = kPlanId;
+          rc.handoff_peers = {source_nodes[0]->self(), source_nodes[1]->self()};
+          const int ridx = oracle.RegisterReplica("target", g1);
+          rc.on_session_apply = [this, ridx](std::uint64_t sid,
+                                             std::uint64_t seq) {
+            oracle.OnSessionApply(ridx, sid, seq);
+          };
+          return std::make_unique<smr::Replica>(rc);
+        });
 
     // Holder-routed, session-stamped client; completions feed the
     // no-loss side of the oracle.
@@ -450,9 +430,9 @@ struct SplitScenario {
       pc.plan = ReconfigPlan::Split(kPlanId, g0, g1, kSplitLo, kKeyMax,
                                     d.ring(1).ring);
       pc.source_ring = d.ring(0);
-      pc.next = RingConfiguration(2, {route_of(0), route_of(1)},
-                                  {{0, kSplitLo - 1, g0},
-                                   {kSplitLo, kKeyMax, g1}});
+      pc.next =
+          RingConfiguration(2, {RouteFor(d.ring(0)), RouteFor(d.ring(1))},
+                            {{0, kSplitLo - 1, g0}, {kSplitLo, kKeyMax, g1}});
       pc.target_replica = target_node->self();
       pc.notify = {client_node->self()};
       pc.start_delay = split_at;

@@ -18,12 +18,14 @@
 #include "net/codec.h"
 #include "paxos/value.h"
 #include "recovery/checkpoint.h"
+#include "recovery/hash_app.h"
 #include "recovery/messages.h"
-#include "recovery/sim_harness.h"
+#include "recovery/recoverable_learner.h"
 #include "recovery/snapshot_store.h"
 #include "ringpaxos/proposer.h"
 #include "runtime/file_storage.h"
 #include "runtime/snapshot_persistence.h"
+#include "sim/snapshot_disk.h"
 #include "smr/kvstore.h"
 
 namespace mrp {
@@ -322,6 +324,53 @@ struct RecoveryRig {
     return ro;
   }
 
+  // A recoverable learner of every ring; its simulated snapshot disk
+  // outlives crash-replacing the protocol, like a real disk.
+  struct Rec {
+    sim::SimNode* node = nullptr;
+    RecoverableLearner* learner = nullptr;
+    std::unique_ptr<sim::SimSnapshotPersistence> disk;
+  };
+  Rec Add(RecoverableLearner::Options ro) {
+    Rec out;
+    out.learner = d->AddLearnerNode(
+        rings, [&](sim::SimNode& node,
+                   std::vector<ringpaxos::LearnerOptions> groups) {
+          out.node = &node;
+          out.disk = std::make_unique<sim::SimSnapshotPersistence>(node);
+          ro.persistence = out.disk.get();
+          ro.merge.groups = std::move(groups);
+          return std::make_unique<RecoverableLearner>(std::move(ro));
+        });
+    return out;
+  }
+
+  // Crash-revives `rec` with a fresh learner that bootstraps from
+  // `ro.fetch.peers` before going live.
+  void Revive(Rec& rec, RecoverableLearner::Options ro) {
+    ro.recover_on_start = true;
+    ro.persistence = rec.disk.get();
+    ro.merge.groups = d->spec().LearnerGroups(rings);
+    auto learner = std::make_unique<RecoverableLearner>(std::move(ro));
+    rec.learner = learner.get();
+    rec.node->ReplaceProtocol(std::move(learner));
+  }
+
+  // Checkpoint coordinator on `node`, advertising on every ring.
+  CheckpointCoordinator* BindCoordinator(sim::SimNode& node,
+                                         std::vector<NodeId> learners) {
+    CheckpointCoordinator::Options co;
+    co.interval = Millis(50);
+    co.learners = std::move(learners);
+    for (int r : rings) {
+      co.rings.emplace_back(d->ring(r).ring, d->ring(r).control_channel);
+    }
+    auto coord = std::make_unique<CheckpointCoordinator>(std::move(co));
+    auto* raw = coord.get();
+    node.BindProtocol(std::move(coord));
+    return raw;
+  }
+
   void AddTraffic() {
     for (int r : rings) {
       ringpaxos::ProposerConfig pc;
@@ -349,22 +398,17 @@ TEST(RecoveryEndToEnd, CrashedLearnerResumesFromPeerSnapshot) {
 
   auto& coord_node = rig.d->net().AddNode();
   rig.coordinator_id = coord_node.self();
-  auto rec_a = AddRecoverableLearner(*rig.d, rig.rings,
-                                     rig.MakeOpts(&oracle, false));
+  auto rec_a = rig.Add(rig.MakeOpts(&oracle, false));
   rig.peers = {rec_a.node->self()};
-  auto rec_b = AddRecoverableLearner(*rig.d, rig.rings,
-                                     rig.MakeOpts(&oracle, true));
-  BindCheckpointCoordinator(*rig.d, coord_node,
-                            {rec_a.node->self(), rec_b.node->self()},
-                            Millis(50));
+  auto rec_b = rig.Add(rig.MakeOpts(&oracle, true));
+  rig.BindCoordinator(coord_node, {rec_a.node->self(), rec_b.node->self()});
   rig.AddTraffic();
 
   auto& sched = rig.d->net().scheduler();
   sched.At(TimePoint(Millis(400).count()),
            [&rec_b] { rec_b.node->SetDown(true); });
   sched.At(TimePoint(Millis(600).count()), [&] {
-    ReviveRecoverableLearner(*rig.d, rec_b, rig.rings,
-                             rig.MakeOpts(&oracle, true));
+    rig.Revive(rec_b, rig.MakeOpts(&oracle, true));
     rec_b.node->SetDown(false);
     rec_b.node->Start();
   });
@@ -395,14 +439,10 @@ TEST(RecoveryEndToEnd, SnapshotTransferSurvivesChunkLoss) {
 
   auto& coord_node = rig.d->net().AddNode();
   rig.coordinator_id = coord_node.self();
-  auto rec_a = AddRecoverableLearner(*rig.d, rig.rings,
-                                     rig.MakeOpts(&oracle, false));
+  auto rec_a = rig.Add(rig.MakeOpts(&oracle, false));
   rig.peers = {rec_a.node->self()};
-  auto rec_b = AddRecoverableLearner(*rig.d, rig.rings,
-                                     rig.MakeOpts(&oracle, true));
-  BindCheckpointCoordinator(*rig.d, coord_node,
-                            {rec_a.node->self(), rec_b.node->self()},
-                            Millis(50));
+  auto rec_b = rig.Add(rig.MakeOpts(&oracle, true));
+  rig.BindCoordinator(coord_node, {rec_a.node->self(), rec_b.node->self()});
   rig.AddTraffic();
 
   auto& sched = rig.d->net().scheduler();
@@ -411,7 +451,7 @@ TEST(RecoveryEndToEnd, SnapshotTransferSurvivesChunkLoss) {
   sched.At(TimePoint(Millis(600).count()), [&] {
     auto ro = rig.MakeOpts(&oracle, true);
     ro.fetch.retry_interval = Millis(10);  // keep the lossy run short
-    ReviveRecoverableLearner(*rig.d, rec_b, rig.rings, std::move(ro));
+    rig.Revive(rec_b, std::move(ro));
     rec_b.node->SetDown(false);
     rec_b.node->Start();
   });
@@ -435,17 +475,12 @@ TEST(RecoveryEndToEnd, MidTransferPeerCrashRotatesToNextPeer) {
 
   auto& coord_node = rig.d->net().AddNode();
   rig.coordinator_id = coord_node.self();
-  auto rec_a1 = AddRecoverableLearner(*rig.d, rig.rings,
-                                      rig.MakeOpts(&oracle, false));
-  auto rec_a2 = AddRecoverableLearner(*rig.d, rig.rings,
-                                      rig.MakeOpts(nullptr, false));
+  auto rec_a1 = rig.Add(rig.MakeOpts(&oracle, false));
+  auto rec_a2 = rig.Add(rig.MakeOpts(nullptr, false));
   rig.peers = {rec_a1.node->self(), rec_a2.node->self()};
-  auto rec_b = AddRecoverableLearner(*rig.d, rig.rings,
-                                     rig.MakeOpts(&oracle, true));
-  BindCheckpointCoordinator(
-      *rig.d, coord_node,
-      {rec_a1.node->self(), rec_a2.node->self(), rec_b.node->self()},
-      Millis(50));
+  auto rec_b = rig.Add(rig.MakeOpts(&oracle, true));
+  rig.BindCoordinator(coord_node, {rec_a1.node->self(), rec_a2.node->self(),
+                                   rec_b.node->self()});
   rig.AddTraffic();
 
   auto& sched = rig.d->net().scheduler();
@@ -459,7 +494,7 @@ TEST(RecoveryEndToEnd, MidTransferPeerCrashRotatesToNextPeer) {
     auto ro = rig.MakeOpts(&oracle, true);
     ro.fetch.retry_interval = Millis(10);
     ro.fetch.peer_fail_after = 2;
-    ReviveRecoverableLearner(*rig.d, rec_b, rig.rings, std::move(ro));
+    rig.Revive(rec_b, std::move(ro));
     rec_b.node->SetDown(false);
     rec_b.node->Start();
   });
@@ -484,14 +519,10 @@ TEST(RecoveryEndToEnd, AllPeersDeadFallsBackToColdStart) {
 
   auto& coord_node = rig.d->net().AddNode();
   rig.coordinator_id = coord_node.self();
-  auto rec_a = AddRecoverableLearner(*rig.d, rig.rings,
-                                     rig.MakeOpts(&oracle, false));
+  auto rec_a = rig.Add(rig.MakeOpts(&oracle, false));
   rig.peers = {rec_a.node->self()};
-  auto rec_b = AddRecoverableLearner(*rig.d, rig.rings,
-                                     rig.MakeOpts(&oracle, true));
-  BindCheckpointCoordinator(*rig.d, coord_node,
-                            {rec_a.node->self(), rec_b.node->self()},
-                            Millis(50));
+  auto rec_b = rig.Add(rig.MakeOpts(&oracle, true));
+  rig.BindCoordinator(coord_node, {rec_a.node->self(), rec_b.node->self()});
   // No proposers: no traffic, so a cold start is also stream-aligned.
 
   auto& sched = rig.d->net().scheduler();
@@ -504,7 +535,7 @@ TEST(RecoveryEndToEnd, AllPeersDeadFallsBackToColdStart) {
     ro.fetch.retry_interval = Millis(5);
     ro.fetch.peer_fail_after = 2;
     ro.fetch.max_rotations = 2;
-    ReviveRecoverableLearner(*rig.d, rec_b, rig.rings, std::move(ro));
+    rig.Revive(rec_b, std::move(ro));
     rec_b.node->SetDown(false);
     rec_b.node->Start();
   });
@@ -526,10 +557,8 @@ TEST(RecoveryEndToEnd, TrafficFreeStreamStillCheckpoints) {
   RecoveryRig rig(/*seed=*/13);
   auto& coord_node = rig.d->net().AddNode();
   rig.coordinator_id = coord_node.self();
-  auto rec_a = AddRecoverableLearner(*rig.d, rig.rings,
-                                     rig.MakeOpts(nullptr, false));
-  auto* coord = BindCheckpointCoordinator(*rig.d, coord_node,
-                                          {rec_a.node->self()}, Millis(50));
+  auto rec_a = rig.Add(rig.MakeOpts(nullptr, false));
+  auto* coord = rig.BindCoordinator(coord_node, {rec_a.node->self()});
   rig.d->Start();
   rig.d->RunFor(Millis(500));
   EXPECT_GT(rec_a.learner->checkpoints_taken(), 0u);

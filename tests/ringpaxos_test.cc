@@ -29,17 +29,10 @@ struct SeqLog {
 
 RingLearner* AddLoggingLearner(SimDeployment& d, int ring, SeqLog& log,
                                bool acks = false) {
-  auto& node = d.net().AddNode();
   RingLearner::Options opts;
-  opts.learner.ring = d.ring(ring);
   opts.send_delivery_acks = acks;
   opts.on_deliver = log.Fn();
-  auto learner = std::make_unique<RingLearner>(std::move(opts));
-  auto* raw = learner.get();
-  node.BindProtocol(std::move(learner));
-  d.net().Subscribe(node.self(), d.ring(ring).data_channel);
-  d.net().Subscribe(node.self(), d.ring(ring).control_channel);
-  return raw;
+  return d.AddRingLearner(ring, std::move(opts));
 }
 
 ProposerConfig ClosedLoop(std::size_t window, std::uint32_t payload = 8 * 1024) {

@@ -10,10 +10,12 @@
 #include <mutex>
 #include <thread>
 #include <unistd.h>
+#include <variant>
 #include <vector>
 
 #include "multiring/merge_learner.h"
 #include "multiring/paxos_group.h"
+#include "multiring/sim_deployment.h"
 #include "paxos/roles.h"
 #include "net/codec.h"
 #include "ringpaxos/messages.h"
@@ -225,36 +227,40 @@ TEST(EventLoop, EarlierTimerFromAnotherThreadWakesLoop) {
 
 // ---- Full cluster over real threads ----
 
+// 2 rings x (2 members + 1 spare); the same spec drives the simulator
+// (as the spec part of DeploymentOptions) and the runtime below.
+template <typename Spec = multiring::DeploymentSpec>
+Spec TwoRingSpec() {
+  Spec spec;
+  spec.n_rings = 2;
+  spec.ring_size = 2;
+  spec.n_spares = 1;
+  spec.lambda_per_sec = 2000;
+  return spec;
+}
+
+// The spec's roles, on either path: a merge learner of both rings, then
+// one closed-loop proposer per ring.
+template <typename Deployment>
+void AddRoles(Deployment& d, multiring::MergeLearner::Options mo) {
+  mo.send_delivery_acks = true;
+  d.AddMergeLearner({0, 1}, std::move(mo));
+  for (int r = 0; r < 2; ++r) {
+    ProposerConfig pc;
+    pc.max_outstanding = 4;
+    pc.payload_size = 1024;
+    pc.retry_timeout = Millis(100);
+    d.AddProposer(r, pc);
+  }
+}
+
 struct ClusterResult {
   std::uint64_t delivered = 0;
   bool merged_two_groups = false;
 };
 
-ClusterResult RunMultiRingCluster(LocalCluster::Kind kind, int run_ms,
-                                  UdpConfig udp = {}) {
-  // 2 rings x 2 acceptors, 1 merge learner in both groups, 1 closed-loop
-  // proposer per group.
-  LocalCluster cluster(kind, udp);
-
-  std::vector<RingConfig> rings;
-  for (int r = 0; r < 2; ++r) {
-    RingConfig rc;
-    rc.ring = static_cast<RingId>(r);
-    rc.group = static_cast<GroupId>(r);
-    rc.data_channel = static_cast<ChannelId>(2 * r);
-    rc.control_channel = static_cast<ChannelId>(2 * r + 1);
-    rc.ring_members = {static_cast<NodeId>(2 * r), static_cast<NodeId>(2 * r + 1)};
-    rc.lambda_per_sec = 2000;
-    rc.delta = Millis(1);
-    rings.push_back(rc);
-  }
-  for (int r = 0; r < 2; ++r) {
-    for (int a = 0; a < 2; ++a) {
-      cluster.AddNode(std::make_unique<RingNode>(rings[r]),
-                      {rings[r].data_channel, rings[r].control_channel});
-    }
-  }
-  // Node 4: merge learner.
+// Runs `cluster` for `run_ms` with the spec's roles added.
+ClusterResult RunMultiRingCluster(LocalCluster& cluster, int run_ms) {
   multiring::MergeLearner::Options mo;
   std::atomic<std::uint64_t> delivered{0};
   std::atomic<bool> saw_g0{false}, saw_g1{false};
@@ -263,30 +269,53 @@ ClusterResult RunMultiRingCluster(LocalCluster::Kind kind, int run_ms,
     if (g == 0) saw_g0 = true;
     if (g == 1) saw_g1 = true;
   };
-  mo.send_delivery_acks = true;
-  for (int r = 0; r < 2; ++r) {
-    LearnerOptions lo;
-    lo.ring = rings[r];
-    mo.groups.push_back(lo);
-  }
-  cluster.AddNode(std::make_unique<multiring::MergeLearner>(std::move(mo)),
-                  {0, 1, 2, 3});
-  // Nodes 5, 6: proposers.
-  for (int r = 0; r < 2; ++r) {
-    ProposerConfig pc;
-    pc.ring = rings[r].ring;
-    pc.group = rings[r].group;
-    pc.coordinator = rings[r].ring_members[0];
-    pc.max_outstanding = 4;
-    pc.payload_size = 1024;
-    pc.retry_timeout = Millis(100);
-    cluster.AddNode(std::make_unique<Proposer>(pc), {rings[r].control_channel});
-  }
-
+  AddRoles(cluster, std::move(mo));
   cluster.Start();
   std::this_thread::sleep_for(std::chrono::milliseconds(run_ms));
   cluster.Stop();
   return {delivered.load(), saw_g0.load() && saw_g1.load()};
+}
+
+ClusterResult RunMultiRingCluster(LocalCluster::Kind kind, int run_ms,
+                                  UdpConfig udp = {}) {
+  LocalCluster cluster(TwoRingSpec(), kind, udp);
+  return RunMultiRingCluster(cluster, run_ms);
+}
+
+TEST(DeploymentSpec, SimulatorAndLocalClusterDeriveOneCluster) {
+  multiring::SimDeployment sim(TwoRingSpec<multiring::DeploymentOptions>());
+  AddRoles(sim, {});
+  LocalCluster cluster(TwoRingSpec(), LocalCluster::Kind::kInProc);
+  for (int r = 0; r < 2; ++r) {
+    const RingConfig& a = sim.ring(r);
+    const RingConfig b = cluster.ring(r);
+    EXPECT_EQ(a.ring, b.ring);
+    EXPECT_EQ(a.group, b.group);
+    EXPECT_EQ(a.data_channel, b.data_channel);
+    EXPECT_EQ(a.control_channel, b.control_channel);
+    EXPECT_EQ(a.ring_members, b.ring_members);
+    EXPECT_EQ(a.spares, b.spares);
+    EXPECT_EQ(a.lambda_per_sec, b.lambda_per_sec);
+  }
+  EXPECT_EQ(sim.ring(1).ring_members, (std::vector<NodeId>{3, 4}));
+  EXPECT_EQ(sim.ring(1).spares, (std::vector<NodeId>{5}));
+  EXPECT_EQ(sim.ring(1).control_channel, 3u);
+
+  // The in-proc run gets the same node ids for the same roles, and
+  // delivers from both groups.
+  const auto result = RunMultiRingCluster(cluster, 1000);
+  const NodeId learner = sim.learner_node(0)->self();
+  EXPECT_EQ(learner, 6u);
+  EXPECT_NE(cluster.node(learner).protocol_as<multiring::MergeLearner>(),
+            nullptr);
+  for (std::size_t r = 0; r < 2; ++r) {
+    const NodeId proposer = sim.proposer_node(r)->self();
+    EXPECT_EQ(proposer, learner + 1 + r);
+    EXPECT_NE(cluster.node(proposer).protocol_as<Proposer>(), nullptr);
+  }
+  EXPECT_EQ(cluster.size(), 9u);
+  EXPECT_GT(result.delivered, 100u);
+  EXPECT_TRUE(result.merged_two_groups);
 }
 
 TEST(LocalClusterInProc, MultiRingDeliversOverThreads) {
@@ -411,13 +440,9 @@ TEST(FileStorage, DrivesARealRecoverableRing) {
   std::remove(p1.c_str());
   {
     LocalCluster cluster(LocalCluster::Kind::kInProc);
-    RingConfig rc;
-    rc.ring = 0;
-    rc.group = 0;
-    rc.data_channel = 0;
-    rc.control_channel = 1;
-    rc.ring_members = {0, 1};
-    rc.lambda_per_sec = 0;
+    multiring::DeploymentSpec spec;  // one ring of two members
+    spec.lambda_per_sec = 0;
+    const RingConfig rc = spec.Ring(0);
     FileStorage st0(p0), st1(p1);
     cluster.AddNode(std::make_unique<RingNode>(rc, &st0), {0, 1});
     cluster.AddNode(std::make_unique<RingNode>(rc, &st1), {0, 1});
@@ -724,40 +749,66 @@ TEST(ClusterConfig, ParsesFullConfig) {
   const std::string text = R"(
 # comment
 udp base_port 48200 mcast_prefix 239.255.90. mcast_port 48700
-ring 0 members 0,1 spares 4 lambda 2000
-ring 1 members 2,3
-node 0 acceptor 0
-node 5 learner 0,1 acks
-node 6 proposer 1 rate 250 window 8 size 2048
+ring 0 members 2 spares 1 lambda 2000
+ring 1 members 2 spares 1
+node learner 0,1 acks
+node proposer 1 rate 250 window 8 size 2048
 )";
   std::string error;
   auto cfg = ClusterConfig::Parse(text, &error);
   ASSERT_TRUE(cfg.has_value()) << error;
   EXPECT_EQ(cfg->udp.base_port, 48200);
   EXPECT_EQ(cfg->udp.mcast_prefix, "239.255.90.");
-  ASSERT_EQ(cfg->rings.size(), 2u);
-  EXPECT_EQ(cfg->rings.at(0).ring_members, (std::vector<NodeId>{0, 1}));
-  EXPECT_EQ(cfg->rings.at(0).spares, (std::vector<NodeId>{4}));
-  EXPECT_DOUBLE_EQ(cfg->rings.at(0).lambda_per_sec, 2000);
-  EXPECT_EQ(cfg->rings.at(1).lambda_per_sec, 0);
-  ASSERT_EQ(cfg->nodes.size(), 3u);
-  EXPECT_EQ(*cfg->nodes.at(0).acceptor_of, 0u);
-  ASSERT_TRUE(cfg->nodes.at(5).learner.has_value());
-  EXPECT_TRUE(cfg->nodes.at(5).learner->acks);
-  EXPECT_EQ(cfg->nodes.at(5).learner->rings, (std::vector<RingId>{0, 1}));
-  ASSERT_TRUE(cfg->nodes.at(6).proposer.has_value());
-  EXPECT_DOUBLE_EQ(cfg->nodes.at(6).proposer->rate, 250);
-  EXPECT_EQ(cfg->nodes.at(6).proposer->window, 8u);
-  EXPECT_EQ(cfg->nodes.at(6).proposer->payload, 2048u);
+  ASSERT_EQ(cfg->spec.n_rings, 2);
+  EXPECT_EQ(cfg->spec.Ring(0).ring_members, (std::vector<NodeId>{0, 1}));
+  EXPECT_EQ(cfg->spec.Ring(0).spares, (std::vector<NodeId>{2}));
+  EXPECT_EQ(cfg->spec.Ring(1).ring_members, (std::vector<NodeId>{3, 4}));
+  EXPECT_EQ(cfg->spec.Ring(1).spares, (std::vector<NodeId>{5}));
+  EXPECT_DOUBLE_EQ(cfg->spec.Ring(0).lambda_per_sec, 2000);
+  EXPECT_EQ(cfg->spec.Ring(1).lambda_per_sec, 0);
+  ASSERT_EQ(cfg->roles.size(), 2u);  // nodes 6 and 7
+  const auto* learner = std::get_if<ClusterConfig::LearnerRole>(&cfg->roles[0]);
+  ASSERT_NE(learner, nullptr);
+  EXPECT_TRUE(learner->acks);
+  EXPECT_EQ(learner->rings, (std::vector<int>{0, 1}));
+  const auto* proposer =
+      std::get_if<ClusterConfig::ProposerRole>(&cfg->roles[1]);
+  ASSERT_NE(proposer, nullptr);
+  EXPECT_EQ(proposer->ring, 1);
+  EXPECT_DOUBLE_EQ(proposer->rate, 250);
+  EXPECT_EQ(proposer->window, 8u);
+  EXPECT_EQ(proposer->payload, 2048u);
 }
 
 TEST(ClusterConfig, RejectsMalformedInput) {
+  const std::string ring0 = "ring 0 members 2\n";
+  for (const std::string& text : {
+           std::string("ring 0"),
+           std::string("bogus directive"),
+           std::string(""),
+           ring0 + "node learner 7",
+           ring0 + "node dancer 0",
+           ring0 + "node proposer 0 window 0",
+           ring0 + "node proposer 0 rate",
+           ring0 + "ring 2 members 2",
+           ring0 + "ring 1 members 3",
+           std::string("ring x members 0,1"),
+           std::string("ring 0 members 0,1"),
+           std::string("ring 0 members 2 lambda fast"),
+           std::string("ring 0 members 2 lambda -5"),
+           ring0 + "node proposer 0 size 5000000000",
+           ring0 + "udp base_port 99999999999",
+           ring0 + "udp base_port 65535",
+       }) {
+    std::string error;
+    EXPECT_FALSE(ClusterConfig::Parse(text, &error).has_value()) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
   std::string error;
-  EXPECT_FALSE(ClusterConfig::Parse("ring 0", &error).has_value());
-  EXPECT_FALSE(ClusterConfig::Parse("bogus directive", &error).has_value());
-  EXPECT_FALSE(ClusterConfig::Parse("node 1 acceptor 7", &error).has_value())
-      << "unknown ring must be rejected";
-  EXPECT_FALSE(ClusterConfig::Parse("node 1 dancer 0", &error).has_value());
+  ClusterConfig::Parse(ring0 + "udp base_port 99999999999", &error);
+  EXPECT_EQ(error, "line 2: bad base_port '99999999999'");
+  ClusterConfig::Parse("ring x members 0,1", &error);
+  EXPECT_EQ(error.rfind("line 1: ", 0), 0u) << error;
 }
 
 TEST(ClusterConfig, ExampleFileParses) {
@@ -767,8 +818,15 @@ TEST(ClusterConfig, ExampleFileParses) {
     if (!cfg) cfg = ClusterConfig::Load(path, &error);
   }
   ASSERT_TRUE(cfg.has_value()) << error;
-  EXPECT_EQ(cfg->rings.size(), 2u);
-  EXPECT_EQ(cfg->nodes.size(), 8u);
+  const auto& spec = cfg->spec;
+  EXPECT_EQ(spec.n_rings, 2);
+  EXPECT_EQ(spec.ring_node_count() + cfg->roles.size(), 9u);
+  // Every universe member of every ring runs that ring's acceptor.
+  for (int r = 0; r < spec.n_rings; ++r) {
+    for (NodeId id : spec.Ring(r).Universe()) {
+      EXPECT_EQ(spec.acceptor_ring(id), r) << "ring " << r << " node " << id;
+    }
+  }
 }
 
 }  // namespace
@@ -785,13 +843,9 @@ TEST(FileStorage, AcceptorRestartWithReplayServesRecovery) {
   std::remove(p0.c_str());
   std::remove(p1.c_str());
 
-  RingConfig rc;
-  rc.ring = 0;
-  rc.group = 0;
-  rc.data_channel = 0;
-  rc.control_channel = 1;
-  rc.ring_members = {0, 1};
-  rc.lambda_per_sec = 0;
+  multiring::DeploymentSpec spec;  // one ring of two members
+  spec.lambda_per_sec = 0;
+  const RingConfig rc = spec.Ring(0);
 
   // Phase 1: run a cluster, decide a few hundred instances, stop.
   {

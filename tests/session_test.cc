@@ -198,19 +198,18 @@ struct SessionService {
     d = std::make_unique<SimDeployment>(opts);
 
     for (int r = 0; r < 2; ++r) {
-      auto& node = d->net().AddNode();
-      smr::ReplicaConfig rc;
-      rc.partition = 0;
-      rc.partition_ring.ring = d->ring(0);
-      rc.respond = (r == 0);
-      rc.sessions = true;
-      rc.serve_local_reads = (r == 1);
-      auto rep = std::make_unique<smr::Replica>(rc);
-      replicas.push_back(rep.get());
-      replica_nodes.push_back(&node);
-      node.BindProtocol(std::move(rep));
-      d->net().Subscribe(node.self(), d->ring(0).data_channel);
-      d->net().Subscribe(node.self(), d->ring(0).control_channel);
+      replicas.push_back(d->AddLearnerNode(
+          {0}, [&](sim::SimNode& node,
+                   std::vector<ringpaxos::LearnerOptions> groups) {
+            replica_nodes.push_back(&node);
+            smr::ReplicaConfig rc;
+            rc.partition = 0;
+            rc.partition_ring = groups[0];
+            rc.respond = (r == 0);
+            rc.sessions = true;
+            rc.serve_local_reads = (r == 1);
+            return std::make_unique<smr::Replica>(rc);
+          }));
     }
     {
       auto& node = d->net().AddNode();
@@ -226,19 +225,15 @@ struct SessionService {
       d->net().Subscribe(node.self(), d->ring(0).control_channel);
       gateway_id = node.self();
     }
-    {
-      auto& node = d->net().AddNode();
-      LeaseGrantorConfig lc;
-      lc.ring = d->ring(0).ring;
-      lc.group = d->ring(0).group;
-      lc.holder = replica_nodes[1]->self();
-      auto lg = std::make_unique<LeaseGrantor>(lc);
-      grantor = lg.get();
-      grantor_node = &node;
-      node.BindProtocol(std::move(lg));
-      d->net().Subscribe(node.self(), d->ring(0).data_channel);
-      d->net().Subscribe(node.self(), d->ring(0).control_channel);
-    }
+    grantor = d->AddLearnerNode(
+        {0}, [&](sim::SimNode& node, std::vector<ringpaxos::LearnerOptions>) {
+          grantor_node = &node;
+          LeaseGrantorConfig lc;
+          lc.ring = d->ring(0).ring;
+          lc.group = d->ring(0).group;
+          lc.holder = replica_nodes[1]->self();
+          return std::make_unique<LeaseGrantor>(lc);
+        });
     {
       smr::KvClientConfig sc;
       sc.session_id = 1;

@@ -17,6 +17,7 @@ namespace {
 
 using multiring::DeploymentOptions;
 using multiring::SimDeployment;
+using ringpaxos::LearnerOptions;
 
 struct Fixture {
   explicit Fixture(DeploymentOptions opts, int partitions)
@@ -24,25 +25,17 @@ struct Fixture {
     opts.n_rings = partitions + (partitions > 1 ? 1 : 0);
     d = std::make_unique<SimDeployment>(opts);
     for (int p = 0; p < partitions; ++p) {
-      auto& node = d->net().AddNode();
-      ReplicaConfig rc;
-      rc.partition = static_cast<GroupId>(p);
-      rc.range = part.RangeOf(rc.partition);
-      rc.partition_ring.ring = d->ring(p);
-      if (partitions > 1) {
-        ringpaxos::LearnerOptions all;
-        all.ring = d->ring(partitions);
-        rc.all_ring = all;
-      }
-      auto rep = std::make_unique<Replica>(rc);
-      replicas.push_back(rep.get());
-      node.BindProtocol(std::move(rep));
-      d->net().Subscribe(node.self(), d->ring(p).data_channel);
-      d->net().Subscribe(node.self(), d->ring(p).control_channel);
-      if (partitions > 1) {
-        d->net().Subscribe(node.self(), d->ring(partitions).data_channel);
-        d->net().Subscribe(node.self(), d->ring(partitions).control_channel);
-      }
+      std::vector<int> rings = {p};
+      if (partitions > 1) rings.push_back(partitions);
+      replicas.push_back(d->AddLearnerNode(
+          rings, [&](sim::SimNode&, std::vector<LearnerOptions> groups) {
+            ReplicaConfig rc;
+            rc.partition = static_cast<GroupId>(p);
+            rc.range = part.RangeOf(rc.partition);
+            rc.partition_ring = groups[0];
+            if (partitions > 1) rc.all_ring = groups[1];
+            return std::make_unique<Replica>(rc);
+          }));
     }
   }
 
@@ -201,23 +194,19 @@ TEST(KvSemantics, UnbootstrappedPeerDoesNotServeSnapshots) {
   DeploymentOptions opts;
   opts.lambda_per_sec = 0;
   SimDeployment d(opts);
-  auto& a = d.net().AddNode();
-  auto& b = d.net().AddNode();
-  ReplicaConfig rc;
-  rc.partition_ring.ring = d.ring(0);
-  rc.bootstrap_from_peer = true;  // BOTH bootstrap: neither may serve
-  rc.peers = {b.self()};
-  auto repa = std::make_unique<Replica>(rc);
-  auto* replica_a = repa.get();
-  a.BindProtocol(std::move(repa));
-  rc.peers = {a.self()};
-  auto repb = std::make_unique<Replica>(rc);
-  auto* replica_b = repb.get();
-  b.BindProtocol(std::move(repb));
-  for (auto* n : {&a, &b}) {
-    d.net().Subscribe(n->self(), d.ring(0).data_channel);
-    d.net().Subscribe(n->self(), d.ring(0).control_channel);
-  }
+  // Replicas a and b are consecutive nodes, each naming the other.
+  auto add_replica = [&](int peer_offset) {
+    return d.AddLearnerNode(
+        {0}, [&](sim::SimNode& node, std::vector<LearnerOptions> groups) {
+          ReplicaConfig rc;
+          rc.partition_ring = groups[0];
+          rc.bootstrap_from_peer = true;  // BOTH bootstrap: neither may serve
+          rc.peers = {node.self() + peer_offset};
+          return std::make_unique<Replica>(rc);
+        });
+  };
+  auto* replica_a = add_replica(+1);
+  auto* replica_b = add_replica(-1);
   d.Start();
   d.RunFor(Seconds(1));
   // Deadlock by design: neither bootstraps off the other. (A real

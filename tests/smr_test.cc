@@ -16,6 +16,7 @@ namespace {
 
 using multiring::DeploymentOptions;
 using multiring::SimDeployment;
+using ringpaxos::LearnerOptions;
 
 TEST(KvStore, BasicOperations) {
   KvStore s;
@@ -92,28 +93,21 @@ struct Service {
     d = std::make_unique<SimDeployment>(opts);
 
     for (int p = 0; p < partitions; ++p) {
+      std::vector<int> rings = {p};
+      if (partitions > 1) rings.push_back(partitions);
       for (int r = 0; r < 2; ++r) {
-        auto& node = d->net().AddNode();
-        ReplicaConfig rc;
-        rc.partition = static_cast<GroupId>(p);
-        rc.range = part.RangeOf(rc.partition);
-        rc.partition_ring.ring = d->ring(p);
-        if (partitions > 1) {
-          ringpaxos::LearnerOptions all;
-          all.ring = d->ring(partitions);
-          rc.all_ring = all;
-        }
-        // Only the first replica answers (avoids duplicate-response load).
-        rc.respond = (r == 0);
-        auto rep = std::make_unique<Replica>(rc);
-        replicas.push_back(rep.get());
-        node.BindProtocol(std::move(rep));
-        d->net().Subscribe(node.self(), d->ring(p).data_channel);
-        d->net().Subscribe(node.self(), d->ring(p).control_channel);
-        if (partitions > 1) {
-          d->net().Subscribe(node.self(), d->ring(partitions).data_channel);
-          d->net().Subscribe(node.self(), d->ring(partitions).control_channel);
-        }
+        replicas.push_back(d->AddLearnerNode(
+            rings, [&](sim::SimNode&, std::vector<LearnerOptions> groups) {
+              ReplicaConfig rc;
+              rc.partition = static_cast<GroupId>(p);
+              rc.range = part.RangeOf(rc.partition);
+              rc.partition_ring = groups[0];
+              if (partitions > 1) rc.all_ring = groups[1];
+              // Only the first replica answers (avoids duplicate-response
+              // load).
+              rc.respond = (r == 0);
+              return std::make_unique<Replica>(rc);
+            }));
       }
     }
     std::vector<int> all_rings;
@@ -184,14 +178,14 @@ std::uint64_t CompletedAfterCoordinatorCrash(std::uint64_t session_id) {
   opts.lambda_per_sec = 9000;
   SimDeployment d(opts);
   for (int r = 0; r < 2; ++r) {
-    auto& node = d.net().AddNode();
-    ReplicaConfig rc;
-    rc.partition_ring.ring = d.ring(0);
-    rc.respond = (r == 0);
-    rc.sessions = true;
-    node.BindProtocol(std::make_unique<Replica>(rc));
-    d.net().Subscribe(node.self(), d.ring(0).data_channel);
-    d.net().Subscribe(node.self(), d.ring(0).control_channel);
+    d.AddLearnerNode(
+        {0}, [r](sim::SimNode&, std::vector<LearnerOptions> groups) {
+          ReplicaConfig rc;
+          rc.partition_ring = groups[0];
+          rc.respond = (r == 0);
+          rc.sessions = true;
+          return std::make_unique<Replica>(rc);
+        });
   }
   KvClientConfig cc;
   cc.rings = {d.ring(0)};
@@ -229,14 +223,13 @@ TEST(KvService, DummyModeDiscardsEverything) {
   opts.n_rings = 1;
   opts.lambda_per_sec = 0;
   SimDeployment d(opts);
-  auto& node = d.net().AddNode();
-  ReplicaConfig rc;
-  rc.partition_ring.ring = d.ring(0);
-  rc.execute = false;  // Figure 2's dummy service
-  auto rep = std::make_unique<Replica>(rc);
-  auto* replica = rep.get();
-  node.BindProtocol(std::move(rep));
-  d.net().Subscribe(node.self(), d.ring(0).data_channel);
+  auto* replica = d.AddLearnerNode(
+      {0}, [](sim::SimNode&, std::vector<LearnerOptions> groups) {
+        ReplicaConfig rc;
+        rc.partition_ring = groups[0];
+        rc.execute = false;  // Figure 2's dummy service
+        return std::make_unique<Replica>(rc);
+      });
 
   ringpaxos::ProposerConfig pc;
   pc.schedule = {{Seconds(0), 1000.0}};  // open loop: no acks needed

@@ -297,9 +297,7 @@ DeploymentOptions ThreeSiteOptions(std::uint64_t seed) {
 TEST(GeoDeployment, ThreeSiteDoubleRunIsByteIdentical) {
   auto run = [] {
     SimDeployment d(ThreeSiteOptions(42));
-    SimDeployment::LearnerSpec ls;
-    ls.site = 0;
-    d.AddMergeLearner({0, 1, 2}, ls);
+    d.AddMergeLearner({0, 1, 2});
     for (int r = 0; r < 3; ++r) d.AddProposer(r, OpenLoop(300, 1024));
     d.Start();
     d.RunFor(Millis(500));
@@ -320,12 +318,8 @@ TEST(GeoDeployment, PerSiteLatencySeparationTracksConfiguredRtt) {
   opts.net.topology = topo;
   opts.ring_sites = {0};
   SimDeployment d(opts);
-  SimDeployment::LearnerSpec near;
-  near.site = 0;
-  auto* ln = d.AddMergeLearner({0}, near);
-  SimDeployment::LearnerSpec far;
-  far.site = 1;
-  auto* lf = d.AddMergeLearner({0}, far);
+  auto* ln = d.AddMergeLearner({0}, {}, /*site=*/0);
+  auto* lf = d.AddMergeLearner({0}, {}, /*site=*/1);
   d.AddProposer(0, OpenLoop(300, 1024));
   d.Start();
   d.RunFor(Seconds(1));
@@ -429,15 +423,13 @@ TEST(GeoMerge, PerGroupQuotaKeepsRateSkewedLearnerBounded) {
   opts.net.seed = 5;
   opts.ring_lambda = {4000, 2000};
   SimDeployment d(opts);
-  SimDeployment::LearnerSpec uniform;
-  uniform.m = 1;
+  MergeLearner::Options uniform;
   uniform.max_buffer_msgs = 1500;
-  auto* lu = d.AddMergeLearner({0, 1}, uniform);
-  SimDeployment::LearnerSpec quota;
-  quota.m = 1;
+  auto* lu = d.AddMergeLearner({0, 1}, std::move(uniform));
+  MergeLearner::Options quota;
   quota.m_per_group = {{0, 2}, {1, 1}};
   quota.max_buffer_msgs = 1500;
-  auto* lq = d.AddMergeLearner({0, 1}, quota);
+  auto* lq = d.AddMergeLearner({0, 1}, std::move(quota));
   d.AddProposer(0, OpenLoop(3500, 512));
   d.AddProposer(1, OpenLoop(1000, 512));
   d.Start();
@@ -455,11 +447,10 @@ TEST(GeoMerge, LatencyCompensationDefersDeliveryToTarget) {
   opts.n_rings = 1;
   opts.net.seed = 3;
   SimDeployment d(opts);
-  SimDeployment::LearnerSpec plain;
-  auto* lp = d.AddMergeLearner({0}, plain);
-  SimDeployment::LearnerSpec comp;
+  auto* lp = d.AddMergeLearner({0});
+  MergeLearner::Options comp;
   comp.latency_compensation = Millis(50);
-  auto* lc = d.AddMergeLearner({0}, comp);
+  auto* lc = d.AddMergeLearner({0}, std::move(comp));
   d.AddProposer(0, OpenLoop(500, 1024));
   d.Start();
   d.RunFor(Seconds(1));

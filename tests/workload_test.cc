@@ -228,19 +228,11 @@ TEST(WorkloadDriver, DrivesMultiTenantTrafficAcrossRingsEndToEnd) {
       d.AddClient(std::make_unique<WorkloadDriver>(std::move(cfg)), {0, 1})
           .protocol_as<WorkloadDriver>();
 
-  auto& lnode = d.net().AddNode();
   MergeLearner::Options mo;
   mo.on_deliver = [&, t0 = &d.net()](GroupId, const paxos::ClientMsg& msg) {
     driver->RecordDelivery(t0->now(), msg);
   };
-  for (int r : {0, 1}) {
-    ringpaxos::LearnerOptions lo;
-    lo.ring = d.ring(r);
-    mo.groups.push_back(lo);
-    d.net().Subscribe(lnode.self(), d.ring(r).data_channel);
-    d.net().Subscribe(lnode.self(), d.ring(r).control_channel);
-  }
-  lnode.BindProtocol(std::make_unique<MergeLearner>(std::move(mo)));
+  d.AddMergeLearner({0, 1}, std::move(mo));
 
   d.Start();
   d.RunFor(Seconds(3));
@@ -291,20 +283,17 @@ TEST(WorkloadDriver, CommandModeStampsContiguousSessionSeqs) {
 
   // A session-enabled replica applies the stream with exactly-once
   // dedup; decode every delivered command to check the stamps.
-  auto& rnode = d.net().AddNode();
-  smr::ReplicaConfig rc;
-  rc.partition_ring.ring = d.ring(0);
-  rc.sessions = true;
-  auto rep = std::make_unique<smr::Replica>(rc);
-  auto* replica = rep.get();
-  rnode.BindProtocol(std::move(rep));
-  d.net().Subscribe(rnode.self(), d.ring(0).data_channel);
-  d.net().Subscribe(rnode.self(), d.ring(0).control_channel);
+  auto* replica = d.AddLearnerNode(
+      {0}, [](sim::SimNode&, std::vector<ringpaxos::LearnerOptions> groups) {
+        smr::ReplicaConfig rc;
+        rc.partition_ring = groups[0];
+        rc.sessions = true;
+        return std::make_unique<smr::Replica>(rc);
+      });
 
   std::map<std::uint64_t, std::uint64_t> last_seq;  // session -> seq
   bool stamps_ok = true;
   bool opens_first = true;
-  auto& lnode = d.net().AddNode();
   MergeLearner::Options mo;
   mo.on_deliver = [&](GroupId, const paxos::ClientMsg& msg) {
     auto cmd = smr::Command::Decode(msg.payload);
@@ -319,12 +308,7 @@ TEST(WorkloadDriver, CommandModeStampsContiguousSessionSeqs) {
       opens_first = false;
     }
   };
-  ringpaxos::LearnerOptions lo;
-  lo.ring = d.ring(0);
-  mo.groups.push_back(lo);
-  d.net().Subscribe(lnode.self(), d.ring(0).data_channel);
-  d.net().Subscribe(lnode.self(), d.ring(0).control_channel);
-  lnode.BindProtocol(std::make_unique<MergeLearner>(std::move(mo)));
+  d.AddMergeLearner({0}, std::move(mo));
 
   d.Start();
   d.RunFor(Seconds(2));

@@ -64,15 +64,20 @@
 #include "reconfig/plan.h"
 #include "reconfig/repartition.h"
 #include "reconfig/ring_view.h"
-#include "recovery/sim_harness.h"
+#include "recovery/checkpoint.h"
+#include "recovery/hash_app.h"
+#include "recovery/recoverable_learner.h"
 #include "ringpaxos/proposer.h"
 #include "smr/client.h"
 #include "session/admission.h"
 #include "session/lease.h"
+#include "sim/snapshot_disk.h"
 #include "smr/replica.h"
 #include "workload/driver.h"
 
 namespace {
+
+using LearnerGroups = std::vector<mrp::ringpaxos::LearnerOptions>;
 
 const char* FlagValue(int argc, char** argv, const char* flag) {
   for (int i = 1; i + 1 < argc; ++i) {
@@ -175,12 +180,15 @@ int main(int argc, char** argv) {
   d.AddRingLearner(0);
 
   // --recovery: coordinator + two recoverable learners; rec-b crash-loses
-  // its state at 40% of the run and bootstraps from rec-a at 60%. All of
-  // it lands in the same trace/metrics outputs the gate byte-compares.
+  // its state at 40% of the run and bootstraps from rec-a at 60%. Each
+  // checkpoints to a simulated disk that outlives the crash. All of it
+  // lands in the same trace/metrics outputs the gate byte-compares.
   std::vector<std::unique_ptr<mrp::recovery::HashApp>> apps;
-  mrp::recovery::SimRecoveryNode rec_a;
-  mrp::recovery::SimRecoveryNode rec_b;
-  auto make_rec_opts = [&](bool target) {
+  std::vector<std::unique_ptr<mrp::sim::SimSnapshotPersistence>> disks;
+  mrp::sim::SimNode* rec_a = nullptr;
+  mrp::sim::SimNode* rec_b = nullptr;
+  mrp::NodeId coord_id = mrp::kNoNode;
+  auto make_rec = [&](bool target, LearnerGroups groups) {
     mrp::recovery::RecoverableLearner::Options ro;
     apps.push_back(std::make_unique<mrp::recovery::HashApp>());
     auto* app = apps.back().get();
@@ -189,35 +197,44 @@ int main(int argc, char** argv) {
                                 const mrp::paxos::ClientMsg& m) {
       app->Apply(g, m);
     };
-    if (target) ro.fetch.peers = {rec_a.node->self()};
+    ro.merge.groups = std::move(groups);
+    ro.coordinator = coord_id;
+    ro.persistence = disks[target ? 1 : 0].get();
+    if (target) ro.fetch.peers = {rec_a->self()};
     return ro;
   };
   if (recovery) {
     auto& coord_node = d.net().AddNode();
-    auto opts_a = make_rec_opts(false);
-    opts_a.coordinator = coord_node.self();
-    rec_a = mrp::recovery::AddRecoverableLearner(d, all_rings,
-                                                 std::move(opts_a));
-    auto opts_b = make_rec_opts(true);
-    opts_b.coordinator = coord_node.self();
-    rec_b = mrp::recovery::AddRecoverableLearner(d, all_rings,
-                                                 std::move(opts_b));
-    mrp::recovery::BindCheckpointCoordinator(
-        d, coord_node, {rec_a.node->self(), rec_b.node->self()},
-        mrp::Millis(100));
+    coord_id = coord_node.self();
+    for (auto* rec : {&rec_a, &rec_b}) {
+      d.AddLearnerNode(all_rings, [&](mrp::sim::SimNode& node,
+                                      LearnerGroups groups) {
+        *rec = &node;
+        disks.push_back(
+            std::make_unique<mrp::sim::SimSnapshotPersistence>(node));
+        return std::make_unique<mrp::recovery::RecoverableLearner>(
+            make_rec(rec == &rec_b, std::move(groups)));
+      });
+    }
+    mrp::recovery::CheckpointCoordinator::Options co;
+    co.interval = mrp::Millis(100);
+    co.learners = {rec_a->self(), rec_b->self()};
+    for (int r = 0; r < rings; ++r) {
+      co.rings.emplace_back(d.ring(r).ring, d.ring(r).control_channel);
+    }
+    coord_node.BindProtocol(
+        std::make_unique<mrp::recovery::CheckpointCoordinator>(std::move(co)));
     auto& sched = d.net().scheduler();
-    const mrp::NodeId coord_id = coord_node.self();
     sched.At(mrp::TimePoint(mrp::Millis(run_ms * 2 / 5).count()),
-             [&rec_b] { rec_b.node->SetDown(true); });
-    sched.At(mrp::TimePoint(mrp::Millis(run_ms * 3 / 5).count()),
-             [&d, &rec_b, &make_rec_opts, &all_rings, coord_id] {
-               auto ro = make_rec_opts(true);
-               ro.coordinator = coord_id;
-               mrp::recovery::ReviveRecoverableLearner(d, rec_b, all_rings,
-                                                       std::move(ro));
-               rec_b.node->SetDown(false);
-               rec_b.node->Start();
-             });
+             [&rec_b] { rec_b->SetDown(true); });
+    sched.At(mrp::TimePoint(mrp::Millis(run_ms * 3 / 5).count()), [&] {
+      auto ro = make_rec(true, d.spec().LearnerGroups(all_rings));
+      ro.recover_on_start = true;
+      rec_b->ReplaceProtocol(
+          std::make_unique<mrp::recovery::RecoverableLearner>(std::move(ro)));
+      rec_b->SetDown(false);
+      rec_b->Start();
+    });
   }
 
   // --sessions: the control plane of docs/SESSIONS.md on ring 0, with a
@@ -231,17 +248,16 @@ int main(int argc, char** argv) {
   if (sessions) {
     std::vector<mrp::sim::SimNode*> replica_nodes;
     for (int r = 0; r < 2; ++r) {
-      auto& node = d.net().AddNode();
-      mrp::smr::ReplicaConfig rc;
-      rc.partition = 0;
-      rc.partition_ring.ring = d.ring(0);
-      rc.respond = (r == 0);
-      rc.sessions = true;
-      rc.serve_local_reads = (r == 1);
-      node.BindProtocol(std::make_unique<mrp::smr::Replica>(rc));
-      replica_nodes.push_back(&node);
-      d.net().Subscribe(node.self(), d.ring(0).data_channel);
-      d.net().Subscribe(node.self(), d.ring(0).control_channel);
+      d.AddLearnerNode({0}, [&](mrp::sim::SimNode& node, LearnerGroups groups) {
+        mrp::smr::ReplicaConfig rc;
+        rc.partition = 0;
+        rc.partition_ring = groups[0];
+        rc.respond = (r == 0);
+        rc.sessions = true;
+        rc.serve_local_reads = (r == 1);
+        replica_nodes.push_back(&node);
+        return std::make_unique<mrp::smr::Replica>(rc);
+      });
     }
     auto& gw_node = d.net().AddNode();
     {
@@ -254,19 +270,15 @@ int main(int argc, char** argv) {
       gw_node.BindProtocol(std::make_unique<mrp::session::Gateway>(gc));
       d.net().Subscribe(gw_node.self(), d.ring(0).control_channel);
     }
-    {
-      auto& node = d.net().AddNode();
-      mrp::session::LeaseGrantorConfig lc;
-      lc.ring = d.ring(0).ring;
-      lc.group = d.ring(0).group;
-      lc.holder = replica_nodes[1]->self();
-      auto lg = std::make_unique<mrp::session::LeaseGrantor>(lc);
-      lease_grantor = lg.get();
-      lease_grantor_node = &node;
-      node.BindProtocol(std::move(lg));
-      d.net().Subscribe(node.self(), d.ring(0).data_channel);
-      d.net().Subscribe(node.self(), d.ring(0).control_channel);
-    }
+    lease_grantor =
+        d.AddLearnerNode({0}, [&](mrp::sim::SimNode& node, LearnerGroups) {
+          mrp::session::LeaseGrantorConfig lc;
+          lc.ring = d.ring(0).ring;
+          lc.group = d.ring(0).group;
+          lc.holder = replica_nodes[1]->self();
+          lease_grantor_node = &node;
+          return std::make_unique<mrp::session::LeaseGrantor>(lc);
+        });
     {
       mrp::smr::KvClientConfig sc;
       sc.session_id = 1;
@@ -312,47 +324,34 @@ int main(int argc, char** argv) {
     constexpr std::uint64_t kPlanId = 41;
     constexpr std::uint64_t kSplitLo = 500000;
     constexpr std::uint64_t kKeyMax = 999999;
-    auto route_of = [&d](int r) {
-      mrp::reconfig::GroupRoute gr;
-      gr.group = d.ring(r).group;
-      gr.ring = d.ring(r).ring;
-      gr.coordinator = d.ring(r).ring_members[0];
-      gr.data_channel = d.ring(r).data_channel;
-      gr.control_channel = d.ring(r).control_channel;
-      gr.ring_members = d.ring(r).ring_members;
-      return gr;
-    };
     holder.Install(mrp::reconfig::RingConfiguration(
-        1, {route_of(0)}, {{0, kKeyMax, d.ring(0).group}}));
+        1, {mrp::reconfig::RouteFor(d.ring(0))},
+        {{0, kKeyMax, d.ring(0).group}}));
     std::vector<mrp::sim::SimNode*> source_nodes;
     for (int r = 0; r < 2; ++r) {
-      auto& node = d.net().AddNode();
-      mrp::smr::ReplicaConfig rc;
-      rc.partition = d.ring(0).group;
-      rc.partition_ring.ring = d.ring(0);
-      rc.respond = (r == 0);
-      rc.sessions = true;
-      source_nodes.push_back(&node);
-      node.BindProtocol(std::make_unique<mrp::smr::Replica>(rc));
-      d.net().Subscribe(node.self(), d.ring(0).data_channel);
-      d.net().Subscribe(node.self(), d.ring(0).control_channel);
+      d.AddLearnerNode({0}, [&](mrp::sim::SimNode& node, LearnerGroups groups) {
+        mrp::smr::ReplicaConfig rc;
+        rc.partition = d.ring(0).group;
+        rc.partition_ring = groups[0];
+        rc.respond = (r == 0);
+        rc.sessions = true;
+        source_nodes.push_back(&node);
+        return std::make_unique<mrp::smr::Replica>(rc);
+      });
     }
     mrp::sim::SimNode* target_node = nullptr;
-    {
-      auto& node = d.net().AddNode();
+    d.AddLearnerNode({1}, [&](mrp::sim::SimNode& node, LearnerGroups groups) {
       mrp::smr::ReplicaConfig rc;
       rc.partition = d.ring(1).group;
       rc.range = {kSplitLo, kKeyMax};
-      rc.partition_ring.ring = d.ring(1);
+      rc.partition_ring = groups[0];
       rc.respond = true;
       rc.sessions = true;
       rc.handoff_plan = kPlanId;
       rc.handoff_peers = {source_nodes[0]->self(), source_nodes[1]->self()};
       target_node = &node;
-      node.BindProtocol(std::make_unique<mrp::smr::Replica>(rc));
-      d.net().Subscribe(node.self(), d.ring(1).data_channel);
-      d.net().Subscribe(node.self(), d.ring(1).control_channel);
-    }
+      return std::make_unique<mrp::smr::Replica>(rc);
+    });
     mrp::sim::SimNode* client_node = nullptr;
     {
       mrp::smr::KvClientConfig cc;
@@ -372,7 +371,9 @@ int main(int argc, char** argv) {
           d.ring(1).ring);
       pc.source_ring = d.ring(0);
       pc.next = mrp::reconfig::RingConfiguration(
-          2, {route_of(0), route_of(1)},
+          2,
+          {mrp::reconfig::RouteFor(d.ring(0)),
+           mrp::reconfig::RouteFor(d.ring(1))},
           {{0, kSplitLo - 1, d.ring(0).group},
            {kSplitLo, kKeyMax, d.ring(1).group}});
       pc.target_replica = target_node->self();
@@ -394,10 +395,12 @@ int main(int argc, char** argv) {
     d.AddClient(std::move(owned), all_rings);
     // Deliveries feed back into the driver's per-tenant accounting, so
     // the metrics snapshot the gate byte-compares covers both ends.
-    d.AddMergeLearner(all_rings)->set_on_deliver(
-        [driver, &d](mrp::GroupId, const mrp::paxos::ClientMsg& m) {
-          driver->RecordDelivery(d.net().now(), m);
-        });
+    mrp::multiring::MergeLearner::Options mo;
+    mo.on_deliver = [driver, &d](mrp::GroupId,
+                                 const mrp::paxos::ClientMsg& m) {
+      driver->RecordDelivery(d.net().now(), m);
+    };
+    d.AddMergeLearner(all_rings, std::move(mo));
   } else {
     for (int r = 0; r < rings; ++r) {
       for (int c = 0; c < 2; ++c) {

@@ -44,12 +44,15 @@
 #include "net/codec.h"
 #include "paxos/messages.h"
 #include "reconfig/repartition.h"
-#include "recovery/sim_harness.h"
+#include "recovery/checkpoint.h"
+#include "recovery/hash_app.h"
+#include "recovery/recoverable_learner.h"
 #include "ringpaxos/proposer.h"
 #include "ringpaxos/ring_node.h"
 #include "session/admission.h"
 #include "session/lease.h"
 #include "session/messages.h"
+#include "sim/snapshot_disk.h"
 #include "sim/topology.h"
 #include "smr/client.h"
 #include "smr/replica.h"
@@ -199,21 +202,10 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
   auto add_learner = [&](const std::string& name,
                          const std::vector<int>& rings, bool acks,
                          InstanceId corrupt) -> MergeLearner* {
-    auto& node = d.net().AddNode();
     std::vector<GroupId> groups;
+    for (int r : rings) groups.push_back(d.ring(r).group);
     MergeLearner::Options mo;
     mo.send_delivery_acks = acks;
-    for (int r : rings) {
-      ringpaxos::LearnerOptions lo;
-      lo.ring = d.ring(r);
-      if (corrupt != 0 && r == rings.front()) {
-        lo.test_corrupt_instance = corrupt;
-      }
-      groups.push_back(d.ring(r).group);
-      mo.groups.push_back(lo);
-      d.net().Subscribe(node.self(), d.ring(r).data_channel);
-      d.net().Subscribe(node.self(), d.ring(r).control_channel);
-    }
     const int idx = oracle.RegisterLearner(name, groups);
     // Merge-order pin for the split oracle: fully subscribed learners'
     // per-group delivery sequences must stay prefix-consistent across
@@ -230,10 +222,12 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
       if (acks) delivered_by_a.emplace(m.proposer, m.seq);
       if (rl >= 0) reconfig_oracle.OnDeliver(rl, g, m.Fingerprint());
     };
-    auto learner = std::make_unique<MergeLearner>(std::move(mo));
-    MergeLearner* raw = learner.get();
-    node.BindProtocol(std::move(learner));
-    return raw;
+    return d.AddLearnerNode(
+        rings, [&](sim::SimNode&, std::vector<ringpaxos::LearnerOptions> lo) {
+          if (corrupt != 0) lo.front().test_corrupt_instance = corrupt;
+          mo.groups = std::move(lo);
+          return std::make_unique<MergeLearner>(std::move(mo));
+        });
   };
   MergeLearner* merge_a = add_learner("merge-a", all_rings, /*acks=*/true, 0);
   add_learner("merge-b", all_rings, /*acks=*/false, inject_corrupt);
@@ -251,9 +245,23 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
   // coordinator's stable frontier, which gates all acceptor trimming.
   check::RecoveryOracle recovery_oracle(&oracle);
   auto& coord_node = d.net().AddNode();
-  // HashApps outlive crash-replaced protocol objects; revives push a
-  // fresh one (state loss) that the restore repopulates.
+  // HashApps and simulated snapshot disks outlive crash-replaced
+  // protocol objects; revives push a fresh app (state loss) that the
+  // restore repopulates.
   std::vector<std::unique_ptr<recovery::HashApp>> apps;
+  std::vector<std::unique_ptr<sim::SimSnapshotPersistence>> disks;
+  auto add_recoverable = [&](recovery::RecoverableLearner::Options ro) {
+    sim::SimNode* node = nullptr;
+    d.AddLearnerNode(all_rings, [&](sim::SimNode& n,
+                                    std::vector<ringpaxos::LearnerOptions> lo) {
+      node = &n;
+      disks.push_back(std::make_unique<sim::SimSnapshotPersistence>(n));
+      ro.persistence = disks.back().get();
+      ro.merge.groups = std::move(lo);
+      return std::make_unique<recovery::RecoverableLearner>(std::move(ro));
+    });
+    return node;
+  };
   const int rec_a_idx = oracle.RegisterLearner(
       "rec-a", std::vector<GroupId>(all_rings.begin(), all_rings.end()));
   recovery::RecoverableLearner::Options ra;
@@ -272,12 +280,12 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
     recovery_oracle.OnReferenceDeliver(g, m);
     app_a->Apply(g, m);
   };
-  auto rec_a = recovery::AddRecoverableLearner(d, all_rings, std::move(ra));
+  sim::SimNode* rec_a = add_recoverable(std::move(ra));
 
   auto make_rec_b_opts = [&]() {
     recovery::RecoverableLearner::Options rb;
     rb.coordinator = coord_node.self();
-    rb.fetch.peers = {rec_a.node->self()};
+    rb.fetch.peers = {rec_a->self()};
     apps.push_back(std::make_unique<recovery::HashApp>());
     auto* app = apps.back().get();
     rb.app = app;
@@ -292,10 +300,16 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
     };
     return rb;
   };
-  auto rec_b = recovery::AddRecoverableLearner(d, all_rings, make_rec_b_opts());
+  sim::SimNode* rec_b = add_recoverable(make_rec_b_opts());
 
-  recovery::BindCheckpointCoordinator(
-      d, coord_node, {rec_a.node->self(), rec_b.node->self()}, Millis(200));
+  recovery::CheckpointCoordinator::Options co;
+  co.interval = Millis(200);
+  co.learners = {rec_a->self(), rec_b->self()};
+  for (int r : all_rings) {
+    co.rings.emplace_back(d.ring(r).ring, d.ring(r).control_channel);
+  }
+  coord_node.BindProtocol(
+      std::make_unique<recovery::CheckpointCoordinator>(std::move(co)));
 
   // Two closed-loop proposers per ring.
   std::vector<ringpaxos::Proposer*> props;
@@ -334,45 +348,44 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
   sim::SimNode* lease_grantor_node = nullptr;
   if (shape.with_smr) {
     for (int r = 0; r < 2; ++r) {
-      auto& node = d.net().AddNode();
-      smr::ReplicaConfig rc;
-      rc.partition = 0;
-      rc.partition_ring.ring = d.ring(0);
-      rc.respond = (r == 0);
-      rc.sessions = true;
-      rc.serve_local_reads = (r == 1);  // replica1 is the lease holder
-      const int idx =
-          oracle.RegisterReplica("replica" + std::to_string(r), 0);
-      rc.on_apply = [&oracle, idx](const smr::Command& cmd) {
-        oracle.OnSmrApply(idx, cmd);
-      };
-      const int sidx =
-          session_oracle.RegisterReplica("replica" + std::to_string(r));
-      const int ridx = reconfig_on
-                           ? reconfig_oracle.RegisterReplica(
-                                 "replica" + std::to_string(r),
-                                 d.ring(0).group)
-                           : -1;
-      rc.on_session_apply = [&session_oracle, &reconfig_oracle, sidx, ridx](
-                                std::uint64_t sid, std::uint64_t seq) {
-        session_oracle.OnSessionApply(sidx, sid, seq);
-        if (ridx >= 0) reconfig_oracle.OnSessionApply(ridx, sid, seq);
-      };
-      if (r == 1) {
-        rc.on_local_read = [&session_oracle, sidx](std::uint64_t epoch,
-                                                   bool lease_valid,
-                                                   InstanceId grant_point,
-                                                   InstanceId frontier) {
-          session_oracle.OnLocalRead(sidx, epoch, lease_valid, grant_point,
-                                     frontier);
-        };
-      }
-      auto rep = std::make_unique<smr::Replica>(rc);
-      replicas.push_back(rep.get());
-      replica_nodes.push_back(&node);
-      node.BindProtocol(std::move(rep));
-      d.net().Subscribe(node.self(), d.ring(0).data_channel);
-      d.net().Subscribe(node.self(), d.ring(0).control_channel);
+      replicas.push_back(d.AddLearnerNode(
+          {0}, [&](sim::SimNode& node,
+                   std::vector<ringpaxos::LearnerOptions> groups) {
+            replica_nodes.push_back(&node);
+            smr::ReplicaConfig rc;
+            rc.partition = 0;
+            rc.partition_ring = groups[0];
+            rc.respond = (r == 0);
+            rc.sessions = true;
+            rc.serve_local_reads = (r == 1);  // replica1 is the lease holder
+            const int idx =
+                oracle.RegisterReplica("replica" + std::to_string(r), 0);
+            rc.on_apply = [&oracle, idx](const smr::Command& cmd) {
+              oracle.OnSmrApply(idx, cmd);
+            };
+            const int sidx =
+                session_oracle.RegisterReplica("replica" + std::to_string(r));
+            const int ridx = reconfig_on
+                                 ? reconfig_oracle.RegisterReplica(
+                                       "replica" + std::to_string(r),
+                                       d.ring(0).group)
+                                 : -1;
+            rc.on_session_apply = [&session_oracle, &reconfig_oracle, sidx,
+                                   ridx](std::uint64_t sid, std::uint64_t seq) {
+              session_oracle.OnSessionApply(sidx, sid, seq);
+              if (ridx >= 0) reconfig_oracle.OnSessionApply(ridx, sid, seq);
+            };
+            if (r == 1) {
+              rc.on_local_read = [&session_oracle, sidx](
+                                     std::uint64_t epoch, bool lease_valid,
+                                     InstanceId grant_point,
+                                     InstanceId frontier) {
+                session_oracle.OnLocalRead(sidx, epoch, lease_valid,
+                                           grant_point, frontier);
+              };
+            }
+            return std::make_unique<smr::Replica>(rc);
+          }));
     }
     {
       smr::KvClientConfig cc;
@@ -414,19 +427,15 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
       d.net().Subscribe(node.self(), d.ring(0).control_channel);
       gateway_id = node.self();
     }
-    {
-      auto& node = d.net().AddNode();
-      session::LeaseGrantorConfig lc;
-      lc.ring = d.ring(0).ring;
-      lc.group = d.ring(0).group;
-      lc.holder = replica_nodes[1]->self();
-      auto lg = std::make_unique<session::LeaseGrantor>(lc);
-      lease_grantor = lg.get();
-      lease_grantor_node = &node;
-      node.BindProtocol(std::move(lg));
-      d.net().Subscribe(node.self(), d.ring(0).data_channel);
-      d.net().Subscribe(node.self(), d.ring(0).control_channel);
-    }
+    lease_grantor = d.AddLearnerNode(
+        {0}, [&](sim::SimNode& node, std::vector<ringpaxos::LearnerOptions>) {
+          session::LeaseGrantorConfig lc;
+          lc.ring = d.ring(0).ring;
+          lc.group = d.ring(0).group;
+          lc.holder = replica_nodes[1]->self();
+          lease_grantor_node = &node;
+          return std::make_unique<session::LeaseGrantor>(lc);
+        });
     {
       smr::KvClientConfig sc;
       sc.session_id = 1;
@@ -443,70 +452,51 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
       session_client_node = &d.AddClient(std::move(cl), {0});
     }
     if (reconfig_on) {
-      auto route_of = [&d](int r) {
-        reconfig::GroupRoute gr;
-        gr.group = d.ring(r).group;
-        gr.ring = d.ring(r).ring;
-        gr.coordinator = d.ring(r).ring_members[0];
-        gr.data_channel = d.ring(r).data_channel;
-        gr.control_channel = d.ring(r).control_channel;
-        gr.ring_members = d.ring(r).ring_members;
-        return gr;
-      };
       // Group 0 owns the whole key space until the split moves the
       // upper half to ring 1's group.
       client_holder.Install(reconfig::RingConfiguration(
-          1, {route_of(0)}, {{0, kKeyMax, d.ring(0).group}}));
+          1, {reconfig::RouteFor(d.ring(0))},
+          {{0, kKeyMax, d.ring(0).group}}));
 
       // Target-partition replica: bootstraps from the sealed handoff
       // (chunked snapshot transfer from either source replica) and
       // answers the coordinator's completion probes.
-      {
-        auto& node = d.net().AddNode();
-        smr::ReplicaConfig rc;
-        rc.partition = d.ring(1).group;
-        rc.range = {kSplitLo, kKeyMax};
-        rc.partition_ring.ring = d.ring(1);
-        rc.respond = true;
-        rc.sessions = true;
-        rc.handoff_plan = kSplitPlanId;
-        rc.handoff_peers = {replica_nodes[0]->self(),
-                            replica_nodes[1]->self()};
-        const int idx = oracle.RegisterReplica("target", 1);
-        rc.on_apply = [&oracle, idx](const smr::Command& cmd) {
-          oracle.OnSmrApply(idx, cmd);
-        };
-        const int sidx = session_oracle.RegisterReplica("target");
-        const int ridx =
-            reconfig_oracle.RegisterReplica("target", d.ring(1).group);
-        rc.on_session_apply = [&session_oracle, &reconfig_oracle, sidx,
-                               ridx](std::uint64_t sid, std::uint64_t seq) {
-          session_oracle.OnSessionApply(sidx, sid, seq);
-          reconfig_oracle.OnSessionApply(ridx, sid, seq);
-        };
-        auto rep = std::make_unique<smr::Replica>(rc);
-        reconfig_target_node = &node;
-        node.BindProtocol(std::move(rep));
-        d.net().Subscribe(node.self(), d.ring(1).data_channel);
-        d.net().Subscribe(node.self(), d.ring(1).control_channel);
-      }
+      d.AddLearnerNode(
+          {1}, [&](sim::SimNode& node,
+                   std::vector<ringpaxos::LearnerOptions> groups) {
+            reconfig_target_node = &node;
+            smr::ReplicaConfig rc;
+            rc.partition = d.ring(1).group;
+            rc.range = {kSplitLo, kKeyMax};
+            rc.partition_ring = groups[0];
+            rc.respond = true;
+            rc.sessions = true;
+            rc.handoff_plan = kSplitPlanId;
+            rc.handoff_peers = {replica_nodes[0]->self(),
+                                replica_nodes[1]->self()};
+            const int idx = oracle.RegisterReplica("target", 1);
+            rc.on_apply = [&oracle, idx](const smr::Command& cmd) {
+              oracle.OnSmrApply(idx, cmd);
+            };
+            const int sidx = session_oracle.RegisterReplica("target");
+            const int ridx =
+                reconfig_oracle.RegisterReplica("target", d.ring(1).group);
+            rc.on_session_apply = [&session_oracle, &reconfig_oracle, sidx,
+                                   ridx](std::uint64_t sid, std::uint64_t seq) {
+              session_oracle.OnSessionApply(sidx, sid, seq);
+              reconfig_oracle.OnSessionApply(ridx, sid, seq);
+            };
+            return std::make_unique<smr::Replica>(rc);
+          });
 
       // Observer merge learner: the resubscribe-storm target. Its
       // subscribe cuts and decides feed the early-delivery oracle; it
       // is deliberately NOT merge-order pinned (unsubscribed stretches
       // leave legitimate gaps in its streams).
       {
-        auto& node = d.net().AddNode();
         MergeLearner::Options mo;
         std::map<GroupId, RingId> ring_of;
-        for (int r : all_rings) {
-          ringpaxos::LearnerOptions lo;
-          lo.ring = d.ring(r);
-          mo.groups.push_back(lo);
-          ring_of[d.ring(r).group] = d.ring(r).ring;
-          d.net().Subscribe(node.self(), d.ring(r).data_channel);
-          d.net().Subscribe(node.self(), d.ring(r).control_channel);
-        }
+        for (int r : all_rings) ring_of[d.ring(r).group] = d.ring(r).ring;
         const int obs = reconfig_oracle.RegisterLearner("observer");
         mo.on_decide = [&reconfig_oracle, obs](RingId ring, InstanceId inst,
                                                const paxos::Value&) {
@@ -521,9 +511,7 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
                 reconfig_oracle.OnSubscribeCut(obs, it->second, cut);
               }
             };
-        auto ml = std::make_unique<MergeLearner>(std::move(mo));
-        observer = ml.get();
-        node.BindProtocol(std::move(ml));
+        observer = d.AddMergeLearner(all_rings, std::move(mo));
       }
 
       // The repartition coordinator, armed to begin at the split
@@ -538,7 +526,7 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
             kKeyMax, d.ring(1).ring);
         pc.source_ring = d.ring(0);
         pc.next = reconfig::RingConfiguration(
-            2, {route_of(0), route_of(1)},
+            2, {reconfig::RouteFor(d.ring(0)), reconfig::RouteFor(d.ring(1))},
             {{0, kSplitLo - 1, d.ring(0).group},
              {kSplitLo, kKeyMax, d.ring(1).group}});
         pc.target_replica = reconfig_target_node->self();
@@ -620,13 +608,17 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
         // FRESH protocol object bootstraps from rec-a's snapshot. The
         // replace happens while still down (clears timers without
         // running OnStart), then the node resumes and starts.
-        rec_b.node->SetDown(true);
-        sched.At(heal_at, [&d, &rec_b, &make_rec_b_opts, &all_rings] {
-          if (!rec_b.node->down()) return;  // overlapping crash healed us
-          recovery::ReviveRecoverableLearner(d, rec_b, all_rings,
-                                             make_rec_b_opts());
-          rec_b.node->SetDown(false);
-          rec_b.node->Start();
+        rec_b->SetDown(true);
+        sched.At(heal_at, [&d, rec_b, &disks, &make_rec_b_opts, &all_rings] {
+          if (!rec_b->down()) return;  // overlapping crash healed us
+          auto rb = make_rec_b_opts();
+          rb.recover_on_start = true;
+          rb.persistence = disks[1].get();
+          rb.merge.groups = d.spec().LearnerGroups(all_rings);
+          rec_b->ReplaceProtocol(
+              std::make_unique<recovery::RecoverableLearner>(std::move(rb)));
+          rec_b->SetDown(false);
+          rec_b->Start();
         });
         break;
       }
