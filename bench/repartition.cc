@@ -109,7 +109,7 @@ ScenarioResult RunScenario(bool live_split, Duration total, Duration split_at,
         rc.respond = true;
         rc.sessions = true;
         rc.handoff_plan = kPlanId;
-        rc.handoff_peers = {source_nodes[0]->self(), source_nodes[1]->self()};
+        rc.bootstrap_peers = {source_nodes[0]->self(), source_nodes[1]->self()};
         const int ridx = oracle.RegisterReplica("target", g1);
         rc.on_session_apply = [&oracle, ridx](std::uint64_t sid,
                                               std::uint64_t seq) {

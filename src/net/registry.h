@@ -25,10 +25,9 @@ using WireMessages = MessageList<
     ringpaxos::DecisionMsg, ringpaxos::P1A, ringpaxos::P1B,
     ringpaxos::Heartbeat, ringpaxos::HeartbeatAck, ringpaxos::LearnReq,
     ringpaxos::LearnRep, ringpaxos::DeliveryAck, smr::Response,
-    ringpaxos::TrimNotice, smr::SnapshotReq, smr::SnapshotRep,
-    recovery::SnapshotRequest, recovery::SnapshotChunk, recovery::SnapshotDone,
-    paxos::SubmitReq, paxos::Phase1A, paxos::Phase1B, paxos::Phase2A,
-    paxos::Phase2B, paxos::DecisionMsg, paxos::LearnReq,
+    ringpaxos::TrimNotice, recovery::SnapshotRequest, recovery::SnapshotChunk,
+    recovery::SnapshotDone, paxos::SubmitReq, paxos::Phase1A, paxos::Phase1B,
+    paxos::Phase2A, paxos::Phase2B, paxos::DecisionMsg, paxos::LearnReq,
     recovery::CheckpointRequest, recovery::CheckpointReport,
     recovery::FrontierAdvert, session::LeaseGrant, session::LeaseAck,
     session::LeaseRevoke, session::SessionRead, session::SessionReadRep,

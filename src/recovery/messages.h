@@ -8,12 +8,14 @@
 // FrontierAdvert on each ring's control channel — the only authority
 // under which acceptors and FileStorage may trim (the safety tie).
 //
-// Snapshot transfer data plane: a recovering learner pulls the latest
-// checkpoint from a peer with SnapshotRequest and receives it as
-// indexed SnapshotChunk frames followed by a SnapshotDone trailer whose
-// digest authenticates the reassembled blob. Chunks are idempotent and
-// self-describing, so loss, reordering and duplication are handled by
-// re-requesting from the first gap (recovery_manager.h).
+// Snapshot transfer data plane, the one way state moves between nodes:
+// a recovering learner, a late-joining replica or a repartition target
+// pulls a checkpoint (the latest, or one given id) from a peer with
+// SnapshotRequest and receives it as indexed SnapshotChunk frames
+// followed by a SnapshotDone trailer whose digest authenticates the
+// reassembled blob. Chunks are idempotent and self-describing, so loss,
+// reordering and duplication are handled by re-requesting from the
+// first gap (recovery_manager.h).
 #pragma once
 
 #include <cstdint>

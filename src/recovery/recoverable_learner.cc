@@ -75,7 +75,12 @@ void RecoverableLearner::OnMessage(Env& env, NodeId from, const MessagePtr& m) {
     return;
   }
   if (const auto* req = Cast<SnapshotRequest>(m)) {
-    ServeSnapshot(env, from, *req);
+    ++serve_requests_;
+    ctr_serve_reqs_->Inc();
+    const std::uint64_t id =
+        req->checkpoint_id == 0 ? store_.latest_id() : req->checkpoint_id;
+    ctr_chunks_tx_->Inc(ServeSnapshot(env, from, *req, id,
+                                      store_.Encoded(req->checkpoint_id)));
     return;
   }
   if (recovering_) {
@@ -130,39 +135,6 @@ void RecoverableLearner::MaybeTakeCheckpoint(Env& env) {
                               epoch, epoch, std::move(frontiers)));
     ctr_reports_tx_->Inc();
   });
-}
-
-void RecoverableLearner::ServeSnapshot(Env& env, NodeId from,
-                                       const SnapshotRequest& req) {
-  ++serve_requests_;
-  ctr_serve_reqs_->Inc();
-  const Bytes* blob = store_.Encoded(req.checkpoint_id);
-  if (blob == nullptr) {
-    env.Send(from, MakeMessage<SnapshotDone>(req.checkpoint_id, 0, 0, 0));
-    return;
-  }
-  const std::uint64_t id =
-      req.checkpoint_id == 0 ? store_.latest_id() : req.checkpoint_id;
-  const std::size_t chunk = opts_.chunk_bytes < 1 ? 1 : opts_.chunk_bytes;
-  const auto total =
-      static_cast<std::uint32_t>((blob->size() + chunk - 1) / chunk);
-  std::uint32_t end = total;
-  if (req.max_chunks != 0 && req.from_chunk + req.max_chunks < total) {
-    end = req.from_chunk + req.max_chunks;
-  }
-  for (std::uint32_t i = req.from_chunk; i < end; ++i) {
-    const std::size_t lo = static_cast<std::size_t>(i) * chunk;
-    const std::size_t hi = std::min(blob->size(), lo + chunk);
-    env.Send(from, MakeMessage<SnapshotChunk>(
-                       id, i, total,
-                       Bytes(blob->begin() + static_cast<std::ptrdiff_t>(lo),
-                             blob->begin() + static_cast<std::ptrdiff_t>(hi))));
-    ctr_chunks_tx_->Inc();
-  }
-  // Always trail with Done: it carries total/digest so the requester can
-  // detect gaps (from loss) and re-request precisely.
-  env.Send(from, MakeMessage<SnapshotDone>(id, total, blob->size(),
-                                           Fnv1a(*blob)));
 }
 
 void RecoverableLearner::FinishRecovery(Env& env, Checkpoint cp) {

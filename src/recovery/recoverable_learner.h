@@ -10,7 +10,8 @@
 //    coordinator. Reporting before durability could advance the stable
 //    frontier past state we would lose in a crash.
 //  - Snapshot server: answers SnapshotRequest from recovering peers with
-//    a chunked transfer (SnapshotChunk* + SnapshotDone trailer).
+//    a chunked transfer (SnapshotChunk* + SnapshotDone trailer) through
+//    the shared ServeSnapshot (recovery_manager.h).
 //  - Recovery client: with `recover_on_start`, the learner stays dormant
 //    (ring traffic dropped) while a RecoveryManager fetches the latest
 //    checkpoint from a peer; on completion it restores the application
@@ -56,8 +57,6 @@ class RecoverableLearner final : public Protocol {
     // 0 = coordinator-driven only; otherwise also self-arm a checkpoint
     // every interval (used by deployments without a coordinator).
     Duration self_checkpoint_interval{0};
-    // Snapshot transfer chunking.
-    std::size_t chunk_bytes = 4096;
     // Recovery client: fetch a checkpoint from `fetch.peers` before
     // going live.
     bool recover_on_start = false;
@@ -86,7 +85,6 @@ class RecoverableLearner final : public Protocol {
 
  private:
   void MaybeTakeCheckpoint(Env& env);
-  void ServeSnapshot(Env& env, NodeId from, const SnapshotRequest& req);
   void FinishRecovery(Env& env, Checkpoint cp);
 
   Options opts_;

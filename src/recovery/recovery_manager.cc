@@ -7,9 +7,41 @@
 
 namespace mrp::recovery {
 
-void RecoveryManager::Start(Env& env, DoneFn done) {
+std::uint32_t ServeSnapshot(Env& env, NodeId to, const SnapshotRequest& req,
+                            std::uint64_t id, const Bytes* blob) {
+  if (blob == nullptr) {
+    env.Send(to, MakeMessage<SnapshotDone>(req.checkpoint_id, 0, 0, 0));
+    return 0;
+  }
+  const std::size_t chunk = kSnapshotChunkBytes;
+  const auto total =
+      static_cast<std::uint32_t>((blob->size() + chunk - 1) / chunk);
+  std::uint32_t end = total;
+  if (req.max_chunks != 0 && req.from_chunk + req.max_chunks < total) {
+    end = req.from_chunk + req.max_chunks;
+  }
+  std::uint32_t sent = 0;
+  for (std::uint32_t i = req.from_chunk; i < end; ++i, ++sent) {
+    const std::size_t lo = static_cast<std::size_t>(i) * chunk;
+    const std::size_t hi = std::min(blob->size(), lo + chunk);
+    env.Send(to, MakeMessage<SnapshotChunk>(
+                     id, i, total,
+                     Bytes(blob->begin() + static_cast<std::ptrdiff_t>(lo),
+                           blob->begin() + static_cast<std::ptrdiff_t>(hi))));
+  }
+  // Always trail with Done: it carries total/digest so the requester can
+  // detect gaps (from loss) and re-request precisely.
+  env.Send(to, MakeMessage<SnapshotDone>(id, total, blob->size(),
+                                         Fnv1a(*blob)));
+  return sent;
+}
+
+void RecoveryManager::Start(Env& env, DoneFn done,
+                            std::uint64_t checkpoint_id) {
   done_ = std::move(done);
   active_ = true;
+  requested_id_ = checkpoint_id;
+  pinned_id_ = checkpoint_id;
   MetricsRegistry& reg = env.metrics();
   ctr_chunks_rx_ = &reg.counter("recovery.mgr.chunks_rx");
   ctr_retries_ = &reg.counter("recovery.mgr.retries");
@@ -71,7 +103,7 @@ void RecoveryManager::RotatePeer(Env& env) {
   // Full restart: checkpoint ids are coordinator epochs, so two peers
   // can hold DIFFERENT checkpoints under the same id (each cuts at its
   // own turn boundary). Chunks must never be mixed across peers.
-  pinned_id_ = 0;
+  pinned_id_ = requested_id_;
   total_chunks_ = 0;
   expected_digest_ = 0;
   done_seen_ = false;

@@ -1,19 +1,25 @@
-// RecoveryManager: the pull side of peer snapshot transfer
-// (docs/RECOVERY.md). A crashed/new learner asks a peer for its latest
-// checkpoint (SnapshotRequest), reassembles the indexed SnapshotChunk
-// stream — loss, reordering and duplication are all absorbed by keeping
-// a chunk map and re-requesting from the first gap — verifies the
-// SnapshotDone digest, and hands the decoded Checkpoint to the host so
-// it can restore application state and resume the merge at the cut.
+// Peer snapshot transfer (docs/RECOVERY.md): the one way state moves
+// between nodes — a crashed learner's checkpoint recovery, a late-joining
+// replica's bootstrap and a repartition target's handoff.
+//
+// ServeSnapshot is the push side, shared by every snapshot server.
+//
+// RecoveryManager is the pull side. A crashed/new node asks a peer for a
+// checkpoint (SnapshotRequest: a given id, or 0 for the peer's latest),
+// reassembles the indexed SnapshotChunk stream — loss, reordering and
+// duplication are all absorbed by keeping a chunk map and re-requesting
+// from the first gap — verifies the SnapshotDone digest, and hands the
+// decoded Checkpoint to the host so it can restore application state
+// (and, for a learner, resume the merge at the cut).
 //
 // Fault handling: a retry timer re-requests missing chunks with
 // exponential backoff; after `peer_fail_after` retries without any
 // progress the transfer restarts from scratch against the next peer in
 // the list (mid-transfer peer crash). Peers that answer "no checkpoint
 // available" (SnapshotDone{total_chunks=0}) also rotate. If every peer
-// is exhausted the manager completes with an EMPTY checkpoint — the
-// host then cold-starts from instance 0, which is the pre-recovery
-// behaviour and always safe.
+// is exhausted the manager completes with an EMPTY checkpoint — a
+// learner then cold-starts from instance 0, which is the pre-recovery
+// behaviour and always safe; a bootstrapping replica starts over.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +32,19 @@
 #include "recovery/messages.h"
 
 namespace mrp::recovery {
+
+// Checkpoint bytes per SnapshotChunk; a chunk frame stays far below the
+// UDP transport's 60 kB frame limit.
+inline constexpr std::size_t kSnapshotChunkBytes = 4096;
+
+// Answers `req` from `to`: chunks [from_chunk, from_chunk + max_chunks)
+// of `blob`, the encoded checkpoint `id`, then a SnapshotDone trailer
+// with the total and digest the requester needs to find gaps and verify
+// the reassembly. A null `blob` (nothing servable under the requested
+// id) is answered with SnapshotDone{total_chunks = 0}. Returns the number
+// of chunks sent.
+std::uint32_t ServeSnapshot(Env& env, NodeId to, const SnapshotRequest& req,
+                            std::uint64_t id, const Bytes* blob);
 
 class RecoveryManager {
  public:
@@ -47,8 +66,10 @@ class RecoveryManager {
 
   explicit RecoveryManager(Options opts) : opts_(std::move(opts)) {}
 
-  // Begins the transfer; `done` fires exactly once.
-  void Start(Env& env, DoneFn done);
+  // Begins the transfer of checkpoint `checkpoint_id`; `done` fires
+  // exactly once. 0 asks each peer for its latest checkpoint; any other
+  // id is fetched as that id or not at all.
+  void Start(Env& env, DoneFn done, std::uint64_t checkpoint_id = 0);
 
   // Feeds SnapshotChunk / SnapshotDone messages; returns true if the
   // message belonged to this transfer.
@@ -75,7 +96,10 @@ class RecoveryManager {
   int rotations_ = 0;
   int stalled_ = 0;
 
-  std::uint64_t pinned_id_ = 0;  // 0 until the first chunk pins one
+  std::uint64_t requested_id_ = 0;  // Start's id; 0 = latest
+  // requested_id_, or for a "latest" fetch 0 until the first chunk pins
+  // the peer's id.
+  std::uint64_t pinned_id_ = 0;
   std::uint32_t total_chunks_ = 0;
   std::uint64_t expected_digest_ = 0;
   bool done_seen_ = false;

@@ -3,7 +3,9 @@
 // a merge-consistent cut of the ring streams with one opaque state blob
 // produced by this interface; restoring the blob and resuming the merge
 // at the cut must be equivalent to having delivered every message below
-// the cut. smr::Replica implements it by serializing its KvStore.
+// the cut. smr::Replica implements it by serializing its KvStore and
+// SessionTable; the same bytes bootstrap a late-joining replica and, for
+// the moved range, a repartition target.
 //
 // Header-only on purpose: implementers (src/smr) must not have to link
 // the recovery library to expose a snapshot.

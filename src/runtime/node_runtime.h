@@ -143,6 +143,8 @@ class LocalCluster {
                  const std::vector<ChannelId>& subscriptions = {});
 
   NodeRuntime& node(NodeId id) { return *nodes_.at(id); }
+  // Node `id`'s UDP transport (kUdp only).
+  UdpTransport& udp(NodeId id) { return *udp_.at(id); }
   std::size_t size() const { return nodes_.size(); }
 
   void Start();

@@ -133,7 +133,11 @@ void UdpTransport::SendFrame(int fd, const sockaddr_in& addr,
   ByteWriter w(msg.WireSize() + kHeaderBytes);
   w.u32(self_);
   if (!net::EncodeMessageTo(w, msg)) return;
-  if (w.size() <= kHeaderBytes || w.size() > kMaxFrame) return;
+  if (w.size() <= kHeaderBytes) return;
+  if (w.size() > kMaxFrame) {
+    ++tx_oversized_;
+    return;
+  }
   ssize_t n;
   do {
     n = ::sendto(fd, w.data().data(), w.size(), 0,

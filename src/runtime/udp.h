@@ -61,6 +61,8 @@ class UdpTransport final : public Transport {
   void Stop();
 
   std::uint64_t tx_frames() const { return tx_frames_.load(); }
+  // Frames not sent because they exceed the 60 kB frame limit.
+  std::uint64_t tx_oversized() const { return tx_oversized_.load(); }
   std::uint64_t rx_frames() const { return rx_frames_.load(); }
   // Syscall-batching effectiveness: frames per batch = frames/batches.
   // Every frame is its own sendto(), so tx batches equal tx frames.
@@ -89,6 +91,7 @@ class UdpTransport final : public Transport {
   std::thread poll_thread_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> tx_frames_{0};
+  std::atomic<std::uint64_t> tx_oversized_{0};
   std::atomic<std::uint64_t> rx_frames_{0};
   std::atomic<std::uint64_t> rx_batches_{0};
 

@@ -130,30 +130,4 @@ struct Response final : MessageBase {
         redirect(redir) {}
 };
 
-// New replica -> peer replica: request a full state snapshot of the
-// partition (bootstrap after a late join; the atomic-multicast log
-// below the acceptors' trim point is no longer replayable).
-struct SnapshotReq final : MessageBase {
-  MRP_WIRE_MESSAGE(SnapshotReq, 15, "smr.SnapshotReq", partition)
-
-  GroupId partition;
-
-  explicit SnapshotReq(GroupId p) : partition(p) {}
-};
-
-// Peer replica -> new replica: the partition state. Replay of the tail
-// of the multicast stream on top of this converges because the service
-// commands are idempotent (insert/delete by key).
-struct SnapshotRep final : MessageBase {
-  MRP_WIRE_MESSAGE(SnapshotRep, 16, "smr.SnapshotRep",
-                   partition, applied, wire::Capped<10'000'000>(rows))
-
-  GroupId partition;
-  std::uint64_t applied;  // commands applied when the snapshot was taken
-  std::vector<std::pair<Key, std::string>> rows;
-
-  SnapshotRep(GroupId p, std::uint64_t a, std::vector<std::pair<Key, std::string>> r)
-      : partition(p), applied(a), rows(std::move(r)) {}
-};
-
 }  // namespace mrp::smr

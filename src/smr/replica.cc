@@ -5,6 +5,15 @@
 #include "reconfig/messages.h"
 
 namespace mrp::smr {
+namespace {
+
+// Pause before a bootstrap fetch that found nothing starts over.
+constexpr Duration kFetchRetry = Millis(100);
+// Ids of the snapshots served for id-0 requests start above this; plan
+// ids (the handoff checkpoint ids) stay below it.
+constexpr std::uint64_t kServedIdBase = 1ULL << 63;
+
+}  // namespace
 
 Replica::Replica(ReplicaConfig cfg)
     : cfg_(std::move(cfg)), sessions_(cfg_.session_response_cache) {
@@ -20,7 +29,7 @@ Replica::Replica(ReplicaConfig cfg)
 
 void Replica::OnStart(Env& env) {
   env_ = &env;
-  bootstrapped_ = !cfg_.bootstrap_from_peer && cfg_.handoff_plan == 0;
+  bootstrapped_ = cfg_.bootstrap_peers.empty();
   if (cfg_.sessions) {
     ctr_dups_ = &env.metrics().counter("smr.replica.session_dups");
   }
@@ -29,58 +38,24 @@ void Replica::OnStart(Env& env) {
     ctr_read_fallbacks_ = &env.metrics().counter("smr.replica.read_fallbacks");
   }
   merge_->OnStart(env);
-  // The snapshot is requested lazily, on the first delivery: only then
-  // is the merge stream's start position fixed, which guarantees the
-  // peer's snapshot covers everything before it. A repartition target
-  // instead pulls the sealed handoff right away — its content is fixed
-  // by the seal position in the *source* stream, not by ours.
-  if (cfg_.handoff_plan != 0) StartHandoffFetch(env);
-}
-
-void Replica::RequestSnapshot(Env& env) {
-  if (bootstrapped_ || cfg_.peers.empty()) {
-    bootstrapped_ = true;
-    return;
-  }
-  const NodeId peer = cfg_.peers[static_cast<std::size_t>(
-      env.rng().below(cfg_.peers.size()))];
-  env.Send(peer, MakeMessage<SnapshotReq>(cfg_.partition));
-  env.SetTimer(cfg_.snapshot_retry, [this, &env] { RequestSnapshot(env); });
+  // A late joiner fetches lazily, on its first delivery: only then is
+  // the merge stream's start position fixed, which guarantees the peer's
+  // snapshot covers everything before it. A repartition target fetches
+  // right away — its handoff's content is fixed by the seal position in
+  // the *source* stream, not by ours.
+  if (!bootstrapped_ && cfg_.handoff_plan != 0) StartFetch(env);
 }
 
 void Replica::OnMessage(Env& env, NodeId from, const MessagePtr& m) {
   env_ = &env;
   switch (m->tag()) {
-    case SnapshotReq::kTag: {
-      const auto* req = static_cast<const SnapshotReq*>(m.get());
-      if (req->partition == cfg_.partition && bootstrapped_) {
-        const auto [lo, hi] = cfg_.range;
-        env.Send(from, MakeMessage<SnapshotRep>(cfg_.partition, applied_,
-                                                store_.Query(lo, hi)));
-      }
+    case recovery::SnapshotRequest::kTag:
+      ServeSnapshot(env, from,
+                    *static_cast<const recovery::SnapshotRequest*>(m.get()));
       return;
-    }
-    case SnapshotRep::kTag: {
-      const auto* rep = static_cast<const SnapshotRep*>(m.get());
-      if (rep->partition == cfg_.partition && !bootstrapped_) {
-        for (const auto& [k, v] : rep->rows) store_.Insert(k, v);
-        bootstrapped_ = true;
-        // Replay the deliveries that arrived while the snapshot was in
-        // flight (idempotent overlap with the snapshot).
-        auto pending = std::move(pending_applies_);
-        pending_applies_.clear();
-        for (const auto& cmd : pending) Execute(env, cmd);
-      }
-      return;
-    }
-    case recovery::SnapshotRequest::kTag: {
-      const auto* req = static_cast<const recovery::SnapshotRequest*>(m.get());
-      ServeHandoff(env, from, *req);
-      return;
-    }
     case recovery::SnapshotChunk::kTag:
     case recovery::SnapshotDone::kTag:
-      if (handoff_fetch_ != nullptr) handoff_fetch_->OnMessage(env, from, m);
+      if (fetch_ != nullptr) fetch_->OnMessage(env, from, m);
       return;
     case reconfig::HandoffRequest::kTag: {
       const auto* probe = static_cast<const reconfig::HandoffRequest*>(m.get());
@@ -186,16 +161,11 @@ void Replica::Apply(Env& env, GroupId /*group*/, const paxos::ClientMsg& msg) {
     return;
   }
   if (!bootstrapped_) {
-    // Stream is live but the bootstrap snapshot has not been installed
-    // yet: buffer, and kick off the snapshot request now that the
+    // Stream is live but the bootstrap state has not been installed
+    // yet: buffer, and (late join) kick off the fetch now that the
     // stream's start position is fixed.
     pending_applies_.push_back(std::move(*cmd));
-    // Handoff targets already have their pull in flight; only the peer
-    // bootstrap path requests lazily here.
-    if (!snapshot_requested_ && cfg_.handoff_plan == 0) {
-      snapshot_requested_ = true;
-      RequestSnapshot(env);
-    }
+    if (fetch_ == nullptr) StartFetch(env);
     return;
   }
   Execute(env, *cmd);
@@ -343,26 +313,20 @@ void Replica::ExecuteSeal(Env& env, const Command& cmd) {
     ++discarded_;
     return;
   }
-  auto moved = store_.Query(slo, shi);  // unlimited: the whole range moves
-  for (const auto& [k, v] : moved) store_.Delete(k);
-  sealed_.emplace(cmd.req_id,
-                  SealedRange{slo, shi, cmd.target_group});
-  ByteWriter w;
-  w.u64(cmd.req_id);
-  w.u32(cmd.target_group);
-  w.u64(slo);
-  w.u64(shi);
-  w.varint(moved.size());
-  for (const auto& [k, v] : moved) {
-    w.u64(k);
-    w.str(v);
+  KvStore moved;
+  for (auto& [k, v] : store_.Query(slo, shi)) {  // the whole range moves
+    store_.Delete(k);
+    moved.Insert(k, std::move(v));
   }
-  w.bytes(sessions_.Serialize());
+  // The handoff is a checkpoint in SnapshotState's format, so the target
+  // installs it through RestoreState like any bootstrap. Its applied
+  // counter is 0: the target has applied none of these commands itself.
   recovery::Checkpoint cp;
   cp.id = cmd.req_id;
   cp.delivered_count = applied_;
-  cp.app_state = w.take();
-  handoff_store_.Put(cp, [] {});
+  cp.app_state = EncodeState(0, moved, sessions_);
+  sealed_.emplace(cmd.req_id,
+                  SealedRange{slo, shi, cmd.target_group, cp.Encode()});
   ++applied_;
   if (ctr_seals_ == nullptr) {
     ctr_seals_ = &env.metrics().counter("smr.replica.seals");
@@ -371,104 +335,75 @@ void Replica::ExecuteSeal(Env& env, const Command& cmd) {
   Respond(env, cmd, true, {});
 }
 
-// Serves a handoff checkpoint to a repartition target, chunked exactly
-// like learner checkpoints (recoverable_learner.cc).
-void Replica::ServeHandoff(Env& env, NodeId from,
-                           const recovery::SnapshotRequest& req) {
-  const Bytes* blob = handoff_store_.Encoded(req.checkpoint_id);
-  if (blob == nullptr) {
-    env.Send(from,
-             MakeMessage<recovery::SnapshotDone>(req.checkpoint_id, 0, 0, 0));
-    return;
+// Answers a snapshot request (recovery::ServeSnapshot does the
+// chunking): id 0 is this replica's state, snapshotted now; a plan id is
+// that plan's sealed handoff; a snapshot id is one taken for an earlier
+// window of the same transfer.
+void Replica::ServeSnapshot(Env& env, NodeId from,
+                            const recovery::SnapshotRequest& req) {
+  std::uint64_t id = req.checkpoint_id;
+  const Bytes* blob = nullptr;
+  if (id == 0) {
+    // An unbootstrapped replica has no state to give: serving it would
+    // propagate a hole.
+    if (bootstrapped_) {
+      recovery::Checkpoint cp;
+      cp.id = std::max(served_.latest_id(), kServedIdBase) + 1;
+      cp.delivered_count = applied_;
+      cp.app_state = SnapshotState();
+      served_.Put(cp, nullptr);
+      id = cp.id;
+      blob = served_.Encoded(id);
+    }
+  } else if (auto it = sealed_.find(id); it != sealed_.end()) {
+    blob = &it->second.handoff;
+  } else {
+    blob = served_.Encoded(id);
   }
-  const std::uint64_t id =
-      req.checkpoint_id == 0 ? handoff_store_.latest_id() : req.checkpoint_id;
-  const std::size_t chunk = handoff_chunk_bytes_ < 1 ? 1 : handoff_chunk_bytes_;
-  const auto total =
-      static_cast<std::uint32_t>((blob->size() + chunk - 1) / chunk);
-  std::uint32_t end = total;
-  if (req.max_chunks != 0 && req.from_chunk + req.max_chunks < total) {
-    end = req.from_chunk + req.max_chunks;
-  }
-  for (std::uint32_t i = req.from_chunk; i < end; ++i) {
-    const std::size_t clo = static_cast<std::size_t>(i) * chunk;
-    const std::size_t chi = std::min(blob->size(), clo + chunk);
-    env.Send(from, MakeMessage<recovery::SnapshotChunk>(
-                       id, i, total,
-                       Bytes(blob->begin() + static_cast<std::ptrdiff_t>(clo),
-                             blob->begin() + static_cast<std::ptrdiff_t>(chi))));
-  }
-  env.Send(from, MakeMessage<recovery::SnapshotDone>(
-                     id, total, blob->size(), recovery::Fnv1a(*blob)));
+  recovery::ServeSnapshot(env, from, req, id, blob);
 }
 
-void Replica::StartHandoffFetch(Env& env) {
-  if (bootstrapped_) return;
+void Replica::StartFetch(Env& env) {
   recovery::RecoveryManager::Options o;
-  o.peers = cfg_.handoff_peers;
-  handoff_fetch_ = std::make_unique<recovery::RecoveryManager>(std::move(o));
-  handoff_fetch_->Start(env, [this, &env](recovery::Checkpoint cp) {
-    if (cp.app_state.empty()) {
-      // The source has not sealed yet (or every peer rotation failed):
-      // retry from a fresh transfer. The timer indirection also keeps
-      // the finished manager alive until we are out of its callback.
-      env.SetTimer(cfg_.handoff_retry, [this, &env] {
-        StartHandoffFetch(env);
-      });
-      return;
-    }
-    InstallHandoff(env, cp);
-  });
+  o.peers = cfg_.bootstrap_peers;
+  fetch_ = std::make_unique<recovery::RecoveryManager>(std::move(o));
+  // A late joiner asks for the peers' current state (id 0), a
+  // repartition target for its plan's handoff.
+  fetch_->Start(
+      env,
+      [this, &env](recovery::Checkpoint cp) {
+        if (cp.id == 0 || !RestoreState(cp.app_state)) {
+          // Every peer was tried without success (none bootstrapped yet,
+          // or the source has not sealed), or the state did not parse:
+          // retry with a fresh transfer. The timer indirection also
+          // keeps the finished manager alive until we are out of its
+          // callback.
+          env.SetTimer(kFetchRetry, [this, &env] { StartFetch(env); });
+          return;
+        }
+        // Replay deliveries buffered while the fetch was in flight
+        // through the full Execute path — dedup and redirects included.
+        auto pending = std::move(pending_applies_);
+        pending_applies_.clear();
+        for (const auto& c : pending) Execute(env, c);
+      },
+      cfg_.handoff_plan);
 }
 
-void Replica::InstallHandoff(Env& env, const recovery::Checkpoint& cp) {
-  ByteReader r(cp.app_state);
-  auto plan = r.u64();
-  auto target = r.u32();
-  auto lo = r.u64();
-  auto hi = r.u64();
-  auto n = r.varint();
-  bool ok = plan && target && lo && hi && n && *plan == cfg_.handoff_plan;
-  std::vector<std::pair<Key, std::string>> rows;
-  if (ok) {
-    rows.reserve(static_cast<std::size_t>(*n));
-    for (std::uint64_t i = 0; i < *n; ++i) {
-      auto k = r.u64();
-      auto v = r.str();
-      if (!k || !v) {
-        ok = false;
-        break;
-      }
-      rows.emplace_back(*k, std::move(*v));
-    }
-  }
-  std::optional<Bytes> sess = ok ? r.bytes() : std::nullopt;
-  if (!ok || !sess) {
-    env.SetTimer(cfg_.handoff_retry, [this, &env] { StartHandoffFetch(env); });
-    return;
-  }
-  for (const auto& [k, v] : rows) store_.Insert(k, v);
-  // The source's session table at the seal comes with the rows: every
-  // pre-seal apply is recorded here, so a duplicate that raced the move
-  // is suppressed on this side too (exactly-once across the split).
-  sessions_.Deserialize(*sess);
-  bootstrapped_ = true;
-  // Replay deliveries buffered while the handoff was in flight through
-  // the full Execute path — dedup and redirects included.
-  auto pending = std::move(pending_applies_);
-  pending_applies_.clear();
-  for (const auto& cmd : pending) Execute(env, cmd);
+Bytes Replica::EncodeState(std::uint64_t applied, const KvStore& store,
+                           const session::SessionTable& sessions) {
+  ByteWriter w;
+  w.u64(applied);
+  w.bytes(store.Serialize());
+  // The session table travels with the store: a replica restored from
+  // this state keeps suppressing duplicates of everything applied at the
+  // cut (docs/SESSIONS.md, docs/RECOVERY.md).
+  w.bytes(sessions.Serialize());
+  return w.take();
 }
 
 Bytes Replica::SnapshotState() const {
-  ByteWriter w;
-  w.u64(applied_);
-  w.bytes(store_.Serialize());
-  // The session table checkpoints with the store: a replica restored
-  // from this snapshot keeps suppressing duplicates of everything it
-  // had applied at the cut (docs/SESSIONS.md, docs/RECOVERY.md).
-  w.bytes(sessions_.Serialize());
-  return w.take();
+  return EncodeState(applied_, store_, sessions_);
 }
 
 bool Replica::RestoreState(const Bytes& bytes) {
@@ -480,8 +415,8 @@ bool Replica::RestoreState(const Bytes& bytes) {
   if (!store_.Deserialize(*rows)) return false;
   if (!sessions_.Deserialize(*sess)) return false;
   applied_ = *applied;
-  // A restored replica is by definition caught up to the checkpoint; it
-  // does not need the peer bootstrap path.
+  // A restored replica is by definition caught up to the checkpoint: it
+  // may serve snapshots and applies deliveries from here on.
   bootstrapped_ = true;
   return true;
 }

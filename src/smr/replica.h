@@ -4,6 +4,14 @@
 // commands that concern its key range in delivery order, and answers
 // clients directly. Commands outside the replica's range (possible on
 // g_all) are discarded, exactly as the paper describes.
+//
+// State moves between replicas over the recovery layer's chunked
+// snapshot transfer only (recovery/recovery_manager.h). Every replica
+// serves it: a request for id 0 gets a snapshot of its state taken at
+// that moment (only once the replica is itself bootstrapped), a request
+// for a plan id gets that plan's sealed handoff. A replica configured
+// with `bootstrap_peers` pulls one of the two before it applies
+// anything, and installs it through RestoreState.
 #pragma once
 
 #include <cstdint>
@@ -30,12 +38,12 @@ namespace mrp::smr {
 
 struct ReplicaConfig {
   GroupId partition = 0;
-  // Peer replicas of the same partition. A replica started with
-  // bootstrap_from_peer fetches a state snapshot before serving (late
-  // join: the multicast history may already be trimmed).
-  std::vector<NodeId> peers;
-  bool bootstrap_from_peer = false;
-  Duration snapshot_retry = Millis(200);
+  // Non-empty: this replica starts unbootstrapped and fetches its state
+  // from these peers before applying anything — the current state of a
+  // peer replica of the same partition (late join: the multicast history
+  // may already be trimmed), or with `handoff_plan` the sealed handoff
+  // of the source group's replicas.
+  std::vector<NodeId> bootstrap_peers;
   std::pair<Key, Key> range{0, ~0ULL};
   // Ring carrying this partition's group and (optionally) the ring
   // carrying g_all (queries spanning partitions).
@@ -71,16 +79,13 @@ struct ReplicaConfig {
       on_local_read;
 
   // ---- Live repartition (docs/RECONFIG.md) ----
-  // Target side: non-zero = this replica bootstraps its partition from
-  // the source group's sealed handoff with this plan id, pulled from
-  // `handoff_peers` over the chunked snapshot transfer, instead of the
-  // peer SnapshotReq path. Deliveries buffer until the handoff is
+  // Target side: non-zero = the state fetched from `bootstrap_peers` is
+  // the sealed handoff with this plan id, requested by that id and
+  // never substituted by another. Deliveries buffer until the handoff is
   // installed; the transferred SessionTable keeps dedup intact across
   // the move. The coordinator learns of completion via PlanStatus
   // (answered to its HandoffRequest probes).
   std::uint64_t handoff_plan = 0;
-  std::vector<NodeId> handoff_peers;
-  Duration handoff_retry = Millis(100);
 };
 
 class Replica final : public Protocol, public recovery::Snapshottable {
@@ -91,8 +96,9 @@ class Replica final : public Protocol, public recovery::Snapshottable {
   void OnMessage(Env& env, NodeId from, const MessagePtr& m) override;
 
   // ---- recovery::Snapshottable (docs/RECOVERY.md) ----
-  // Captures/installs the applied counter plus the full KV store; a
-  // restored replica's store Fingerprint equals the source's.
+  // Captures/installs the applied counter, the full KV store and the
+  // session table; a restored replica's store Fingerprint equals the
+  // source's. The bootstrap and handoff transfers carry this format.
   Bytes SnapshotState() const override;
   bool RestoreState(const Bytes& bytes) override;
 
@@ -126,7 +132,7 @@ class Replica final : public Protocol, public recovery::Snapshottable {
     f.U64(merge_->Fingerprint());
     f.U64(store_.Fingerprint());
     f.U64(pending_applies_.size());
-    f.Bool(snapshot_requested_);
+    f.Bool(fetch_ != nullptr);
     f.U64(applied_);
     f.U64(discarded_);
     f.Bool(bootstrapped_);
@@ -160,15 +166,16 @@ class Replica final : public Protocol, public recovery::Snapshottable {
 
   void Apply(Env& env, GroupId group, const paxos::ClientMsg& msg);
   void Execute(Env& env, const Command& cmd);
-  void RequestSnapshot(Env& env);
+  static Bytes EncodeState(std::uint64_t applied, const KvStore& store,
+                           const session::SessionTable& sessions);
+  void StartFetch(Env& env);
+  void ServeSnapshot(Env& env, NodeId from,
+                     const recovery::SnapshotRequest& req);
   void Respond(Env& env, const Command& cmd, bool ok,
                std::vector<std::pair<Key, std::string>> rows,
                GroupId redirect = kNoGroup);
   void TryServeRead(Env& env, ReadKey key);
   void ExecuteSeal(Env& env, const Command& cmd);
-  void StartHandoffFetch(Env& env);
-  void InstallHandoff(Env& env, const recovery::Checkpoint& cp);
-  void ServeHandoff(Env& env, NodeId from, const recovery::SnapshotRequest& req);
 
   ReplicaConfig cfg_;
   std::unique_ptr<multiring::MergeLearner> merge_;
@@ -183,13 +190,19 @@ class Replica final : public Protocol, public recovery::Snapshottable {
   Counter* ctr_dups_ = nullptr;
   Counter* ctr_local_reads_ = nullptr;
   Counter* ctr_read_fallbacks_ = nullptr;
-  // Deliveries buffered while the bootstrap snapshot is in flight. The
-  // snapshot is requested only after the merge stream is positioned and
-  // delivering, so snapshot position >= stream start: replaying the
-  // buffer over the snapshot converges (commands are idempotent per
-  // key) and can never leave a gap.
+  // Deliveries buffered while the bootstrap fetch is in flight. A late
+  // joiner requests its snapshot only after the merge stream is
+  // positioned and delivering, so snapshot position >= stream start:
+  // replaying the buffer over the snapshot converges (commands are
+  // idempotent per key, session-stamped ones deduplicated) and can
+  // never leave a gap.
   std::vector<Command> pending_applies_;
-  bool snapshot_requested_ = false;
+  // The bootstrap fetch (late join or handoff); null until started.
+  std::unique_ptr<recovery::RecoveryManager> fetch_;
+  // Snapshots taken to answer id-0 requests, kept so the requester's
+  // later windows read the same bytes. Their ids start above every plan
+  // id (plan ids stay below 2^63), so they never shadow a handoff.
+  recovery::SnapshotStore served_{2};
   std::uint64_t applied_ = 0;
   std::uint64_t discarded_ = 0;
   bool bootstrapped_ = false;
@@ -198,19 +211,17 @@ class Replica final : public Protocol, public recovery::Snapshottable {
   // Source side: key ranges sealed out of this partition by an applied
   // kSeal, keyed by plan id. Writes landing in a sealed range are
   // refused with a redirect to the owning group instead of applied.
+  // `handoff` is the encoded checkpoint served to the target under the
+  // plan id; it lives as long as the seal, so no later snapshot can
+  // evict a handoff a target may still request.
   struct SealedRange {
     Key lo = 0;
     Key hi = 0;
     GroupId target = 0;
+    Bytes handoff;
   };
   std::map<std::uint64_t, SealedRange> sealed_;
   std::uint64_t redirected_ = 0;
-  // Handoff checkpoints this replica serves to repartition targets over
-  // the chunked snapshot transfer (recovery::SnapshotRequest).
-  recovery::SnapshotStore handoff_store_{2};
-  std::size_t handoff_chunk_bytes_ = 1024;
-  // Target side: pull of the source's handoff checkpoint.
-  std::unique_ptr<recovery::RecoveryManager> handoff_fetch_;
   Counter* ctr_redirects_ = nullptr;
   Counter* ctr_seals_ = nullptr;
   Env* env_ = nullptr;

@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "multiring/sim_deployment.h"
 #include "ringpaxos/learner.h"
+#include "runtime/node_runtime.h"
 #include "smr/client.h"
 #include "smr/replica.h"
 
@@ -50,7 +54,13 @@ TEST(CatchUp, LateLearnerFastForwardsPastTrimmedHistory) {
   EXPECT_GT(late->next_instance(), 1000u);
 }
 
-TEST(CatchUp, NewReplicaBootstrapsFromPeerSnapshot) {
+// A primary replica applies a second of writes, a replica joins after
+// the acceptors trimmed that history and bootstraps from the primary,
+// and once the workload stops both hold the same store. With `sessions`
+// both replicas dedup session-stamped commands and the client stamps
+// every write: the joiner can only admit them if the session table came
+// with the store.
+void ExpectLateJoinerConverges(bool sessions) {
   DeploymentOptions opts;
   opts.n_rings = 1;
   opts.lambda_per_sec = 9000;
@@ -58,7 +68,7 @@ TEST(CatchUp, NewReplicaBootstrapsFromPeerSnapshot) {
   SimDeployment d(opts);
   smr::Partitioning part(1, 100000);
 
-  auto add_replica = [&](bool bootstrap, std::vector<NodeId> peers) {
+  auto add_replica = [&](std::vector<NodeId> bootstrap_peers) {
     sim::SimNode* node = nullptr;
     auto* rep = d.AddLearnerNode(
         {0}, [&](sim::SimNode& n,
@@ -68,20 +78,21 @@ TEST(CatchUp, NewReplicaBootstrapsFromPeerSnapshot) {
           rc.partition = 0;
           rc.range = part.RangeOf(0);
           rc.partition_ring = groups[0];
-          rc.respond = !bootstrap;
-          rc.bootstrap_from_peer = bootstrap;
-          rc.peers = std::move(peers);
+          rc.respond = bootstrap_peers.empty();
+          rc.sessions = sessions;
+          rc.bootstrap_peers = std::move(bootstrap_peers);
           return std::make_unique<smr::Replica>(rc);
         });
     return std::make_pair(rep, node);
   };
-  auto [primary, primary_node] = add_replica(false, {});
+  auto [primary, primary_node] = add_replica({});
 
   smr::KvClientConfig cc;
   cc.partitioning = part;
   cc.rings.push_back(d.ring(0));
   cc.window = 4;
   cc.query_ratio = 0;  // writes only: maximal state churn
+  if (sessions) cc.session_id = 5;
   auto& cnode = d.AddClient(std::make_unique<smr::KvClient>(cc), {0});
 
   d.Start();
@@ -89,7 +100,7 @@ TEST(CatchUp, NewReplicaBootstrapsFromPeerSnapshot) {
   ASSERT_GT(primary->store().size(), 500u);
 
   // New replica joins late with snapshot bootstrap.
-  auto [joiner, joiner_node] = add_replica(true, {primary_node->self()});
+  auto [joiner, joiner_node] = add_replica({primary_node->self()});
   joiner_node->Start();
   d.RunFor(Seconds(1));
 
@@ -100,6 +111,80 @@ TEST(CatchUp, NewReplicaBootstrapsFromPeerSnapshot) {
   EXPECT_EQ(primary->store().Fingerprint(), joiner->store().Fingerprint())
       << "primary " << primary->store().size() << " keys vs joiner "
       << joiner->store().size();
+  if (sessions) {
+    EXPECT_EQ(primary->sessions().Fingerprint(),
+              joiner->sessions().Fingerprint());
+  }
+}
+
+TEST(CatchUp, NewReplicaBootstrapsFromPeerSnapshot) {
+  ExpectLateJoinerConverges(/*sessions=*/false);
+}
+
+TEST(CatchUp, SessionReplicaBootstrapsSessionTableFromPeer) {
+  ExpectLateJoinerConverges(/*sessions=*/true);
+}
+
+// The same bootstrap over real UDP, with a state far larger than one
+// 60 kB frame: the transfer must arrive as chunks, not as one datagram
+// the transport would have to drop.
+TEST(CatchUp, BootstrapOverUdpCarriesStatePastOneFrame) {
+  multiring::DeploymentSpec spec;
+  spec.lambda_per_sec = 1000;
+  runtime::UdpConfig udp;
+  udp.base_port = 50100;
+  udp.mcast_port_base = 50600;
+  udp.mcast_prefix = "239.255.96.";
+  runtime::LocalCluster cluster(spec, runtime::LocalCluster::Kind::kUdp, udp);
+
+  // 150 rows of 500 bytes: about 75 kB of store.
+  smr::KvStore seed;
+  for (smr::Key k = 0; k < 150; ++k) {
+    seed.Insert(k, std::string(500, static_cast<char>('a' + k % 26)));
+  }
+  ByteWriter state;
+  state.u64(0);
+  state.bytes(seed.Serialize());
+  state.bytes(session::SessionTable(64).Serialize());
+
+  auto add_replica = [&](std::vector<NodeId> bootstrap_peers) {
+    NodeId id = kNoNode;
+    auto* rep = cluster.AddLearnerNode(
+        {0}, [&](NodeId self, std::vector<ringpaxos::LearnerOptions> groups) {
+          id = self;
+          smr::ReplicaConfig rc;
+          rc.partition_ring = groups[0];
+          rc.respond = bootstrap_peers.empty();
+          rc.bootstrap_peers = std::move(bootstrap_peers);
+          return std::make_unique<smr::Replica>(rc);
+        });
+    return std::make_pair(rep, id);
+  };
+  auto [primary, primary_id] = add_replica({});
+  ASSERT_TRUE(primary->RestoreState(state.take()));
+  auto [joiner, joiner_id] = add_replica({primary_id});
+
+  // Queries only: deliveries start the joiner's fetch, and neither store
+  // changes afterwards, so the two must end up equal.
+  smr::KvClientConfig cc;
+  cc.rings.push_back(cluster.ring(0));
+  cc.window = 2;
+  cc.query_ratio = 1.0;
+  cluster.AddClient(std::make_unique<smr::KvClient>(cc), {0});
+
+  cluster.Start();
+  bool bootstrapped = false;
+  for (int i = 0; i < 100 && !bootstrapped; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    cluster.node(joiner_id).RunOnLoop(
+        [&] { bootstrapped = joiner->bootstrapped(); });
+  }
+  cluster.Stop();
+
+  EXPECT_TRUE(bootstrapped);
+  EXPECT_EQ(joiner->store().size(), 150u);
+  EXPECT_EQ(primary->store().Fingerprint(), joiner->store().Fingerprint());
+  EXPECT_EQ(cluster.udp(primary_id).tx_oversized(), 0u);
 }
 
 // Trim-vs-catchup race: a learner recovering gaps over a lossy link

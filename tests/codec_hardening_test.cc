@@ -132,11 +132,11 @@ TEST(CodecHardening, PayloadSizeFieldMismatchRejected) {
 }
 
 TEST(CodecHardening, UnknownTagRejected) {
-  // 39+ are unassigned (1..38 are live: 17-19/27-29 belong to the
-  // recovery subsystem, 30-35 to the session control plane, 36-38 to
-  // elastic reconfiguration); keep this list clear of any Tag enum
-  // value.
-  for (std::uint8_t tag : {0, 39, 40, 77, 200, 255}) {
+  // 15, 16 and 39+ are unassigned (the rest of 1..38 are live: 17-19/
+  // 27-29 belong to the recovery subsystem, 30-35 to the session control
+  // plane, 36-38 to elastic reconfiguration); keep this list clear of
+  // any live tag.
+  for (std::uint8_t tag : {0, 15, 16, 39, 40, 77, 200, 255}) {
     ByteWriter w;
     w.u8(tag);
     w.u32(1);

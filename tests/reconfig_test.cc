@@ -395,7 +395,7 @@ struct SplitScenario {
           rc.respond = true;
           rc.sessions = true;
           rc.handoff_plan = kPlanId;
-          rc.handoff_peers = {source_nodes[0]->self(), source_nodes[1]->self()};
+          rc.bootstrap_peers = {source_nodes[0]->self(), source_nodes[1]->self()};
           const int ridx = oracle.RegisterReplica("target", g1);
           rc.on_session_apply = [this, ridx](std::uint64_t sid,
                                              std::uint64_t seq) {
@@ -515,6 +515,78 @@ TEST(Repartition, SplitCompletesAfterCoordinatorMovesToSpare) {
                   ->is_coordinator())
       << "the spare did not take over ring 0";
   s.ExpectDone();
+}
+
+// A target is served the handoff of its own plan, never another one:
+// the source seals plan A and then plan B before A's target starts, so
+// the source's newest checkpoint is B's.
+TEST(Repartition, HandoffIsFetchedByPlanId) {
+  constexpr std::uint64_t kPlanA = 7;
+  constexpr std::uint64_t kPlanB = 9;
+  SimDeployment d(TwoRings());
+  const GroupId g0 = d.ring(0).group;
+  const GroupId g1 = d.ring(1).group;
+
+  sim::SimNode* source_node = nullptr;
+  auto* source = d.AddLearnerNode(
+      {0}, [&](sim::SimNode& node, std::vector<LearnerOptions> groups) {
+        source_node = &node;
+        smr::ReplicaConfig rc;
+        rc.partition = g0;
+        rc.partition_ring = groups[0];
+        return std::make_unique<smr::Replica>(rc);
+      });
+  smr::KvClientConfig cc;
+  cc.partitioning = smr::Partitioning(1, 1000);
+  cc.rings.push_back(d.ring(0));
+  cc.window = 4;
+  cc.query_ratio = 0;
+  cc.delete_ratio = 0;
+  auto& client_node = d.AddClient(std::make_unique<smr::KvClient>(cc), {0});
+
+  // Plan A moves [500, 749] and plan B [750, 999], sealed after the
+  // writes stop.
+  auto add_seal = [&](std::uint64_t plan, smr::Key lo, smr::Key hi,
+                      Duration at) {
+    RepartitionConfig pc;
+    pc.plan = ReconfigPlan::Split(plan, g0, g1, lo, hi, d.ring(1).ring);
+    pc.source_ring = d.ring(0);
+    pc.start_delay = at;
+    auto& node = d.net().AddNode();
+    node.BindProtocol(std::make_unique<RepartitionCoordinator>(pc));
+    d.net().Subscribe(node.self(), d.ring(0).control_channel);
+  };
+  add_seal(kPlanA, 500, 749, Millis(1200));
+  add_seal(kPlanB, 750, 999, Millis(1300));
+
+  d.Start();
+  d.RunFor(Seconds(1));
+  client_node.SetDown(true);
+  d.RunFor(Millis(100));
+  const auto moved_a = source->store().Query(500, 749);
+  ASSERT_GT(moved_a.size(), 100u);
+  d.RunFor(Millis(400));
+  ASSERT_EQ(source->seals(), 2u);
+
+  sim::SimNode* target_node = nullptr;
+  auto* target = d.AddLearnerNode(
+      {1}, [&](sim::SimNode& node, std::vector<LearnerOptions> groups) {
+        target_node = &node;
+        smr::ReplicaConfig rc;
+        rc.partition = g1;
+        rc.range = {500, 749};
+        rc.partition_ring = groups[0];
+        rc.handoff_plan = kPlanA;
+        rc.bootstrap_peers = {source_node->self()};
+        return std::make_unique<smr::Replica>(rc);
+      });
+  target_node->Start();
+  d.RunFor(Seconds(1));
+
+  EXPECT_TRUE(target->bootstrapped());
+  const auto installed = target->store().Query(0, ~0ULL);
+  EXPECT_EQ(installed.size(), moved_a.size());
+  EXPECT_TRUE(installed == moved_a) << "the target installed another plan";
 }
 
 // ------------------------------------- hot membership swap (tentpole c)

@@ -475,7 +475,7 @@ TEST(FileStorage, DrivesARealRecoverableRing) {
 }  // namespace
 }  // namespace mrp::runtime
 
-// ---- Codec coverage for catch-up, snapshot and classic Paxos ----
+// ---- Codec coverage for catch-up and classic Paxos ----
 namespace mrp::runtime {
 namespace {
 
@@ -484,16 +484,6 @@ TEST(Codec, TrimNoticeRoundtrip) {
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(out->low_watermark, 100u);
   EXPECT_EQ(out->high_watermark, 500u);
-}
-
-TEST(Codec, SnapshotRoundtrip) {
-  EXPECT_EQ(Roundtrip(smr::SnapshotReq{3})->partition, 3u);
-  smr::SnapshotRep rep{3, 42, {{1, "one"}, {2, "two"}}};
-  auto out = Roundtrip(rep);
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->applied, 42u);
-  ASSERT_EQ(out->rows.size(), 2u);
-  EXPECT_EQ(out->rows[1].second, "two");
 }
 
 TEST(Codec, ClassicPaxosRoundtrips) {

@@ -200,8 +200,8 @@ TEST(KvSemantics, UnbootstrappedPeerDoesNotServeSnapshots) {
         {0}, [&](sim::SimNode& node, std::vector<LearnerOptions> groups) {
           ReplicaConfig rc;
           rc.partition_ring = groups[0];
-          rc.bootstrap_from_peer = true;  // BOTH bootstrap: neither may serve
-          rc.peers = {node.self() + peer_offset};
+          // BOTH bootstrap: neither may serve
+          rc.bootstrap_peers = {node.self() + peer_offset};
           return std::make_unique<Replica>(rc);
         });
   };
@@ -210,7 +210,7 @@ TEST(KvSemantics, UnbootstrappedPeerDoesNotServeSnapshots) {
   d.Start();
   d.RunFor(Seconds(1));
   // Deadlock by design: neither bootstraps off the other. (A real
-  // deployment seeds at least one replica without the flag.)
+  // deployment seeds at least one replica without bootstrap peers.)
   EXPECT_FALSE(replica_a->bootstrapped());
   EXPECT_FALSE(replica_b->bootstrapped());
 }

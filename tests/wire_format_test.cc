@@ -49,8 +49,6 @@ const Pinned kPinned[] = {
     {"ring.DeliveryAck", 17, 0x3a6a49d5f7bafe42ull, 17, 0x3a6a49d5f7bafe42ull},
     {"smr.Response", 180, 0xa46e4e6e906174a9ull, 180, 0xa46e4e6e906174a9ull},
     {"ring.TrimNotice", 21, 0xbe2e0fc27ca04c3eull, 21, 0xbe2e0fc27ca04c3eull},
-    {"smr.SnapshotReq", 5, 0xc4216bb5edeeb9cfull, 5, 0xc4216bb5edeeb9cfull},
-    {"smr.SnapshotRep", 175, 0x31b81bb0ebd5759bull, 175, 0x31b81bb0ebd5759bull},
     {"recovery.SnapshotRequest", 17, 0x89d42fa478970c47ull, 17, 0x89d42fa478970c47ull},
     {"recovery.SnapshotChunk", 23, 0x02aad4e4a18060bdull, 23, 0x02aad4e4a18060bdull},
     {"recovery.SnapshotDone", 29, 0x8de311ecac230e19ull, 29, 0x8de311ecac230e19ull},

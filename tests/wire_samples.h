@@ -70,8 +70,6 @@ inline std::vector<MessagePtr> WireSamples(bool elide) {
       MakeMessage<rp::DeliveryAck>(2, 3, 88),
       MakeMessage<smr::Response>(4242, 1, true, Rows(), 3),
       MakeMessage<rp::TrimNotice>(2, 100, 900),
-      MakeMessage<smr::SnapshotReq>(1),
-      MakeMessage<smr::SnapshotRep>(1, 5000, Rows()),
       MakeMessage<recovery::SnapshotRequest>(17, 2, 8),
       MakeMessage<recovery::SnapshotChunk>(17, 2, 9, Bytes{1, 2, 3, 4, 5}),
       MakeMessage<recovery::SnapshotDone>(17, 9, 4096, 0xfeedface12345678ull),

@@ -348,7 +348,7 @@ int main(int argc, char** argv) {
       rc.respond = true;
       rc.sessions = true;
       rc.handoff_plan = kPlanId;
-      rc.handoff_peers = {source_nodes[0]->self(), source_nodes[1]->self()};
+      rc.bootstrap_peers = {source_nodes[0]->self(), source_nodes[1]->self()};
       target_node = &node;
       return std::make_unique<mrp::smr::Replica>(rc);
     });

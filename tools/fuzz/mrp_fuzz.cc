@@ -472,8 +472,8 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
             rc.respond = true;
             rc.sessions = true;
             rc.handoff_plan = kSplitPlanId;
-            rc.handoff_peers = {replica_nodes[0]->self(),
-                                replica_nodes[1]->self()};
+            rc.bootstrap_peers = {replica_nodes[0]->self(),
+                                  replica_nodes[1]->self()};
             const int idx = oracle.RegisterReplica("target", 1);
             rc.on_apply = [&oracle, idx](const smr::Command& cmd) {
               oracle.OnSmrApply(idx, cmd);
@@ -869,8 +869,6 @@ std::vector<Bytes> CodecCorpus() {
   add(LearnRep(0, {{5, 77, val}}));
   add(DeliveryAck(0, 1, 42));
   add(TrimNotice(0, 100, 200));
-  add(smr::SnapshotReq(0));
-  add(smr::SnapshotRep(0, 12, {{1, "one"}, {2, "two"}}));
   add(recovery::SnapshotRequest(0, 0, 16));
   add(recovery::SnapshotChunk(3, 1, 4, {0x01, 0x02, 0x03}));
   add(recovery::SnapshotDone(3, 4, 4096, 0xfeedfacecafebeefULL));
