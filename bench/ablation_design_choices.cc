@@ -35,17 +35,18 @@ void AblationBatchSize(Duration warm, Duration measure) {
     opts.lambda_per_sec = 0;
     opts.batch_bytes = batch;
     SimDeployment d(opts);
-    auto* learner = d.AddRingLearner(0, true);
+    auto* learner = AddAckingLearner(d, {0});
     AddClosedLoopClients(d, 0, 48, 8, 512);
     d.Start();
     d.RunFor(warm);
-    learner->delivered().TakeWindow();
-    learner->latency().Reset();
+    learner->stats(0).delivered.TakeWindow();
+    learner->stats(0).latency.Reset();
     const auto inst_before = d.coordinator(0)->decided_instances();
     d.RunFor(measure);
-    const auto w = learner->delivered().TakeWindow();
+    const auto w = learner->stats(0).delivered.TakeWindow();
     std::printf("%-10zu %12.1f %10.0f %12.2f %14.0f\n", batch, w.Mbps(measure),
-                w.MsgPerSec(measure), Summarize(learner->latency()).trimmed_mean_ms,
+                w.MsgPerSec(measure),
+                Summarize(learner->stats(0).latency).trimmed_mean_ms,
                 static_cast<double>(d.coordinator(0)->decided_instances() - inst_before) /
                     ToSeconds(measure));
   }
@@ -101,14 +102,14 @@ void AblationRingSize(Duration warm, Duration measure) {
       opts.lambda_per_sec = 0;
       opts.ring_size = size;
       SimDeployment d(opts);
-      auto* learner = d.AddRingLearner(0, true);
+      auto* learner = AddAckingLearner(d, {0});
       AddClosedLoopClients(d, 0, 2, 1, 8 * 1024);
       d.Start();
       d.RunFor(warm);
-      learner->latency().Reset();
+      learner->stats(0).latency.Reset();
       d.coordinator(0)->decide_latency().Reset();
       d.RunFor(measure);
-      light_lat = Summarize(learner->latency()).trimmed_mean_ms;
+      light_lat = Summarize(learner->stats(0).latency).trimmed_mean_ms;
       decide_lat = Summarize(d.coordinator(0)->decide_latency()).trimmed_mean_ms;
     }
     {
@@ -116,13 +117,13 @@ void AblationRingSize(Duration warm, Duration measure) {
       opts.lambda_per_sec = 0;
       opts.ring_size = size;
       SimDeployment d(opts);
-      auto* learner = d.AddRingLearner(0, true);
+      auto* learner = AddAckingLearner(d, {0});
       AddClosedLoopClients(d, 0, 48, 2, 8 * 1024);
       d.Start();
       d.RunFor(warm);
-      learner->delivered().TakeWindow();
+      learner->stats(0).delivered.TakeWindow();
       d.RunFor(measure);
-      max_tput = learner->delivered().TakeWindow().Mbps(measure);
+      max_tput = learner->stats(0).delivered.TakeWindow().Mbps(measure);
     }
     std::printf("%-10d %18.2f %18.2f %16.1f\n", size, light_lat, decide_lat,
                 max_tput);
@@ -197,17 +198,19 @@ void AblationMulticast(Duration warm, Duration measure) {
         rc.ring_members.push_back(node.self());
         acceptors.push_back(&node);
       }
-      std::vector<ringpaxos::RingLearner*> learner_protos;
+      std::vector<multiring::MergeLearner*> learner_protos;
       std::vector<NodeId> learner_ids;
       for (int l = 0; l < learners; ++l) {
         auto& node = net.AddNode();
         learner_ids.push_back(node.self());
         net.Subscribe(node.self(), rc.data_channel);
         net.Subscribe(node.self(), rc.control_channel);
-        ringpaxos::RingLearner::Options lo;
-        lo.learner.ring = rc;
-        lo.send_delivery_acks = (l == 0);
-        auto proto = std::make_unique<ringpaxos::RingLearner>(std::move(lo));
+        multiring::MergeLearner::Options mo;
+        ringpaxos::LearnerOptions lo;
+        lo.ring = rc;
+        mo.groups.push_back(std::move(lo));
+        mo.send_delivery_acks = (l == 0);
+        auto proto = std::make_unique<multiring::MergeLearner>(std::move(mo));
         learner_protos.push_back(proto.get());
         node.BindProtocol(std::move(proto));
       }
@@ -235,10 +238,10 @@ void AblationMulticast(Duration warm, Duration measure) {
       }
       net.StartAll();
       net.RunFor(warm);
-      learner_protos[0]->delivered().TakeWindow();
+      learner_protos[0]->stats(0).delivered.TakeWindow();
       acceptors[0]->TakeCpuUtilisation();
       net.RunFor(measure);
-      const auto w = learner_protos[0]->delivered().TakeWindow();
+      const auto w = learner_protos[0]->stats(0).delivered.TakeWindow();
       std::printf("%-10s %10d %14.1f %14.1f\n", unicast ? "unicast" : "multicast",
                   learners, w.Mbps(measure),
                   acceptors[0]->TakeCpuUtilisation() * 100);

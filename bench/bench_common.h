@@ -20,6 +20,15 @@
 
 namespace mrp::bench {
 
+// Learner of the given rings that acknowledges its deliveries (the
+// proposers' flow control). On one ring it is a single-ring learner.
+inline multiring::MergeLearner* AddAckingLearner(
+    multiring::SimDeployment& d, const std::vector<int>& rings) {
+  multiring::MergeLearner::Options mo;
+  mo.send_delivery_acks = true;
+  return d.AddMergeLearner(rings, std::move(mo));
+}
+
 inline bool QuickMode(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) return true;

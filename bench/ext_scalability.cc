@@ -32,18 +32,20 @@ void ScalingSweep(bool quick) {
     opts.n_rings = rings;
     opts.lambda_per_sec = 9000;
     SimDeployment d(opts);
-    std::vector<ringpaxos::RingLearner*> learners;
+    std::vector<multiring::MergeLearner*> learners;
     for (int r = 0; r < rings; ++r) {
-      learners.push_back(d.AddRingLearner(r, true));
+      learners.push_back(AddAckingLearner(d, {r}));
       AddClosedLoopClients(d, r, 48, 2, 8 * 1024);
     }
     d.Start();
     d.RunFor(warm);
-    for (auto* l : learners) l->delivered().TakeWindow();
+    for (auto* l : learners) l->stats(0).delivered.TakeWindow();
     for (int r = 0; r < rings; ++r) d.coordinator_node(r)->TakeCpuUtilisation();
     d.RunFor(measure);
     double gbps = 0;
-    for (auto* l : learners) gbps += l->delivered().TakeWindow().Mbps(measure) / 1000;
+    for (auto* l : learners) {
+      gbps += l->stats(0).delivered.TakeWindow().Mbps(measure) / 1000;
+    }
     double cpu = 0;
     for (int r = 0; r < rings; ++r) {
       cpu = std::max(cpu, d.coordinator_node(r)->TakeCpuUtilisation());
@@ -156,17 +158,19 @@ void MenciusComparison(bool quick) {
       opts.n_rings = partitions;
       opts.lambda_per_sec = 9000;
       SimDeployment d(opts);
-      std::vector<ringpaxos::RingLearner*> learners;
+      std::vector<multiring::MergeLearner*> learners;
       for (int r = 0; r < partitions; ++r) {
-        learners.push_back(d.AddRingLearner(r, true));
+        learners.push_back(AddAckingLearner(d, {r}));
         AddClosedLoopClients(d, r, 48, 2, 8 * 1024);
       }
       d.Start();
       d.RunFor(warm);
-      for (auto* l : learners) l->delivered().TakeWindow();
+      for (auto* l : learners) l->stats(0).delivered.TakeWindow();
       d.RunFor(measure);
       double mbps = 0;
-      for (auto* l : learners) mbps += l->delivered().TakeWindow().Mbps(measure);
+      for (auto* l : learners) {
+        mbps += l->stats(0).delivered.TakeWindow().Mbps(measure);
+      }
       std::printf("%-12s %12d %14.1f\n", "M-RP", partitions, mbps);
     }
   }

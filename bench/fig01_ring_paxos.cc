@@ -21,22 +21,22 @@ Measurement RunPoint(bool disk, int clients, Duration warm, Duration measure) {
   opts.lambda_per_sec = 0;  // plain Ring Paxos
   opts.disk = disk;
   SimDeployment d(opts);
-  auto* learner = d.AddRingLearner(0, /*acks=*/true);
+  auto* learner = AddAckingLearner(d, {0});
   AddClosedLoopClients(d, 0, clients, /*window=*/2, /*payload=*/8 * 1024);
   d.Start();
 
   d.RunFor(warm);
-  learner->delivered().TakeWindow();
-  learner->latency().Reset();
+  learner->stats(0).delivered.TakeWindow();
+  learner->stats(0).latency.Reset();
   d.coordinator_node(0)->TakeCpuUtilisation();
   d.acceptor_node(0, 1)->TakeCpuUtilisation();
 
   d.RunFor(measure);
-  const auto w = learner->delivered().TakeWindow();
+  const auto w = learner->stats(0).delivered.TakeWindow();
   Measurement m;
   m.mbps = w.Mbps(measure);
   m.msg_per_s = w.MsgPerSec(measure);
-  m.latency_ms = Summarize(learner->latency()).trimmed_mean_ms;
+  m.latency_ms = Summarize(learner->stats(0).latency).trimmed_mean_ms;
   m.max_cpu = std::max(d.coordinator_node(0)->TakeCpuUtilisation(),
                        d.acceptor_node(0, 1)->TakeCpuUtilisation());
   return m;

@@ -16,7 +16,7 @@ using namespace mrp;         // NOLINT
 using namespace mrp::bench;  // NOLINT
 using multiring::DeploymentOptions;
 using multiring::SimDeployment;
-using ringpaxos::RingLearner;
+using multiring::MergeLearner;
 
 struct Result {
   double total_mbps = 0;
@@ -34,7 +34,7 @@ Result RunPartitions(int partitions, Duration warm, Duration measure) {
   // (dummy service: delivered messages of its own partition are simply
   // counted).
   struct PartitionLearner {
-    RingLearner* learner = nullptr;
+    MergeLearner* learner = nullptr;
     std::uint64_t my_bytes = 0;
     std::uint64_t my_msgs = 0;
   };
@@ -42,18 +42,18 @@ Result RunPartitions(int partitions, Duration warm, Duration measure) {
   for (int p = 0; p < partitions; ++p) {
     auto pl = std::make_unique<PartitionLearner>();
     auto* raw = pl.get();
-    RingLearner::Options lo;
+    MergeLearner::Options lo;
     lo.send_delivery_acks = (p == 0);  // one acker is enough for flow control
     // Requests are evenly spread: proposer c belongs to partition
     // c % partitions. The learner discards foreign-partition messages
     // (they still consumed its bandwidth and CPU — the paper's point).
-    lo.on_deliver = [raw, p, partitions](const paxos::ClientMsg& m) {
+    lo.on_deliver = [raw, p, partitions](GroupId, const paxos::ClientMsg& m) {
       if (static_cast<int>(m.proposer) % partitions == p) {
         raw->my_bytes += m.payload_size;
         ++raw->my_msgs;
       }
     };
-    raw->learner = d.AddRingLearner(0, std::move(lo));
+    raw->learner = d.AddMergeLearner({0}, std::move(lo));
     parts.push_back(std::move(pl));
   }
 
@@ -67,7 +67,7 @@ Result RunPartitions(int partitions, Duration warm, Duration measure) {
   for (auto& pl : parts) {
     pl->my_bytes = 0;
     pl->my_msgs = 0;
-    pl->learner->latency().Reset();
+    pl->learner->stats(0).latency.Reset();
   }
   d.RunFor(measure);
 
@@ -76,7 +76,7 @@ Result RunPartitions(int partitions, Duration warm, Duration measure) {
   for (auto& pl : parts) total_bytes += pl->my_bytes;
   r.total_mbps = static_cast<double>(total_bytes) * 8 / ToSeconds(measure) / 1e6;
   r.per_partition_mbps = r.total_mbps / partitions;
-  r.latency_ms = Summarize(parts[0]->learner->latency()).trimmed_mean_ms;
+  r.latency_ms = Summarize(parts[0]->learner->stats(0).latency).trimmed_mean_ms;
   return r;
 }
 

@@ -48,16 +48,16 @@ Measurement RunMultiRing(int partitions, bool disk, int clients_per_ring,
   opts.lambda_per_sec = 9000;
   opts.delta = Millis(1);
   SimDeployment d(opts);
-  std::vector<ringpaxos::RingLearner*> learners;
+  std::vector<multiring::MergeLearner*> learners;
   for (int r = 0; r < partitions; ++r) {
-    learners.push_back(d.AddRingLearner(r, /*acks=*/true));
+    learners.push_back(AddAckingLearner(d, {r}));
     AddClosedLoopClients(d, r, clients_per_ring, 2, 8 * 1024);
   }
   d.Start();
   d.RunFor(warm);
   for (auto* l : learners) {
-    l->delivered().TakeWindow();
-    l->latency().Reset();
+    l->stats(0).delivered.TakeWindow();
+    l->stats(0).latency.Reset();
   }
   for (int r = 0; r < partitions; ++r) d.coordinator_node(r)->TakeCpuUtilisation();
   d.RunFor(measure);
@@ -65,10 +65,10 @@ Measurement RunMultiRing(int partitions, bool disk, int clients_per_ring,
   Measurement m;
   Histogram lat;
   for (auto* l : learners) {
-    const auto w = l->delivered().TakeWindow();
+    const auto w = l->stats(0).delivered.TakeWindow();
     m.mbps += w.Mbps(measure);
     m.msg_per_s += w.MsgPerSec(measure);
-    lat.Merge(l->latency());
+    lat.Merge(l->stats(0).latency);
   }
   m.latency_ms = Summarize(lat).trimmed_mean_ms;
   for (int r = 0; r < partitions; ++r) {
@@ -83,19 +83,19 @@ Measurement RunSingleRing(int /*partitions*/, Duration warm, Duration measure) {
   DeploymentOptions opts;
   opts.lambda_per_sec = 0;
   SimDeployment d(opts);
-  auto* learner = d.AddRingLearner(0, /*acks=*/true);
+  auto* learner = AddAckingLearner(d, {0});
   AddClosedLoopClients(d, 0, 48, 2, 8 * 1024);
   d.Start();
   d.RunFor(warm);
-  learner->delivered().TakeWindow();
-  learner->latency().Reset();
+  learner->stats(0).delivered.TakeWindow();
+  learner->stats(0).latency.Reset();
   d.coordinator_node(0)->TakeCpuUtilisation();
   d.RunFor(measure);
   Measurement m;
-  const auto w = learner->delivered().TakeWindow();
+  const auto w = learner->stats(0).delivered.TakeWindow();
   m.mbps = w.Mbps(measure);
   m.msg_per_s = w.MsgPerSec(measure);
-  m.latency_ms = Summarize(learner->latency()).trimmed_mean_ms;
+  m.latency_ms = Summarize(learner->stats(0).latency).trimmed_mean_ms;
   m.max_cpu = d.coordinator_node(0)->TakeCpuUtilisation();
   return m;
 }

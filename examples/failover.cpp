@@ -8,16 +8,15 @@
 #include <cstdio>
 
 #include "multiring/sim_deployment.h"
-#include "ringpaxos/learner.h"
 #include "ringpaxos/proposer.h"
 
 using namespace mrp;  // NOLINT
 
 namespace {
 
-void Report(multiring::SimDeployment& d, ringpaxos::RingLearner* learner,
+void Report(multiring::SimDeployment& d, multiring::MergeLearner* learner,
             const char* phase) {
-  const auto w = learner->delivered().TakeWindow();
+  const auto w = learner->stats(0).delivered.TakeWindow();
   const char* coord = "none";
   static const char* names[] = {"A0", "A1", "SPARE"};
   for (int i = 0; i < 3; ++i) {
@@ -26,7 +25,8 @@ void Report(multiring::SimDeployment& d, ringpaxos::RingLearner* learner,
   }
   std::printf("%-28s tput=%7.1f Mbps  delivered=%6llu  coordinator=%s\n", phase,
               w.Mbps(Seconds(1)),
-              static_cast<unsigned long long>(learner->delivered_msgs()), coord);
+              static_cast<unsigned long long>(learner->total_delivered()),
+              coord);
 }
 
 }  // namespace
@@ -39,7 +39,9 @@ int main() {
   opts.suspect_after = Millis(100);
   multiring::SimDeployment d(opts);
 
-  auto* learner = d.AddRingLearner(0, /*acks=*/true);
+  multiring::MergeLearner::Options lo;
+  lo.send_delivery_acks = true;
+  auto* learner = d.AddMergeLearner({0}, std::move(lo));
   ringpaxos::ProposerConfig pc;
   pc.max_outstanding = 8;
   pc.payload_size = 8 * 1024;

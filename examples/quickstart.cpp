@@ -4,14 +4,14 @@
 //
 //   RingConfig       - describes a ring (members, channels, parameters)
 //   SimDeployment    - wires rings/learners/proposers onto the simulator
-//   RingLearner      - delivers the decided messages in total order
+//   MergeLearner     - delivers the decided messages in total order (on
+//                      one ring it is a single-ring learner)
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 #include <memory>
 
 #include "multiring/sim_deployment.h"
-#include "ringpaxos/learner.h"
 #include "ringpaxos/proposer.h"
 
 using namespace mrp;  // NOLINT
@@ -29,14 +29,14 @@ int main() {
   // Two learners, each printing what it delivers: atomic broadcast
   // guarantees they print the identical sequence.
   for (int l = 0; l < 2; ++l) {
-    ringpaxos::RingLearner::Options lo;
+    multiring::MergeLearner::Options lo;
     lo.send_delivery_acks = (l == 0);
-    lo.on_deliver = [l](const paxos::ClientMsg& m) {
+    lo.on_deliver = [l](GroupId, const paxos::ClientMsg& m) {
       std::printf("  learner %d delivered: proposer=%u seq=%llu (%u bytes)\n", l,
                   m.proposer, static_cast<unsigned long long>(m.seq),
                   m.payload_size);
     };
-    d.AddRingLearner(0, std::move(lo));
+    d.AddMergeLearner({0}, std::move(lo));
   }
 
   // A closed-loop client broadcasting 1 kB messages, at most 2 in flight.

@@ -26,6 +26,12 @@
 #                                 bench/perf_suite compared against the
 #                                 committed BENCH_core.json baseline
 #                                 (PERF_THRESHOLD, default 0.35)
+#   scripts/check.sh --figures    Release build of the 13 figure and
+#                                 ablation benches, each run in full mode
+#                                 and byte-compared with results/<name>.txt
+#                                 (EXPERIMENTS.md); names every file that
+#                                 differs. Not a CI gate: float output
+#                                 across compilers/libm is unverified
 # Each mode uses its own build directory so they never poison each other.
 set -euo pipefail
 
@@ -42,9 +48,10 @@ case "${1:-}" in
   --format) mode=format ;;
   --fuzz) mode=fuzz ;;
   --perf) mode=perf ;;
+  --figures) mode=figures ;;
   "") ;;
   *)
-    echo "usage: $0 [--sanitize|--tsan|--coverage|--mc|--werror|--lint|--format|--fuzz|--perf]" >&2
+    echo "usage: $0 [--sanitize|--tsan|--coverage|--mc|--werror|--lint|--format|--fuzz|--perf|--figures]" >&2
     exit 2
     ;;
 esac
@@ -173,6 +180,33 @@ case "$mode" in
     python3 tools/perf/compare.py --baseline BENCH_core.json \
       --candidate build/BENCH_core.candidate.json \
       --threshold "${PERF_THRESHOLD:-0.35}"
+    ;;
+  figures)
+    figures=(fig01_ring_paxos fig02_partitioned_single_ring fig05_scalability
+             fig06_subscribe_all fig07_delta fig08_m fig09_lambda_equal
+             fig10_lambda_skewed fig11_lambda_oscillating
+             fig12_coordinator_failure ablation_design_choices geo_latency
+             ext_scalability)
+    cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+    cmake --build build-release -j "$jobs" --target "${figures[@]}"
+    out=build-release/figures
+    mkdir -p "$out"
+    differ=()
+    for f in "${figures[@]}"; do
+      # Full mode: the committed results are full-mode runs.
+      env -u MRP_BENCH_QUICK -u MRP_TRACE -u MRP_METRICS \
+        "./build-release/bench/$f" > "$out/$f.txt"
+      if cmp -s "$out/$f.txt" "results/$f.txt"; then
+        echo "check.sh: $f matches results/$f.txt"
+      else
+        echo "check.sh: $f DIFFERS from results/$f.txt ($out/$f.txt)"
+        differ+=("results/$f.txt")
+      fi
+    done
+    if [ "${#differ[@]}" -ne 0 ]; then
+      echo "check.sh: figures differ: ${differ[*]}" >&2
+      exit 1
+    fi
     ;;
 esac
 

@@ -1,7 +1,7 @@
 // Protocol invariant oracles (docs/CHECKING.md). An OracleSuite is wired
 // into a deployment through the optional taps the protocol roles expose
-// (ProposerConfig::on_submit, RingLearner/MergeLearner Options::on_decide
-// and ::on_deliver, ReplicaConfig::on_apply) and continuously asserts the
+// (ProposerConfig::on_submit, MergeLearner Options::on_decide and
+// ::on_deliver, ReplicaConfig::on_apply) and continuously asserts the
 // paper's safety claims while a chaos-fuzz run executes:
 //
 //  * agreement      — no two learners decide different values for one

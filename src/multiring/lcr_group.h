@@ -16,11 +16,11 @@
 #include <utility>
 
 #include "baselines/lcr.h"
-#include "multiring/group_source.h"
+#include "paxos/group_source.h"
 
 namespace mrp::multiring {
 
-class LcrGroupSource final : public GroupSource {
+class LcrGroupSource final : public paxos::GroupSource {
  public:
   explicit LcrGroupSource(baselines::LcrConfig cfg)
       : group_(cfg.group),

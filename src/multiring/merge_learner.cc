@@ -10,9 +10,9 @@ namespace mrp::multiring {
 using ringpaxos::DeliveryAck;
 
 MergeLearner::MergeLearner(Options opts) : opts_(std::move(opts)) {
-  std::vector<std::unique_ptr<GroupSource>> sources;
+  std::vector<std::unique_ptr<paxos::GroupSource>> sources;
   for (auto& g : opts_.groups) {
-    sources.push_back(std::make_unique<RingGroupSource>(g));
+    sources.push_back(std::make_unique<ringpaxos::LearnerCore>(g));
   }
   for (auto& s : opts_.sources) sources.push_back(std::move(s));
   opts_.sources.clear();
@@ -86,17 +86,12 @@ void MergeLearner::ArmTick(Env& env) {
 }
 
 void MergeLearner::OnMessage(Env& env, NodeId from, const MessagePtr& m) {
-  bool consumed = false;
   for (std::size_t i = 0; i < groups_.size(); ++i) {
     if (groups_[i]->source->OnMessage(env, from, m)) {
       stats_[i]->received.Add(1, m->WireSize());
-      consumed = true;
-      break;  // sources consume disjoint message streams
+      PumpMerge(env);
+      return;  // sources consume disjoint message streams
     }
-  }
-  if (consumed) {
-    received_.Add(1, m->WireSize());
-    PumpMerge(env);
   }
 }
 
@@ -197,7 +192,7 @@ void MergeLearner::DeliverMsg(Env& env, std::size_t idx,
   }
 }
 
-void MergeLearner::QueueSubscribe(std::unique_ptr<GroupSource> source,
+void MergeLearner::QueueSubscribe(std::unique_ptr<paxos::GroupSource> source,
                                   std::uint32_t quota) {
   pending_subscribes_.emplace_back(std::move(source), quota);
 }

@@ -1,6 +1,8 @@
-// Multi-Ring Paxos learner (Algorithm 1, Task 4). Subscribes to one or
-// more groups — each ordered by its own protocol instance (a Ring Paxos
-// ring by default, or any GroupSource, realizing the paper's Section VII
+// Multi-Ring Paxos learner (Algorithm 1, Task 4), and the only learner
+// protocol: a single-ring learner is a MergeLearner of one ring, for
+// which the merge is the identity. Subscribes to one or more groups —
+// each ordered by its own protocol instance (a Ring Paxos ring by
+// default, or any paxos::GroupSource, realizing the paper's Section VII
 // conjecture) — and deterministically merges the per-group decision
 // streams: groups are visited in ascending group-id order, consuming M
 // consensus instances per group per turn and buffering decisions that
@@ -26,55 +28,23 @@
 #include "common/fingerprint.h"
 #include "common/stats.h"
 #include "common/types.h"
-#include "multiring/group_source.h"
+#include "paxos/group_source.h"
 #include "paxos/value.h"
 #include "ringpaxos/learner.h"
 #include "ringpaxos/messages.h"
 
 namespace mrp::multiring {
 
-// GroupSource adapter over the Ring Paxos learner core.
-class RingGroupSource final : public GroupSource {
- public:
-  explicit RingGroupSource(ringpaxos::LearnerOptions opts)
-      : opts_(std::move(opts)), core_(opts_) {}
-
-  bool OnMessage(Env& env, NodeId /*from*/, const MessagePtr& m) override {
-    return core_.OnRingMessage(env, m);
-  }
-  bool HasReady() const override { return core_.HasReady(); }
-  std::optional<Ready> Pop() override {
-    auto r = core_.Pop();
-    if (!r) return std::nullopt;
-    return Ready{r->instance, std::move(r->value)};
-  }
-  std::size_t buffered_msgs() const override { return core_.buffered_msgs(); }
-  void Tick(Env& env) override { core_.Tick(env); }
-  GroupId group() const override { return opts_.ring.group; }
-  const std::vector<GroupId>& subscribe_only() const override {
-    return opts_.subscribe_only;
-  }
-  RingId ack_ring() const override { return opts_.ring.ring; }
-  InstanceId next_instance() const override { return core_.next_instance(); }
-  void StartAt(InstanceId at) override { core_.StartAt(at); }
-  std::uint64_t Fingerprint() const override { return core_.Fingerprint(); }
-  const ringpaxos::LearnerCore& core() const { return core_; }
-
- private:
-  ringpaxos::LearnerOptions opts_;
-  ringpaxos::LearnerCore core_;
-};
-
 class MergeLearner final : public Protocol {
  public:
   using DeliverFn = std::function<void(GroupId, const paxos::ClientMsg&)>;
 
   struct Options {
-    // Ring-Paxos-backed groups (the common case); converted to
-    // RingGroupSources on construction.
+    // Ring-Paxos-backed groups (the common case); each becomes a
+    // ringpaxos::LearnerCore on construction.
     std::vector<ringpaxos::LearnerOptions> groups;
-    // Additional custom sources (e.g. PaxosGroupSource).
-    std::vector<std::unique_ptr<GroupSource>> sources;
+    // Additional custom sources (e.g. paxos::PaxosGroupSource).
+    std::vector<std::unique_ptr<paxos::GroupSource>> sources;
     // M: consensus instances consumed per group per round-robin turn.
     std::uint32_t m = 1;
     // Per-group merge quotas M_g (Stretching M-RP's rate-proportional
@@ -94,6 +64,8 @@ class MergeLearner final : public Protocol {
     // Merge order is preserved (release times are clamped monotone).
     // 0 = deliver immediately (the paper's behaviour).
     Duration latency_compensation{0};
+    // The one learner cadence: every tick runs each source's Tick (gap
+    // recovery) and then the merge.
     Duration tick_interval = Millis(10);
     DeliverFn on_deliver;  // optional
     // Oracle tap (src/check): fired for every instance consumed by the
@@ -136,9 +108,10 @@ class MergeLearner final : public Protocol {
   std::size_t group_buffered(std::size_t idx) const {
     return groups_[idx]->source->buffered_msgs();
   }
-  GroupSource* group_source(std::size_t idx) { return groups_[idx]->source.get(); }
+  paxos::GroupSource* group_source(std::size_t idx) {
+    return groups_[idx]->source.get();
+  }
   bool halted() const { return halted_; }
-  RateMeter& received() { return received_; }
   // Effective merge quota of the group at merge position `idx`.
   std::uint32_t quota(std::size_t idx) const { return quota_[idx]; }
   // Messages currently held back by latency compensation.
@@ -152,7 +125,7 @@ class MergeLearner final : public Protocol {
   // from a snapshot cut) before queueing; quota 0 means the uniform
   // `m`. Duplicate subscribes and unknown unsubscribes are dropped when
   // applied.
-  void QueueSubscribe(std::unique_ptr<GroupSource> source,
+  void QueueSubscribe(std::unique_ptr<paxos::GroupSource> source,
                       std::uint32_t quota = 0);
   void QueueUnsubscribe(GroupId group);
   std::uint64_t subscription_changes() const { return subscription_changes_; }
@@ -207,8 +180,9 @@ class MergeLearner final : public Protocol {
 
  private:
   struct GroupState {
-    explicit GroupState(std::unique_ptr<GroupSource> s) : source(std::move(s)) {}
-    std::unique_ptr<GroupSource> source;
+    explicit GroupState(std::unique_ptr<paxos::GroupSource> s)
+        : source(std::move(s)) {}
+    std::unique_ptr<paxos::GroupSource> source;
     // Remaining logical instances of a popped skip value still to be
     // consumed by merge turns.
     std::uint64_t pending_skip = 0;
@@ -233,11 +207,10 @@ class MergeLearner final : public Protocol {
   std::uint32_t consumed_ = 0;    // instances consumed in the current turn
   bool halted_ = false;
   std::uint64_t total_delivered_ = 0;
-  RateMeter received_;  // every consumed message (ingress accounting)
 
   // Dynamic-subscription state: queued changes waiting for the next
   // turn boundary, and how many have activated so far.
-  std::vector<std::pair<std::unique_ptr<GroupSource>, std::uint32_t>>
+  std::vector<std::pair<std::unique_ptr<paxos::GroupSource>, std::uint32_t>>
       pending_subscribes_;
   std::vector<GroupId> pending_unsubscribes_;
   std::uint64_t subscription_changes_ = 0;

@@ -1,7 +1,7 @@
 // SimDeployment: instantiates a DeploymentSpec on the discrete-event
 // simulator — rings (acceptor universes with in-memory or simulated-disk
-// storage), then merge/single-group learners, workload proposers and
-// other client nodes by ring index — and wires multicast subscriptions.
+// storage), then merge learners, workload proposers and other client
+// nodes by ring index — and wires multicast subscriptions.
 // Shared by the tests and every benchmark so topologies are declared,
 // not hand-assembled.
 #pragma once
@@ -17,7 +17,6 @@
 #include "multiring/deployment_spec.h"
 #include "multiring/merge_learner.h"
 #include "ringpaxos/config.h"
-#include "ringpaxos/learner.h"
 #include "ringpaxos/proposer.h"
 #include "ringpaxos/ring_node.h"
 #include "sim/disk_storage.h"
@@ -81,8 +80,8 @@ class SimDeployment {
   // Learner node in `site` for the given rings (by ring index):
   // `make(node, groups)` returns the protocol, built from one
   // LearnerOptions per ring, and the node joins each ring's data and
-  // control channels. Merge and ring learners, replicas, recoverable
-  // learners and test probes all come through here. Returns the protocol.
+  // control channels. Merge learners, replicas, recoverable learners and
+  // test probes all come through here. Returns the protocol.
   template <typename Make>
   auto* AddLearnerNode(const std::vector<int>& ring_indices, Make&& make,
                        sim::SiteId site = 0) {
@@ -112,25 +111,6 @@ class SimDeployment {
   }
 
   sim::SimNode* learner_node(std::size_t i) { return learner_nodes_[i]; }
-
-  // Single-group learner on ring `idx`, placed in the ring's site;
-  // `opts.learner` is filled here.
-  ringpaxos::RingLearner* AddRingLearner(int idx,
-                                         ringpaxos::RingLearner::Options opts) {
-    return AddLearnerNode(
-        {idx},
-        [&opts](sim::SimNode&, auto groups) {
-          opts.learner = std::move(groups[0]);
-          return std::make_unique<ringpaxos::RingLearner>(std::move(opts));
-        },
-        ring_site(idx));
-  }
-  ringpaxos::RingLearner* AddRingLearner(int idx,
-                                         bool send_delivery_acks = false) {
-    ringpaxos::RingLearner::Options opts;
-    opts.send_delivery_acks = send_delivery_acks;
-    return AddRingLearner(idx, std::move(opts));
-  }
 
   // Client node running `protocol`: infinite CPU (clients are never the
   // bottleneck), placed in `site`, and subscribed to the control channel

@@ -68,8 +68,8 @@ struct DecisionMsg final : MessageBase {
 
   InstanceId instance;
   Value value;
-  // Group ordered by this Paxos instance (tags the decision stream when
-  // plain Paxos backs a Multi-Ring group; see multiring/paxos_group.h).
+  // Group ordered by this Paxos instance (tags the decision stream; the
+  // learner, PaxosGroupSource in paxos/roles.h, keeps only its group's).
   GroupId group;
 
   DecisionMsg(InstanceId i, Value v, GroupId g = 0)

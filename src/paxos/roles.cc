@@ -1,8 +1,8 @@
 #include "paxos/roles.h"
 
-#include <utility>
-
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/trace.h"
@@ -239,48 +239,33 @@ void PaxosProposer::OnMessage(Env& env, NodeId from, const MessagePtr& m) {
   }
 }
 
-// -------------------------------------------------------------- Learner
+// ------------------------------------------------------------- Learner
 
-void PaxosLearner::OnStart(Env& env) {
-  MetricsRegistry& reg = env.metrics();
-  ctr_decisions_ = &reg.counter("paxos.learner.decisions_rx");
-  ctr_delivered_ = &reg.counter("paxos.learner.delivered");
-  ctr_recoveries_ = &reg.counter("paxos.learner.recovery_reqs");
-  if (!proposers_.empty()) {
-    env.SetTimer(recovery_interval_, [this, &env] { CheckGaps(env); });
+bool PaxosGroupSource::OnMessage(Env& /*env*/, NodeId /*from*/,
+                                 const MessagePtr& m) {
+  const auto* dec = Cast<DecisionMsg>(m);
+  if (dec == nullptr || dec->group != opts_.group) return false;
+  if (window_.Insert(dec->instance, dec->value)) {
+    buffered_ += dec->value.msgs.size();
   }
+  return true;
 }
 
-void PaxosLearner::Drain(Env& env) {
-  (void)env;
-  while (window_.Peek() != nullptr) {
-    const InstanceId instance = window_.next();
-    Value value = window_.Pop();
-    if (ctr_delivered_) ctr_delivered_->Inc();
-    if (deliver_) deliver_(instance, value);
-  }
+std::optional<GroupSource::Ready> PaxosGroupSource::Pop() {
+  if (window_.Peek() == nullptr) return std::nullopt;
+  const InstanceId instance = window_.next();
+  Value value = window_.Pop();
+  buffered_ -= std::min(buffered_, value.msgs.size());
+  return Ready{instance, std::move(value)};
 }
 
-void PaxosLearner::CheckGaps(Env& env) {
-  // If the window base has not moved since the previous check and
-  // something is buffered behind a gap (or decisions simply stopped
-  // arriving), ask a proposer to retransmit.
-  if (window_.next() == stuck_at_ && window_.buffered() > 0) {
-    if (ctr_recoveries_) ctr_recoveries_->Inc();
-    const NodeId target =
-        proposers_[static_cast<std::size_t>(env.rng().below(proposers_.size()))];
-    env.Send(target, MakeMessage<LearnReq>(window_.next()));
-  }
-  stuck_at_ = window_.next();
-  env.SetTimer(recovery_interval_, [this, &env] { CheckGaps(env); });
-}
-
-void PaxosLearner::OnMessage(Env& env, NodeId /*from*/, const MessagePtr& m) {
-  const auto* decision = Cast<DecisionMsg>(m);
-  if (decision == nullptr) return;
-  if (ctr_decisions_) ctr_decisions_->Inc();
-  window_.Insert(decision->instance, decision->value);
-  Drain(env);
+void PaxosGroupSource::Tick(Env& env) {
+  const bool stuck = window_.next() == last_next_ && window_.buffered() > 0;
+  last_next_ = window_.next();
+  if (!stuck || opts_.proposers.empty()) return;
+  const NodeId target = opts_.proposers[static_cast<std::size_t>(
+      env.rng().below(opts_.proposers.size()))];
+  env.Send(target, MakeMessage<LearnReq>(window_.next()));
 }
 
 }  // namespace mrp::paxos

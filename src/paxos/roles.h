@@ -22,6 +22,7 @@
 #include "common/instance_window.h"
 #include "common/types.h"
 #include "paxos/acceptor_core.h"
+#include "paxos/group_source.h"
 #include "paxos/messages.h"
 #include "paxos/storage.h"
 #include "paxos/value.h"
@@ -164,24 +165,40 @@ class PaxosProposer final : public Protocol {
   Counter* ctr_preempted_ = nullptr;
 };
 
-class PaxosLearner final : public Protocol {
+// The classic-Paxos learner: orders one Multi-Ring group from the
+// proposers' decision multicasts (the paper's Section VII conjecture:
+// any atomic broadcast protocol can order a group). It is a GroupSource,
+// so a MergeLearner hosts it — alone for a single-group learner, or
+// next to Ring Paxos rings. Proposers stamp decisions with the group id
+// and pad the consensus rate with skip instances exactly like a Ring
+// Paxos coordinator, so the deterministic merge works unchanged.
+//
+// Unlike Ring Paxos, plain Paxos instance ids stay dense (a skip is one
+// instance whose value spans many logical instances), so no window
+// skipping is needed here.
+class PaxosGroupSource final : public GroupSource {
  public:
-  using DeliverFn = std::function<void(InstanceId, const Value&)>;
+  struct Options {
+    GroupId group = 0;
+    // Proposers queried for lost decisions; empty disables recovery.
+    std::vector<NodeId> proposers;
+  };
 
-  // `proposers` are queried for lost decisions; empty disables recovery.
-  PaxosLearner(DeliverFn deliver, std::vector<NodeId> proposers = {},
-               Duration recovery_interval = Millis(20))
-      : deliver_(std::move(deliver)),
-        proposers_(std::move(proposers)),
-        recovery_interval_(recovery_interval) {}
+  explicit PaxosGroupSource(Options opts) : opts_(std::move(opts)) {}
 
-  void OnStart(Env& env) override;
-  void OnMessage(Env& env, NodeId from, const MessagePtr& m) override;
-
-  InstanceId next_instance() const { return window_.next(); }
+  bool OnMessage(Env& env, NodeId from, const MessagePtr& m) override;
+  bool HasReady() const override { return window_.Peek() != nullptr; }
+  std::optional<Ready> Pop() override;
+  std::size_t buffered_msgs() const override { return buffered_; }
+  // Gap recovery: if the window has not moved since the previous tick
+  // and something is buffered behind a gap, ask a random proposer to
+  // retransmit from the gap.
+  void Tick(Env& env) override;
+  GroupId group() const override { return opts_.group; }
+  InstanceId next_instance() const override { return window_.next(); }
 
   // State digest for the model checker (docs/MODEL_CHECKING.md).
-  std::uint64_t Fingerprint() const {
+  std::uint64_t Fingerprint() const override {
     Fingerprinter f;
     f.U64(window_.next());
     f.U64(window_.buffered());
@@ -189,23 +206,14 @@ class PaxosLearner final : public Protocol {
       f.U64(i);
       f.U64(v.Fingerprint());
     });
-    f.U64(stuck_at_);
     return f.digest();
   }
 
  private:
-  void Drain(Env& env);
-  void CheckGaps(Env& env);
-
-  DeliverFn deliver_;
-  std::vector<NodeId> proposers_;
-  Duration recovery_interval_;
+  Options opts_;
   InstanceWindow<Value> window_;
-  InstanceId stuck_at_ = 0;  // window base at the previous gap check
-  // Instruments (resolved in OnStart).
-  Counter* ctr_decisions_ = nullptr;
-  Counter* ctr_delivered_ = nullptr;
-  Counter* ctr_recoveries_ = nullptr;
+  std::size_t buffered_ = 0;
+  InstanceId last_next_ = 0;  // window base at the previous tick
 };
 
 }  // namespace mrp::paxos

@@ -133,10 +133,10 @@ struct RingConfig {
   }
 };
 
-// One learner's view of one ring: the ring plus its recovery knobs.
+// One learner's view of one ring: the ring plus its recovery knobs (the
+// recovery cadence is the hosting MergeLearner's tick_interval).
 struct LearnerOptions {
   RingConfig ring;
-  Duration recovery_interval = Millis(10);
   std::uint32_t recovery_batch = 32;
   // When several groups are mapped to this ring (Section IV-D), a
   // learner may subscribe to a subset: unsubscribed messages are still

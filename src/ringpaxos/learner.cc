@@ -34,7 +34,7 @@ void LearnerCore::SyncCacheGauges() {
   gauge_cache_bytes_->Set(static_cast<std::int64_t>(cache_bytes_));
 }
 
-bool LearnerCore::OnRingMessage(Env& env, const MessagePtr& m) {
+bool LearnerCore::OnMessage(Env& env, NodeId /*from*/, const MessagePtr& m) {
   const RingMessage* rm = AsRingMessage(*m);
   if (rm == nullptr || rm->ring != opts_.ring.ring) return false;
   EnsureCounters(env);
@@ -247,54 +247,6 @@ void LearnerCore::Tick(Env& env) {
                  opts_.ring.ring,
                  window_.next() + static_cast<InstanceId>(i) * opts_.recovery_batch,
                  opts_.recovery_batch));
-  }
-}
-
-// ---------------------------------------------------------- RingLearner
-
-void RingLearner::OnStart(Env& env) {
-  MetricsRegistry& reg = env.metrics();
-  ctr_delivered_ = &reg.counter("learner.delivered_msgs");
-  ctr_skipped_ = &reg.counter("learner.skipped_logical");
-  hist_latency_ns_ = &reg.histogram("learner.delivery_latency_ns");
-  ArmTick(env);
-}
-
-void RingLearner::ArmTick(Env& env) {
-  env.SetTimer(opts_.learner.recovery_interval, [this, &env] {
-    core_.Tick(env);
-    Drain(env);
-    ArmTick(env);
-  });
-}
-
-void RingLearner::OnMessage(Env& env, NodeId /*from*/, const MessagePtr& m) {
-  if (core_.OnRingMessage(env, m)) Drain(env);
-}
-
-void RingLearner::Drain(Env& env) {
-  while (auto ready = core_.Pop()) {
-    if (opts_.on_decide) {
-      opts_.on_decide(core_.ring(), ready->instance, ready->value);
-    }
-    if (ready->value.is_skip()) {
-      skipped_logical_ += ready->value.skip_count;
-      if (ctr_skipped_) ctr_skipped_->Inc(ready->value.skip_count);
-      continue;
-    }
-    for (const auto& msg : ready->value.msgs) {
-      latency_.Record(env.now() - msg.sent_at);
-      if (hist_latency_ns_) {
-        hist_latency_ns_->Record(env.now() - msg.sent_at);
-      }
-      if (ctr_delivered_) ctr_delivered_->Inc();
-      delivered_.Add(1, msg.payload_size);
-      if (opts_.on_deliver) opts_.on_deliver(msg);
-      if (opts_.send_delivery_acks) {
-        env.Send(msg.proposer,
-                 MakeMessage<DeliveryAck>(core_.ring(), msg.group, msg.seq));
-      }
-    }
   }
 }
 

@@ -2,14 +2,14 @@
 // it caches the client values received by ip-multicast (Phase 2A),
 // matches them with decision announcements (piggybacked or standalone),
 // exposes the decided stream in instance order, and recovers lost
-// messages from a preferential acceptor (Section III-B). RingLearner
-// wraps one core into a Protocol and delivers eagerly; the Multi-Ring
-// merge learner (src/multiring) wraps several cores and consumes them
-// with the deterministic merge.
+// messages from a preferential acceptor (Section III-B). It is the
+// Ring Paxos paxos::GroupSource: the Multi-Ring merge learner
+// (src/multiring) hosts one core per subscribed ring and consumes them
+// with the deterministic merge — a single-ring learner is a merge
+// learner of one ring.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <utility>
@@ -18,33 +18,30 @@
 #include "common/env.h"
 #include "common/fingerprint.h"
 #include "common/instance_window.h"
-#include "common/stats.h"
 #include "common/types.h"
+#include "paxos/group_source.h"
 #include "paxos/value.h"
 #include "ringpaxos/config.h"
 #include "ringpaxos/messages.h"
 
 namespace mrp::ringpaxos {
 
-class LearnerCore {
+class LearnerCore final : public paxos::GroupSource {
  public:
   explicit LearnerCore(LearnerOptions opts) : opts_(std::move(opts)) {}
 
-  // Feeds one ring message; returns true if it was consumed (P2A,
-  // Decision, LearnRep, Heartbeat for coordinator tracking).
-  bool OnRingMessage(Env& env, const MessagePtr& m);
+  // Feeds one message; returns true if it was consumed (this ring's
+  // P2A, Decision, LearnRep, TrimNotice, Heartbeat for coordinator
+  // tracking).
+  bool OnMessage(Env& env, NodeId from, const MessagePtr& m) override;
 
   // Next decided instance whose value is known, if the head of the
   // instance stream is ready.
-  struct Ready {
-    InstanceId instance;
-    paxos::Value value;
-  };
-  bool HasReady() const {
+  bool HasReady() const override {
     const Cell* c = window_.Peek();
     return c != nullptr && c->value.has_value();
   }
-  std::optional<Ready> Pop() {
+  std::optional<Ready> Pop() override {
     if (!HasReady()) return std::nullopt;
     const InstanceId instance = window_.next();
     Cell cell = window_.Pop();
@@ -71,33 +68,36 @@ class LearnerCore {
     return out;
   }
 
-  InstanceId next_instance() const { return window_.next(); }
+  InstanceId next_instance() const override { return window_.next(); }
 
   // Positions a FRESH core at `at`: every instance below is covered by a
   // checkpoint (docs/RECOVERY.md) and will never be popped. Must be
   // called before any message is consumed; a no-op for targets at or
   // behind the window.
-  void StartAt(InstanceId at) {
+  void StartAt(InstanceId at) override {
     if (at > window_.next()) window_.Skip(at - window_.next());
   }
 
   // Messages buffered: decided-but-unconsumed plus cached-undecided.
-  std::size_t buffered_msgs() const { return buffered_msgs_; }
+  std::size_t buffered_msgs() const override { return buffered_msgs_; }
   std::size_t cache_entries() const { return cache_.size(); }
   std::size_t window_entries() const { return window_.buffered(); }
   // Logical instances jumped over because the acceptors' logs no longer
   // held them (late join / deep lag).
   InstanceId fast_forwarded() const { return fast_forwarded_; }
 
-  // Gap recovery; call every opts.recovery_interval.
-  void Tick(Env& env);
+  // Gap recovery; the hosting learner calls it every tick.
+  void Tick(Env& env) override;
 
-  RingId ring() const { return opts_.ring.ring; }
-  GroupId group() const { return opts_.ring.group; }
+  GroupId group() const override { return opts_.ring.group; }
+  const std::vector<GroupId>& subscribe_only() const override {
+    return opts_.subscribe_only;
+  }
+  RingId ack_ring() const override { return opts_.ring.ring; }
 
   // State digest for the model checker (docs/MODEL_CHECKING.md): the
   // instance window, the value cache, and the recovery cursor state.
-  std::uint64_t Fingerprint() const {
+  std::uint64_t Fingerprint() const override {
     Fingerprinter f;
     f.U64(window_.next());
     f.U64(window_.buffered());
@@ -141,10 +141,10 @@ class LearnerCore {
     return b;
   }
   void SyncCacheGauges();
-  // LearnerCore has no OnStart (it is embedded in RingLearner and the
-  // multi-ring merge learner), so instruments resolve lazily on the
-  // first message/tick. Names are ring-qualified because one merge
-  // learner node hosts a core per ring in a single registry.
+  // Instruments resolve lazily on the first message/tick rather than in
+  // OnStart, so a core that never sees its ring registers nothing. Names
+  // are ring-qualified because one merge learner node hosts a core per
+  // ring in a single registry.
   void EnsureCounters(Env& env);
 
   LearnerOptions opts_;
@@ -175,60 +175,6 @@ class LearnerCore {
   Counter* ctr_fast_forwarded_ = nullptr;
   Gauge* gauge_cache_entries_ = nullptr;
   Gauge* gauge_cache_bytes_ = nullptr;
-};
-
-// Single-group learner: delivers the decided client messages of one ring
-// in instance order as they become available.
-class RingLearner final : public Protocol {
- public:
-  using DeliverFn = std::function<void(const paxos::ClientMsg&)>;
-
-  struct Options {
-    LearnerOptions learner;
-    bool send_delivery_acks = false;
-    DeliverFn on_deliver;  // optional
-    // Oracle tap (src/check): fired for every popped instance, skips
-    // included, before delivery filtering. Optional.
-    std::function<void(RingId, InstanceId, const paxos::Value&)> on_decide;
-  };
-
-  explicit RingLearner(Options opts)
-      : opts_(std::move(opts)), core_(opts_.learner) {}
-
-  void OnStart(Env& env) override;
-  void OnMessage(Env& env, NodeId from, const MessagePtr& m) override;
-
-  // ---- Stats ----
-  const Histogram& latency() const { return latency_; }
-  Histogram& latency() { return latency_; }
-  RateMeter& delivered() { return delivered_; }
-  std::uint64_t delivered_msgs() const { return delivered_.total_count(); }
-  std::uint64_t skipped_logical() const { return skipped_logical_; }
-  InstanceId next_instance() const { return core_.next_instance(); }
-
-  // State digest for the model checker (docs/MODEL_CHECKING.md): the
-  // embedded core plus delivery progress (rate/latency stats excluded).
-  std::uint64_t Fingerprint() const {
-    Fingerprinter f;
-    f.U64(core_.Fingerprint());
-    f.U64(delivered_.total_count());
-    f.U64(skipped_logical_);
-    return f.digest();
-  }
-
- private:
-  void Drain(Env& env);
-  void ArmTick(Env& env);
-
-  Options opts_;
-  LearnerCore core_;
-  Histogram latency_;
-  RateMeter delivered_;
-  std::uint64_t skipped_logical_ = 0;
-  // Registry instruments (resolved in OnStart).
-  Counter* ctr_delivered_ = nullptr;
-  Counter* ctr_skipped_ = nullptr;
-  Histogram* hist_latency_ns_ = nullptr;
 };
 
 }  // namespace mrp::ringpaxos

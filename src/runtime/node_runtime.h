@@ -11,7 +11,6 @@
 #include "common/env.h"
 #include "multiring/deployment_spec.h"
 #include "multiring/merge_learner.h"
-#include "ringpaxos/learner.h"
 #include "ringpaxos/proposer.h"
 #include "runtime/event_loop.h"
 #include "runtime/inproc.h"
@@ -118,14 +117,6 @@ class LocalCluster {
     return AddLearnerNode(ring_indices, [&opts](NodeId, auto groups) {
       opts.groups = std::move(groups);
       return std::make_unique<multiring::MergeLearner>(std::move(opts));
-    });
-  }
-  // `opts.learner` is filled here.
-  ringpaxos::RingLearner* AddRingLearner(
-      int idx, ringpaxos::RingLearner::Options opts = {}) {
-    return AddLearnerNode({idx}, [&opts](NodeId, auto groups) {
-      opts.learner = std::move(groups[0]);
-      return std::make_unique<ringpaxos::RingLearner>(std::move(opts));
     });
   }
   // Fills the config's ring, group and initial coordinator.

@@ -171,6 +171,7 @@ KvClient::Route KvClient::RouteOf(const Command& cmd, GroupId forced) const {
   Route r;
   GroupId route = kNoGroup;     // holder routing: group whose ring we use
   std::size_t ring_idx = 0;     // static routing: index into cfg_.rings
+  bool spans = false;           // a cross-partition query, ordered by g_all
   if (forced != kNoGroup) {
     r.involved.insert(forced);
     route = forced;
@@ -180,6 +181,7 @@ KvClient::Route KvClient::RouteOf(const Command& cmd, GroupId forced) const {
                   ? !view->SinglePartition(cmd.kmin, cmd.kmax)
                   : !cfg_.partitioning.SinglePartition(cmd.kmin, cmd.kmax))) {
     ring_idx = cfg_.partitioning.partitions();  // g_all
+    spans = true;
     if (view != nullptr) {
       for (GroupId p : view->GroupsOverlapping(cmd.kmin, cmd.kmax)) {
         r.involved.insert(p);
@@ -215,10 +217,11 @@ KvClient::Route KvClient::RouteOf(const Command& cmd, GroupId forced) const {
     r.group = ring.group;
     r.hint = ring.ring_members.empty() ? kNoNode : ring.ring_members[0];
   }
+  r.refuse = spans && !r.routable;
   return r;
 }
 
-std::set<GroupId> KvClient::Send(Env& env, const Pending& p) {
+std::set<GroupId> KvClient::Send(Env& env, Pending& p) {
   if (p.local_read) {
     env.Send(cfg_.read_replica,
              MakeMessage<session::SessionRead>(sid(), p.cmd.req_id,
@@ -236,12 +239,15 @@ std::set<GroupId> KvClient::Send(Env& env, const Pending& p) {
     core_.Stamp(env, msg);
     core_.Submit(env, r.ring, std::move(msg));
   }
+  p.refused = r.refuse;
   return std::move(r.involved);
 }
 
 void KvClient::Dispatch(Env& env, Pending& p) {
   p.next_retry = env.now() + cfg_.retry_timeout;
   p.awaiting = Send(env, p);
+  // Refused: due at the next retry check, which completes it.
+  if (p.refused) p.next_retry = env.now();
 }
 
 void KvClient::FallBackToRing(Pending& p) {
@@ -251,8 +257,29 @@ void KvClient::FallBackToRing(Pending& p) {
 }
 
 void KvClient::CheckRetries(Env& env) {
-  for (auto& [id, p] : pending_) {
-    if (env.now() < p.next_retry) continue;
+  // Collect first: completing a refused request edits pending_.
+  std::vector<std::uint64_t> due;
+  for (const auto& [id, p] : pending_) {
+    if (env.now() >= p.next_retry) due.push_back(id);
+  }
+  for (std::uint64_t id : due) {
+    auto it = pending_.find(id);
+    if (it == pending_.end()) continue;
+    Pending& p = it->second;
+    if (p.refused) {
+      // No ring orders this query (Route::refuse): complete it as a
+      // refusal so it stops holding a window slot.
+      ++unroutable_;
+      if (ctr_unroutable_ == nullptr) {
+        ctr_unroutable_ = &env.metrics().counter("smr.client.unroutable");
+      }
+      ctr_unroutable_->Inc();
+      const Command done = std::move(p.cmd);
+      const TimePoint issued = p.issued;
+      pending_.erase(it);
+      Complete(env, done, issued, /*applied=*/false);
+      continue;
+    }
     ++p.attempts;
     ++retries_;
     // Lease holder unreachable: fall back through the ring.
@@ -361,7 +388,7 @@ void KvClient::TriggerDuplicate(Env& env) {
     Send(env, dup);
     return;
   }
-  for (const auto& [id, p] : pending_) {
+  for (auto& [id, p] : pending_) {
     if (!IsControl(p.cmd) && !p.local_read) {
       Send(env, p);
       return;
@@ -370,7 +397,7 @@ void KvClient::TriggerDuplicate(Env& env) {
 }
 
 void KvClient::TriggerRetryStorm(Env& env) {
-  for (const auto& [id, p] : pending_) {
+  for (auto& [id, p] : pending_) {
     if (IsControl(p.cmd)) continue;
     for (int i = 0; i < 3; ++i) {
       ++retries_;

@@ -107,6 +107,8 @@ class KvClient final : public Protocol {
   std::uint64_t fallback_reads() const { return fallback_reads_; }
   std::uint64_t ring_reads() const { return ring_reads_; }
   std::uint64_t rejected() const { return rejected_; }
+  // Cross-partition queries refused because no ring orders g_all.
+  std::uint64_t unroutable() const { return unroutable_; }
 
   // State digest for the model checker (docs/MODEL_CHECKING.md).
   std::uint64_t Fingerprint() const {
@@ -144,6 +146,9 @@ class KvClient final : public Protocol {
     // destination); kNoGroup = route by key. Retries keep it.
     GroupId forced = kNoGroup;
     bool local_read = false;  // on the SessionRead (not ring) path
+    // No ring can order it (Route::refuse): the next retry check
+    // completes it as a refusal instead of re-sending it.
+    bool refused = false;
   };
 
   // Where a command goes: the partitions that owe a response and the
@@ -151,6 +156,10 @@ class KvClient final : public Protocol {
   struct Route {
     std::set<GroupId> involved;
     bool routable = false;  // false: no ring yet; the retry tries again
+    // A cross-partition query with no g_all ring to order it (a holder
+    // view without all_group() and no static g_all ring): no retry can
+    // help, so the request is refused.
+    bool refuse = false;
     RingId ring = 0;
     GroupId group = kNoGroup;
     NodeId hint = kNoNode;
@@ -166,8 +175,9 @@ class KvClient final : public Protocol {
   Route RouteOf(const Command& cmd, GroupId forced) const;
   // Sends `p` on its path — SessionRead to the lease holder, or an
   // atomic-multicast submission — and returns the partitions that owe a
-  // response. Dispatch also re-arms the request's retry deadline.
-  std::set<GroupId> Send(Env& env, const Pending& p);
+  // response; marks `p` refused when no ring can order it. Dispatch also
+  // re-arms the request's retry deadline.
+  std::set<GroupId> Send(Env& env, Pending& p);
   void Dispatch(Env& env, Pending& p);
   void FallBackToRing(Pending& p);
   void CheckRetries(Env& env);
@@ -193,6 +203,8 @@ class KvClient final : public Protocol {
   std::uint64_t ring_reads_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t retries_ = 0;
+  std::uint64_t unroutable_ = 0;
+  Counter* ctr_unroutable_ = nullptr;  // lazily created
   // Session instruments (resolved in OnStart when a session runs).
   Counter* ctr_completed_ = nullptr;
   Counter* ctr_rejected_ = nullptr;

@@ -324,7 +324,7 @@ void Replica::ExecuteSeal(Env& env, const Command& cmd) {
   recovery::Checkpoint cp;
   cp.id = cmd.req_id;
   cp.delivered_count = applied_;
-  cp.app_state = EncodeState(0, moved, sessions_);
+  cp.app_state = EncodeState(0, moved, sessions_, {});
   sealed_.emplace(cmd.req_id,
                   SealedRange{slo, shi, cmd.target_group, cp.Encode()});
   ++applied_;
@@ -391,7 +391,8 @@ void Replica::StartFetch(Env& env) {
 }
 
 Bytes Replica::EncodeState(std::uint64_t applied, const KvStore& store,
-                           const session::SessionTable& sessions) {
+                           const session::SessionTable& sessions,
+                           const std::map<std::uint64_t, SealedRange>& sealed) {
   ByteWriter w;
   w.u64(applied);
   w.bytes(store.Serialize());
@@ -399,11 +400,22 @@ Bytes Replica::EncodeState(std::uint64_t applied, const KvStore& store,
   // this state keeps suppressing duplicates of everything applied at the
   // cut (docs/SESSIONS.md, docs/RECOVERY.md).
   w.bytes(sessions.Serialize());
+  // So do the sealed ranges: a source replica restored after a seal
+  // keeps redirecting writes into the moved range and can serve the
+  // plan's handoff (docs/RECONFIG.md).
+  w.varint(sealed.size());
+  for (const auto& [id, s] : sealed) {
+    w.u64(id);
+    w.u64(s.lo);
+    w.u64(s.hi);
+    w.u32(s.target);
+    w.bytes(s.handoff);
+  }
   return w.take();
 }
 
 Bytes Replica::SnapshotState() const {
-  return EncodeState(applied_, store_, sessions_);
+  return EncodeState(applied_, store_, sessions_, sealed_);
 }
 
 bool Replica::RestoreState(const Bytes& bytes) {
@@ -411,10 +423,23 @@ bool Replica::RestoreState(const Bytes& bytes) {
   auto applied = r.u64();
   auto rows = r.bytes();
   auto sess = r.bytes();
-  if (!applied || !rows || !sess || !r.done()) return false;
+  auto n_sealed = r.varint();
+  if (!applied || !rows || !sess || !n_sealed) return false;
+  std::map<std::uint64_t, SealedRange> sealed;
+  for (std::uint64_t i = 0; i < *n_sealed; ++i) {
+    auto id = r.u64();
+    auto lo = r.u64();
+    auto hi = r.u64();
+    auto target = r.u32();
+    auto handoff = r.bytes();
+    if (!id || !lo || !hi || !target || !handoff) return false;
+    sealed[*id] = SealedRange{*lo, *hi, *target, std::move(*handoff)};
+  }
+  if (!r.done()) return false;
   if (!store_.Deserialize(*rows)) return false;
   if (!sessions_.Deserialize(*sess)) return false;
   applied_ = *applied;
+  sealed_ = std::move(sealed);
   // A restored replica is by definition caught up to the checkpoint: it
   // may serve snapshots and applies deliveries from here on.
   bootstrapped_ = true;

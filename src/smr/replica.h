@@ -96,9 +96,11 @@ class Replica final : public Protocol, public recovery::Snapshottable {
   void OnMessage(Env& env, NodeId from, const MessagePtr& m) override;
 
   // ---- recovery::Snapshottable (docs/RECOVERY.md) ----
-  // Captures/installs the applied counter, the full KV store and the
-  // session table; a restored replica's store Fingerprint equals the
-  // source's. The bootstrap and handoff transfers carry this format.
+  // Captures/installs the applied counter, the full KV store, the
+  // session table and the sealed ranges with their handoffs; a restored
+  // replica's store Fingerprint equals the source's. The bootstrap and
+  // handoff transfers carry this format (a handoff carries no sealed
+  // ranges).
   Bytes SnapshotState() const override;
   bool RestoreState(const Bytes& bytes) override;
 
@@ -166,8 +168,10 @@ class Replica final : public Protocol, public recovery::Snapshottable {
 
   void Apply(Env& env, GroupId group, const paxos::ClientMsg& msg);
   void Execute(Env& env, const Command& cmd);
+  struct SealedRange;
   static Bytes EncodeState(std::uint64_t applied, const KvStore& store,
-                           const session::SessionTable& sessions);
+                           const session::SessionTable& sessions,
+                           const std::map<std::uint64_t, SealedRange>& sealed);
   void StartFetch(Env& env);
   void ServeSnapshot(Env& env, NodeId from,
                      const recovery::SnapshotRequest& req);

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "multiring/sim_deployment.h"
-#include "ringpaxos/learner.h"
 #include "runtime/node_runtime.h"
 #include "smr/client.h"
 #include "smr/replica.h"
@@ -28,30 +27,32 @@ TEST(CatchUp, LateLearnerFastForwardsPastTrimmedHistory) {
   opts.lambda_per_sec = 0;
   opts.trim_keep = 200;  // tiny retention so history vanishes quickly
   SimDeployment d(opts);
-  auto* early = d.AddRingLearner(0, /*acks=*/true);
+  multiring::MergeLearner::Options acking;
+  acking.send_delivery_acks = true;
+  auto* early = d.AddMergeLearner({0}, std::move(acking));
   ringpaxos::ProposerConfig pc;
   pc.max_outstanding = 8;
   pc.payload_size = 8 * 1024;
   d.AddProposer(0, pc);
   d.Start();
   d.RunFor(Seconds(1));
-  const auto early_count = early->delivered_msgs();
+  const auto early_count = early->total_delivered();
   ASSERT_GT(early_count, 2000u) << "need enough history to trim";
 
   // A learner joining now cannot replay instance 0: it must fast-forward.
   std::uint64_t first_seq = 0;
-  ringpaxos::RingLearner::Options lo;
-  lo.on_deliver = [&first_seq](const paxos::ClientMsg& m) {
+  multiring::MergeLearner::Options lo;
+  lo.on_deliver = [&first_seq](GroupId, const paxos::ClientMsg& m) {
     if (first_seq == 0) first_seq = m.seq;
   };
-  auto* late = d.AddRingLearner(0, std::move(lo));
+  auto* late = d.AddMergeLearner({0}, std::move(lo));
   d.learner_node(1)->Start();  // joins the running deployment
   d.RunFor(Seconds(1));
 
-  EXPECT_GT(late->delivered_msgs(), 500u) << "late learner never caught up";
+  EXPECT_GT(late->total_delivered(), 500u) << "late learner never caught up";
   // It joined near the live edge, not at seq 1.
   EXPECT_GT(first_seq, early_count / 2);
-  EXPECT_GT(late->next_instance(), 1000u);
+  EXPECT_GT(late->group_source(0)->next_instance(), 1000u);
 }
 
 // A primary replica applies a second of writes, a replica joins after
@@ -146,6 +147,7 @@ TEST(CatchUp, BootstrapOverUdpCarriesStatePastOneFrame) {
   state.u64(0);
   state.bytes(seed.Serialize());
   state.bytes(session::SessionTable(64).Serialize());
+  state.varint(0);  // no sealed ranges
 
   auto add_replica = [&](std::vector<NodeId> bootstrap_peers) {
     NodeId id = kNoNode;
@@ -207,14 +209,16 @@ TEST(CatchUp, TrimRacesRecoveryUnderLoss) {
   // already erased (or fast-forwarded and then went back).
   std::uint64_t max_seq = 0;
   std::uint64_t deep_regressions = 0;
-  auto* learner = d.AddRingLearner(0, /*acks=*/true);
+  multiring::MergeLearner::Options acking;
+  acking.send_delivery_acks = true;
+  auto* learner = d.AddMergeLearner({0}, std::move(acking));
   // A second, tapped learner must survive the same race.
-  ringpaxos::RingLearner::Options lo;
-  lo.on_deliver = [&](const paxos::ClientMsg& m) {
+  multiring::MergeLearner::Options lo;
+  lo.on_deliver = [&](GroupId, const paxos::ClientMsg& m) {
     if (m.seq + 64 < max_seq) ++deep_regressions;
     max_seq = std::max(max_seq, m.seq);
   };
-  auto* late = d.AddRingLearner(0, std::move(lo));
+  auto* late = d.AddMergeLearner({0}, std::move(lo));
 
   ringpaxos::ProposerConfig pc;
   pc.max_outstanding = 8;
@@ -230,12 +234,12 @@ TEST(CatchUp, TrimRacesRecoveryUnderLoss) {
   d.net().SetLossProbability(0.0);
   d.RunFor(Seconds(1));
 
-  EXPECT_GT(learner->delivered_msgs(), 1000u) << "acking learner stalled";
-  EXPECT_GT(late->delivered_msgs(), 1000u) << "tapped learner stalled";
+  EXPECT_GT(learner->total_delivered(), 1000u) << "acking learner stalled";
+  EXPECT_GT(late->total_delivered(), 1000u) << "tapped learner stalled";
   EXPECT_EQ(deep_regressions, 0u) << "delivery went backwards past a trim";
   // The learner rode the live edge, not the trimmed tail.
-  EXPECT_GT(late->next_instance() + 5 * opts.trim_keep,
-            learner->next_instance());
+  EXPECT_GT(late->group_source(0)->next_instance() + 5 * opts.trim_keep,
+            learner->group_source(0)->next_instance());
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "multiring/merge_learner.h"
-#include "multiring/paxos_group.h"
 #include "multiring/ring_dispatch.h"
 #include "multiring/sim_deployment.h"
 #include "paxos/roles.h"
@@ -18,6 +17,7 @@
 namespace mrp::multiring {
 namespace {
 
+using paxos::PaxosGroupSource;
 using ringpaxos::ProposerConfig;
 using ringpaxos::RingConfig;
 using ringpaxos::RingNode;
@@ -65,12 +65,14 @@ TEST(SharedSpare, OneNodeServesAsSpareForTwoRings) {
   std::vector<std::uint64_t> delivered(2, 0);
   for (int r = 0; r < 2; ++r) {
     auto& lnode = net.AddNode();
-    ringpaxos::RingLearner::Options lo;
-    lo.learner.ring = rings[r];
-    lo.send_delivery_acks = true;
+    MergeLearner::Options mo;
+    ringpaxos::LearnerOptions lo;
+    lo.ring = rings[r];
+    mo.groups.push_back(std::move(lo));
+    mo.send_delivery_acks = true;
     auto& count = delivered[static_cast<std::size_t>(r)];
-    lo.on_deliver = [&count](const paxos::ClientMsg&) { ++count; };
-    lnode.BindProtocol(std::make_unique<ringpaxos::RingLearner>(std::move(lo)));
+    mo.on_deliver = [&count](GroupId, const paxos::ClientMsg&) { ++count; };
+    lnode.BindProtocol(std::make_unique<MergeLearner>(std::move(mo)));
     net.Subscribe(lnode.self(), rings[r].data_channel);
     net.Subscribe(lnode.self(), rings[r].control_channel);
 

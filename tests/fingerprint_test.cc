@@ -21,7 +21,6 @@
 
 #include "common/env.h"
 #include "multiring/merge_learner.h"
-#include "multiring/paxos_group.h"
 #include "paxos/messages.h"
 #include "paxos/roles.h"
 #include "reconfig/plan.h"
@@ -114,7 +113,7 @@ TEST(FingerprintTest, PaxosAcceptor) {
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
 }
 
-TEST(FingerprintTest, PaxosProposerAndLearner) {
+TEST(FingerprintTest, PaxosProposerAndGroupSource) {
   paxos::PaxosConfig pc;
   pc.proposers = {1};
   pc.acceptors = {2, 3, 4};
@@ -125,8 +124,9 @@ TEST(FingerprintTest, PaxosProposerAndLearner) {
   p.Submit(env, Cmd(1));
   EXPECT_NE(p.Fingerprint(), q.Fingerprint());
 
-  paxos::PaxosLearner l([](InstanceId, const paxos::Value&) {});
-  paxos::PaxosLearner m([](InstanceId, const paxos::Value&) {});
+  // The classic-Paxos learner.
+  const paxos::PaxosGroupSource::Options po;
+  paxos::PaxosGroupSource l(po), m(po);
   EXPECT_EQ(l.Fingerprint(), m.Fingerprint());
   l.OnMessage(env, 2,
               MakeMessage<paxos::DecisionMsg>(0, paxos::Value::Batch({Cmd(1)})));
@@ -145,26 +145,33 @@ TEST(FingerprintTest, RingNode) {
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
 }
 
-TEST(FingerprintTest, RingLearnerAndCore) {
-  ringpaxos::RingLearner::Options lo;
-  lo.learner.ring = Ring();
-  ringpaxos::RingLearner a(lo), b(lo);
-  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
+TEST(FingerprintTest, LearnerCoreAndOneRingMergeLearner) {
+  // A single-ring learner is a MergeLearner of one ring.
+  ringpaxos::LearnerOptions lo;
+  lo.ring = Ring();
+  auto make_learner = [&lo] {
+    multiring::MergeLearner::Options mo;
+    mo.groups.push_back(lo);
+    return std::make_unique<multiring::MergeLearner>(std::move(mo));
+  };
+  auto a = make_learner();
+  auto b = make_learner();
+  EXPECT_EQ(a->Fingerprint(), b->Fingerprint());
 
   // LearnerCore digests cached P2As (decision state ahead of delivery).
-  ringpaxos::LearnerCore core(lo.learner);
+  ringpaxos::LearnerCore core(lo);
   const std::uint64_t fresh = core.Fingerprint();
   FakeEnv env(10);
-  core.OnRingMessage(
-      env, MakeMessage<ringpaxos::P2A>(0, 0, 0, 1,
-                                       paxos::Value::Batch({Cmd(1)}),
-                                       std::vector<ringpaxos::Decided>{},
-                                       std::vector<NodeId>{1, 2, 3}));
+  core.OnMessage(env, 1,
+                 MakeMessage<ringpaxos::P2A>(0, 0, 0, 1,
+                                             paxos::Value::Batch({Cmd(1)}),
+                                             std::vector<ringpaxos::Decided>{},
+                                             std::vector<NodeId>{1, 2, 3}));
   EXPECT_NE(core.Fingerprint(), fresh);
-  a.OnMessage(env, 1,
-              MakeMessage<ringpaxos::DecisionMsg>(
-                  0, std::vector<ringpaxos::Decided>{{0, 1}}));
-  EXPECT_NE(a.Fingerprint(), b.Fingerprint());
+  a->OnMessage(env, 1,
+               MakeMessage<ringpaxos::DecisionMsg>(
+                   0, std::vector<ringpaxos::Decided>{{0, 1}}));
+  EXPECT_NE(a->Fingerprint(), b->Fingerprint());
 }
 
 TEST(FingerprintTest, RingProposer) {
@@ -184,7 +191,7 @@ TEST(FingerprintTest, RingProposer) {
 TEST(FingerprintTest, GroupSourcesAndMergeLearner) {
   ringpaxos::LearnerOptions lo;
   lo.ring = Ring();
-  multiring::RingGroupSource src(lo), src2(lo);
+  ringpaxos::LearnerCore src(lo), src2(lo);
   EXPECT_EQ(src.Fingerprint(), src2.Fingerprint());
   FakeEnv env(10);
   src.OnMessage(env, 1,
@@ -194,9 +201,9 @@ TEST(FingerprintTest, GroupSourcesAndMergeLearner) {
                                             std::vector<NodeId>{1, 2, 3}));
   EXPECT_NE(src.Fingerprint(), src2.Fingerprint());
 
-  multiring::PaxosGroupSource::Options po;
+  paxos::PaxosGroupSource::Options po;
   po.group = 0;
-  multiring::PaxosGroupSource ps(po), ps2(po);
+  paxos::PaxosGroupSource ps(po), ps2(po);
   EXPECT_EQ(ps.Fingerprint(), ps2.Fingerprint());
   ps.OnMessage(env, 1,
                MakeMessage<paxos::DecisionMsg>(0, paxos::Value::Batch({Cmd(1)}),

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "multiring/merge_learner.h"
 #include "paxos/acceptor_core.h"
 #include "paxos/roles.h"
 #include "paxos/storage.h"
@@ -53,13 +54,17 @@ struct Deployment {
       auto& n = net.AddNode();
       delivered.emplace_back();
       auto& log = delivered.back();
-      auto l = std::make_unique<PaxosLearner>(
-          [&log](InstanceId inst, const Value& v) {
-            for (const auto& m : v.msgs) {
-              log.push_back({inst, m.proposer, m.seq});
-            }
-          },
-          pc.proposers);
+      // A learner of the one Paxos-ordered group: a merge learner of
+      // one PaxosGroupSource.
+      multiring::MergeLearner::Options mo;
+      PaxosGroupSource::Options po;
+      po.group = pc.group;
+      po.proposers = pc.proposers;
+      mo.sources.push_back(std::make_unique<PaxosGroupSource>(po));
+      mo.on_decide = [&log](RingId, InstanceId inst, const Value& v) {
+        for (const auto& m : v.msgs) log.push_back({inst, m.proposer, m.seq});
+      };
+      auto l = std::make_unique<multiring::MergeLearner>(std::move(mo));
       learners.push_back(l.get());
       n.BindProtocol(std::move(l));
       net.Subscribe(n.self(), kDecisions);
@@ -94,7 +99,7 @@ struct Deployment {
   std::vector<sim::SimNode*> acceptor_nodes;
   std::vector<sim::SimNode*> learner_nodes;
   std::vector<PaxosProposer*> proposers;
-  std::vector<PaxosLearner*> learners;
+  std::vector<multiring::MergeLearner*> learners;
   // deque: learner callbacks hold references to their logs, which must
   // stay stable as more learners are added.
   std::deque<std::vector<Delivered>> delivered;

@@ -15,6 +15,7 @@
 #include "common/pool.h"
 #include "net/codec.h"
 #include "paxos/messages.h"
+#include "paxos/roles.h"
 #include "paxos/value.h"
 #include "ringpaxos/messages.h"
 #include "runtime/node_runtime.h"
@@ -160,8 +161,10 @@ TEST(RingDispatch, RoutesByRingAndBroadcastsOthers) {
 
 TEST(MergeLearner, TickIntervalDrivesRecoveryCadence) {
   // A merge learner with a long tick interval recovers slower than one
-  // with a short interval under loss (same seed, same topology).
-  auto run = [](Duration tick) {
+  // with a short interval under loss (same seed, same topology). The
+  // tick is every source's one recovery cadence, so this holds for a
+  // Ring Paxos ring and for a plain-Paxos-ordered group alike.
+  auto run_ring = [](Duration tick) {
     multiring::DeploymentOptions opts;
     opts.n_rings = 1;
     opts.lambda_per_sec = 0;
@@ -180,10 +183,60 @@ TEST(MergeLearner, TickIntervalDrivesRecoveryCadence) {
     d.RunFor(Seconds(2));
     return raw->total_delivered();
   };
-  const auto fast = run(Millis(5));
-  const auto slow = run(Millis(200));
-  EXPECT_GT(fast, slow) << "recovery cadence had no effect";
-  EXPECT_GT(slow, 50u) << "even slow ticks must make progress";
+  // One Paxos proposer, three acceptors, and a learner of one
+  // PaxosGroupSource, which asks the proposer for lost decisions.
+  auto run_paxos = [](Duration tick) {
+    sim::NetConfig cfg;
+    cfg.loss_probability = 0.05;
+    cfg.seed = 77;
+    sim::SimNetwork net(cfg);
+    paxos::PaxosConfig pc;
+    pc.decision_channel = 1;
+    auto& pnode = net.AddNode();
+    pc.proposers.push_back(pnode.self());
+    for (int i = 0; i < 3; ++i) {
+      auto& anode = net.AddNode();
+      pc.acceptors.push_back(anode.self());
+      anode.BindProtocol(std::make_unique<paxos::PaxosAcceptor>());
+    }
+    auto prop = std::make_unique<paxos::PaxosProposer>(pc, 0);
+    auto* prop_raw = prop.get();
+    pnode.BindProtocol(std::move(prop));
+    multiring::MergeLearner::Options mo;
+    mo.tick_interval = tick;
+    paxos::PaxosGroupSource::Options po;
+    po.group = pc.group;
+    po.proposers = pc.proposers;
+    mo.sources.push_back(std::make_unique<paxos::PaxosGroupSource>(po));
+    auto learner = std::make_unique<multiring::MergeLearner>(std::move(mo));
+    auto* raw = learner.get();
+    auto& lnode = net.AddNode();
+    lnode.BindProtocol(std::move(learner));
+    net.Subscribe(lnode.self(), pc.decision_channel);
+    net.StartAll();
+    // One submission every 2 ms for the whole run.
+    for (int i = 0; i < 1000; ++i) {
+      net.scheduler().At(net.now() + Millis(2 * i), [&pnode, prop_raw, i] {
+        paxos::ClientMsg m;
+        m.proposer = pnode.self();
+        m.seq = static_cast<std::uint64_t>(i + 1);
+        m.payload_size = 100;
+        pnode.ExecuteAt(pnode.now(), Duration{0}, [&pnode, prop_raw, m] {
+          prop_raw->Submit(pnode, m);
+        });
+      });
+    }
+    net.RunFor(Seconds(2));
+    return raw->total_delivered();
+  };
+  for (bool paxos_group : {false, true}) {
+    SCOPED_TRACE(paxos_group ? "paxos-ordered group" : "ring paxos ring");
+    auto run = paxos_group ? +run_paxos : +run_ring;
+    const auto fast = run(Millis(5));
+    const auto slow = run(Millis(200));
+    EXPECT_GT(fast, slow) << "recovery cadence had no effect";
+    EXPECT_GT(slow, 50u) << "even slow ticks must make progress";
+  }
 }
 
 // ------------------------------------- codec round-trip, full message set

@@ -273,7 +273,7 @@ TEST(DynamicSubscription, JoinAndLeaveActivateAtTurnBoundaries) {
   ASSERT_GT(cut, 0u);
   ringpaxos::LearnerOptions jo;
   jo.ring = d.ring(1);
-  auto src = std::make_unique<multiring::RingGroupSource>(jo);
+  auto src = std::make_unique<ringpaxos::LearnerCore>(jo);
   src->StartAt(cut);
   dyn->QueueSubscribe(std::move(src));
   d.RunFor(Millis(500));
@@ -589,6 +589,100 @@ TEST(Repartition, HandoffIsFetchedByPlanId) {
   EXPECT_TRUE(installed == moved_a) << "the target installed another plan";
 }
 
+// A source replica that late-joins after a split's seal bootstraps from
+// a peer's snapshot, which carries the sealed range: it redirects later
+// writes into the moved range like its peers, and serves the plan's
+// handoff. The acceptors trim fast, so the joiner fast-forwards past
+// the seal and cannot learn it from the ring.
+TEST(Repartition, LateSourceReplicaRestoresSealedRanges) {
+  constexpr std::uint64_t kPlan = 5;
+  DeploymentOptions opts = TwoRings();
+  opts.trim_keep = 200;
+  SimDeployment d(opts);
+  const GroupId g0 = d.ring(0).group;
+  const GroupId g1 = d.ring(1).group;
+
+  std::vector<NodeId> peers;
+  auto add_source = [&](std::vector<NodeId> bootstrap_peers) {
+    return d.AddLearnerNode(
+        {0}, [&](sim::SimNode& node, std::vector<LearnerOptions> groups) {
+          peers.push_back(node.self());
+          smr::ReplicaConfig rc;
+          rc.partition = g0;
+          rc.partition_ring = groups[0];
+          rc.bootstrap_peers = std::move(bootstrap_peers);
+          return std::make_unique<smr::Replica>(rc);
+        });
+  };
+  auto* source = add_source({});
+  auto* source2 = add_source({});
+  // Writes over [0, 999] on ring 0; a redirect to group 1 is refused,
+  // since the client has no ring for it.
+  auto add_writer = [&]() -> sim::SimNode& {
+    smr::KvClientConfig cc;
+    cc.partitioning = smr::Partitioning(1, 1000);
+    cc.rings.push_back(d.ring(0));
+    cc.window = 4;
+    cc.query_ratio = 0;
+    cc.delete_ratio = 0;
+    return d.AddClient(std::make_unique<smr::KvClient>(cc), {0});
+  };
+  sim::SimNode& writer = add_writer();
+  RepartitionConfig pc;
+  pc.plan = ReconfigPlan::Split(kPlan, g0, g1, 500, 999, d.ring(1).ring);
+  pc.source_ring = d.ring(0);
+  pc.start_delay = Millis(1200);
+  auto& coord = d.net().AddNode();
+  coord.BindProtocol(std::make_unique<RepartitionCoordinator>(pc));
+  d.net().Subscribe(coord.self(), d.ring(0).control_channel);
+
+  d.Start();
+  d.RunFor(Seconds(1));
+  writer.SetDown(true);
+  d.RunFor(Millis(100));
+  const auto moved = source->store().Query(500, 999);
+  ASSERT_GT(moved.size(), 100u);
+  d.RunFor(Millis(400));
+  ASSERT_EQ(source->seals(), 1u);
+  ASSERT_EQ(source2->seals(), 1u);
+
+  // The third source replica joins long after the seal was trimmed
+  // away; its first delivery (the second writer's) starts its fetch.
+  auto* late = add_source(peers);
+  d.learner_node(2)->Start();
+  sim::SimNode& writer2 = add_writer();
+  writer2.Start();
+  d.RunFor(Millis(500));
+  writer2.SetDown(true);
+  d.RunFor(Millis(500));
+
+  ASSERT_TRUE(late->bootstrapped());
+  EXPECT_EQ(late->seals(), 1u);
+  EXPECT_GT(source->redirected(), 0u);
+  EXPECT_GT(late->redirected(), 0u) << "the late joiner applied moved keys";
+  EXPECT_EQ(late->store().Fingerprint(), source->store().Fingerprint());
+  EXPECT_EQ(late->store().Fingerprint(), source2->store().Fingerprint());
+
+  // The late joiner serves the plan's handoff by id.
+  sim::SimNode* target_node = nullptr;
+  auto* target = d.AddLearnerNode(
+      {1}, [&](sim::SimNode& node, std::vector<LearnerOptions> groups) {
+        target_node = &node;
+        smr::ReplicaConfig rc;
+        rc.partition = g1;
+        rc.range = {500, 999};
+        rc.partition_ring = groups[0];
+        rc.handoff_plan = kPlan;
+        rc.bootstrap_peers = {peers[2]};
+        return std::make_unique<smr::Replica>(rc);
+      });
+  target_node->Start();
+  d.RunFor(Seconds(1));
+  EXPECT_TRUE(target->bootstrapped());
+  EXPECT_TRUE(target->store().Query(0, ~0ULL) == moved)
+      << "the handoff served by the late joiner differs";
+}
+
 // ------------------------------------- hot membership swap (tentpole c)
 
 // Submits a kSwap plan into the ring as an ordinary client value,
@@ -629,7 +723,9 @@ TEST(Repartition, HotSwapReplacesRingMemberInLayout) {
   const NodeId out = d.ring(0).ring_members[2];
   const NodeId in = d.ring(0).spares[0];
 
-  auto* learner = d.AddRingLearner(0, true);
+  multiring::MergeLearner::Options mo;
+  mo.send_delivery_acks = true;
+  auto* learner = d.AddMergeLearner({0}, std::move(mo));
   ringpaxos::ProposerConfig pc;
   pc.max_outstanding = 4;
   d.AddProposer(0, pc);
@@ -652,9 +748,9 @@ TEST(Repartition, HotSwapReplacesRingMemberInLayout) {
       << "swap-out still in the layout";
 
   // The stream keeps flowing through the swapped layout.
-  const std::uint64_t before = learner->delivered_msgs();
+  const std::uint64_t before = learner->total_delivered();
   d.RunFor(Seconds(1));
-  EXPECT_GT(learner->delivered_msgs(), before + 100);
+  EXPECT_GT(learner->total_delivered(), before + 100);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "multiring/sim_deployment.h"
-#include "ringpaxos/learner.h"
 #include "ringpaxos/proposer.h"
 #include "ringpaxos/ring_node.h"
 
@@ -25,6 +24,13 @@ namespace {
 using multiring::DeploymentOptions;
 using multiring::SimDeployment;
 
+// Single-ring learner on ring 0 that acknowledges its deliveries.
+multiring::MergeLearner* AddAckingLearner(SimDeployment& d) {
+  multiring::MergeLearner::Options mo;
+  mo.send_delivery_acks = true;
+  return d.AddMergeLearner({0}, std::move(mo));
+}
+
 TEST(RingNode, StepsDownWhenObservingAHigherRound) {
   DeploymentOptions opts;
   opts.lambda_per_sec = 0;
@@ -32,7 +38,7 @@ TEST(RingNode, StepsDownWhenObservingAHigherRound) {
   opts.n_spares = 1;
   opts.suspect_after = Millis(50);
   SimDeployment d(opts);
-  auto* learner = d.AddRingLearner(0, true);
+  auto* learner = AddAckingLearner(d);
   ProposerConfig pc;
   pc.max_outstanding = 4;
   d.AddProposer(0, pc);
@@ -58,7 +64,7 @@ TEST(RingNode, StepsDownWhenObservingAHigherRound) {
     leaders += d.acceptor_node(0, i)->protocol_as<RingNode>()->is_coordinator();
   }
   EXPECT_EQ(leaders, 1);
-  EXPECT_GT(learner->delivered_msgs(), 100u);
+  EXPECT_GT(learner->total_delivered(), 100u);
 }
 
 TEST(RingNode, PartialBatchProposedOnTimeout) {
@@ -66,7 +72,7 @@ TEST(RingNode, PartialBatchProposedOnTimeout) {
   opts.lambda_per_sec = 0;
   opts.batch_timeout = Millis(2);
   SimDeployment d(opts);
-  auto* learner = d.AddRingLearner(0, true);
+  auto* learner = AddAckingLearner(d);
   // One tiny message, far below batch_bytes: only the timeout can
   // propose it.
   ProposerConfig pc;
@@ -76,7 +82,7 @@ TEST(RingNode, PartialBatchProposedOnTimeout) {
   d.Start();
   d.RunFor(Millis(100));
   EXPECT_GT(prop->acked_seq(), 0u) << "partial batch never proposed";
-  EXPECT_GT(learner->delivered_msgs(), 5u);
+  EXPECT_GT(learner->total_delivered(), 5u);
 }
 
 // Largest instance-table and record-table sizes of ring 0's first
@@ -98,7 +104,7 @@ TEST(RingNode, DecidedWatermarkTrimsAcceptorState) {
   opts.lambda_per_sec = 0;
   opts.trim_keep = 100;
   SimDeployment d(opts);
-  d.AddRingLearner(0, true);
+  AddAckingLearner(d);
   ProposerConfig pc;
   pc.max_outstanding = 8;
   d.AddProposer(0, pc);
@@ -145,17 +151,17 @@ TEST(RingNode, RecoverableModeSurvivesCoordinatorFailover) {
   opts.n_spares = 1;
   opts.suspect_after = Millis(50);
   SimDeployment d(opts);
-  auto* learner = d.AddRingLearner(0, true);
+  auto* learner = AddAckingLearner(d);
   ProposerConfig pc;
   pc.max_outstanding = 4;
   d.AddProposer(0, pc);
   d.Start();
   d.RunFor(Seconds(1));
-  const auto before = learner->delivered_msgs();
+  const auto before = learner->total_delivered();
   ASSERT_GT(before, 50u);
   d.coordinator_node(0)->SetDown(true);
   d.RunFor(Seconds(2));
-  EXPECT_GT(learner->delivered_msgs(), before + 50)
+  EXPECT_GT(learner->total_delivered(), before + 50)
       << "disk-mode fail-over did not resume delivery";
 }
 
@@ -189,7 +195,7 @@ TEST(RingNode, VidsUniqueAcrossRoundsAndInstances) {
   auto* snooper = new VidSnooper();
   snoop_node.BindProtocol(std::unique_ptr<Protocol>(snooper));
   d.net().Subscribe(snoop_node.self(), d.ring(0).data_channel);
-  d.AddRingLearner(0, true);
+  AddAckingLearner(d);
   ProposerConfig pc;
   pc.max_outstanding = 4;
   d.AddProposer(0, pc);
@@ -349,7 +355,7 @@ TEST(Proposer, WindowNeverExceededWithThinkJitter) {
   DeploymentOptions opts;
   opts.lambda_per_sec = 0;
   SimDeployment d(opts);
-  d.AddRingLearner(0, true);
+  AddAckingLearner(d);
   ProposerConfig pc;
   pc.max_outstanding = 5;
   pc.think_jitter = Micros(500);
@@ -369,7 +375,7 @@ TEST(Proposer, ResendsOutstandingToNewCoordinator) {
   opts.n_spares = 1;
   opts.suspect_after = Millis(50);
   SimDeployment d(opts);
-  auto* learner = d.AddRingLearner(0, true);
+  auto* learner = AddAckingLearner(d);
   ProposerConfig pc;
   pc.max_outstanding = 4;
   pc.retry_timeout = Seconds(30);  // retries off: only the hand-off path
@@ -382,7 +388,7 @@ TEST(Proposer, ResendsOutstandingToNewCoordinator) {
   d.RunFor(Seconds(2));
   // Progress resumed purely via heartbeat-triggered resubmission.
   EXPECT_GT(prop->acked_seq(), acked_before);
-  EXPECT_GT(learner->delivered_msgs(), 0u);
+  EXPECT_GT(learner->total_delivered(), 0u);
 }
 
 }  // namespace

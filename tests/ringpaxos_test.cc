@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "multiring/sim_deployment.h"
-#include "ringpaxos/learner.h"
 #include "ringpaxos/proposer.h"
 #include "ringpaxos/ring_node.h"
 
@@ -22,17 +21,20 @@ using multiring::SimDeployment;
 
 struct SeqLog {
   std::vector<std::pair<NodeId, std::uint64_t>> entries;
-  RingLearner::DeliverFn Fn() {
-    return [this](const paxos::ClientMsg& m) { entries.emplace_back(m.proposer, m.seq); };
+  multiring::MergeLearner::DeliverFn Fn() {
+    return [this](GroupId, const paxos::ClientMsg& m) {
+      entries.emplace_back(m.proposer, m.seq);
+    };
   }
 };
 
-RingLearner* AddLoggingLearner(SimDeployment& d, int ring, SeqLog& log,
-                               bool acks = false) {
-  RingLearner::Options opts;
+// Single-ring learner: a merge learner of one ring.
+multiring::MergeLearner* AddLoggingLearner(SimDeployment& d, int ring,
+                                           SeqLog& log, bool acks = false) {
+  multiring::MergeLearner::Options opts;
   opts.send_delivery_acks = acks;
   opts.on_deliver = log.Fn();
-  return d.AddRingLearner(ring, std::move(opts));
+  return d.AddMergeLearner({ring}, std::move(opts));
 }
 
 ProposerConfig ClosedLoop(std::size_t window, std::uint32_t payload = 8 * 1024) {
@@ -52,13 +54,13 @@ TEST(RingPaxos, DeliversInOrderWithClosedLoopClient) {
   d.Start();
   d.RunFor(Seconds(1));
 
-  EXPECT_GT(learner->delivered_msgs(), 100u);
+  EXPECT_GT(learner->total_delivered(), 100u);
   // FIFO per proposer: seqs strictly increasing.
   for (std::size_t i = 1; i < log.entries.size(); ++i) {
     EXPECT_EQ(log.entries[i].second, log.entries[i - 1].second + 1);
   }
   // Latency sane: below 10ms at this trivial load.
-  EXPECT_LT(learner->latency().TrimmedMean(0.05), 10e6);
+  EXPECT_LT(learner->stats(0).latency.TrimmedMean(0.05), 10e6);
 }
 
 TEST(RingPaxos, AllLearnersDeliverSameTotalOrder) {
@@ -106,7 +108,7 @@ TEST(RingPaxos, SurvivesMessageLossWithSameOrder) {
   d.Start();
   d.RunFor(Seconds(3));
 
-  EXPECT_GT(l1->delivered_msgs(), 100u);
+  EXPECT_GT(l1->total_delivered(), 100u);
   // Prefix property: the shorter log is a prefix of the longer one.
   const auto n = std::min(log1.entries.size(), log2.entries.size());
   ASSERT_GT(n, 0u);
@@ -128,8 +130,9 @@ TEST(RingPaxos, IdleRingProposesSkipsAtLambda) {
   auto* coord = d.coordinator(0);
   // ~1000 logical instances skipped in 1s of idleness.
   EXPECT_NEAR(static_cast<double>(coord->next_instance()), 1000, 150);
-  EXPECT_NEAR(static_cast<double>(learner->skipped_logical()), 1000, 200);
-  EXPECT_EQ(learner->delivered_msgs(), 0u);
+  EXPECT_NEAR(static_cast<double>(learner->stats(0).skipped_logical), 1000,
+              200);
+  EXPECT_EQ(learner->total_delivered(), 0u);
   // Skips are batched: far fewer physical proposals than logical skips.
   EXPECT_GT(coord->skip_proposals(), 100u);  // one per delta with traffic absent
   EXPECT_LE(coord->skip_proposals(), 1100u);
@@ -148,7 +151,7 @@ TEST(RingPaxos, CoordinatorFailoverElectsNextOwnerAndResumes) {
   auto* proposer = d.AddProposer(0, ClosedLoop(4));
   d.Start();
   d.RunFor(Seconds(1));
-  const auto before = learner->delivered_msgs();
+  const auto before = learner->total_delivered();
   ASSERT_GT(before, 50u);
 
   d.coordinator_node(0)->SetDown(true);
@@ -161,7 +164,7 @@ TEST(RingPaxos, CoordinatorFailoverElectsNextOwnerAndResumes) {
     if (rn->is_coordinator()) new_coord = rn;
   }
   ASSERT_NE(new_coord, nullptr) << "no new coordinator elected";
-  EXPECT_GT(learner->delivered_msgs(), before) << "delivery did not resume";
+  EXPECT_GT(learner->total_delivered(), before) << "delivery did not resume";
 
   // Uniform total order survives fail-over: both learners deliver the
   // same sequence (prefix relation; duplicates possible but identical).
@@ -195,14 +198,15 @@ TEST(RingPaxos, AcceptorFailureRecruitsSpare) {
   d.AddProposer(0, ClosedLoop(4));
   d.Start();
   d.RunFor(Seconds(1));
-  const auto before = learner->delivered_msgs();
+  const auto before = learner->total_delivered();
   ASSERT_GT(before, 50u);
 
   // Kill the non-coordinator ring member: the coordinator must
   // reconfigure the ring around the spare.
   d.acceptor_node(0, 1)->SetDown(true);
   d.RunFor(Seconds(2));
-  EXPECT_GT(learner->delivered_msgs(), before + 50) << "reconfiguration failed";
+  EXPECT_GT(learner->total_delivered(), before + 50)
+      << "reconfiguration failed";
 }
 
 TEST(RingPaxos, RecoverableModeDeliversThroughDisk) {
@@ -215,7 +219,7 @@ TEST(RingPaxos, RecoverableModeDeliversThroughDisk) {
   d.AddProposer(0, ClosedLoop(8));
   d.Start();
   d.RunFor(Seconds(1));
-  EXPECT_GT(learner->delivered_msgs(), 100u);
+  EXPECT_GT(learner->total_delivered(), 100u);
   for (std::size_t i = 1; i < log.entries.size(); ++i) {
     EXPECT_EQ(log.entries[i].second, log.entries[i - 1].second + 1);
   }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "multiring/merge_learner.h"
-#include "multiring/paxos_group.h"
 #include "multiring/sim_deployment.h"
 #include "paxos/roles.h"
 #include "net/codec.h"
@@ -447,11 +446,14 @@ TEST(FileStorage, DrivesARealRecoverableRing) {
     cluster.AddNode(std::make_unique<RingNode>(rc, &st0), {0, 1});
     cluster.AddNode(std::make_unique<RingNode>(rc, &st1), {0, 1});
     std::atomic<std::uint64_t> delivered{0};
-    RingLearner::Options lo;
-    lo.learner.ring = rc;
-    lo.send_delivery_acks = true;
-    lo.on_deliver = [&](const ClientMsg&) { ++delivered; };
-    cluster.AddNode(std::make_unique<RingLearner>(std::move(lo)), {0, 1});
+    multiring::MergeLearner::Options mo;
+    LearnerOptions lo;
+    lo.ring = rc;
+    mo.groups.push_back(std::move(lo));
+    mo.send_delivery_acks = true;
+    mo.on_deliver = [&](GroupId, const ClientMsg&) { ++delivered; };
+    cluster.AddNode(
+        std::make_unique<multiring::MergeLearner>(std::move(mo)), {0, 1});
     ProposerConfig pc;
     pc.ring = 0;
     pc.coordinator = 0;
@@ -507,7 +509,8 @@ TEST(Codec, ClassicPaxosRoundtrips) {
 
 TEST(LocalClusterUdp, PaxosBackedGroupOverRealSockets) {
   // A plain-Paxos group running over real UDP: proposer + 3 acceptors +
-  // a merge learner with a PaxosGroupSource, all separate endpoints.
+  // a merge learner with a paxos::PaxosGroupSource, all separate
+  // endpoints.
   UdpConfig udp;
   udp.base_port = 49100;
   udp.mcast_port_base = 49600;
@@ -529,10 +532,10 @@ TEST(LocalClusterUdp, PaxosBackedGroupOverRealSockets) {
   multiring::MergeLearner::Options mo;
   std::atomic<std::uint64_t> delivered{0};
   mo.on_deliver = [&](GroupId, const ClientMsg&) { ++delivered; };
-  multiring::PaxosGroupSource::Options po;
+  paxos::PaxosGroupSource::Options po;
   po.group = 1;
   po.proposers = {0};
-  mo.sources.push_back(std::make_unique<multiring::PaxosGroupSource>(po));
+  mo.sources.push_back(std::make_unique<paxos::PaxosGroupSource>(po));
   cluster.AddNode(std::make_unique<multiring::MergeLearner>(std::move(mo)), {0});
   cluster.Start();
 
@@ -844,11 +847,14 @@ TEST(FileStorage, AcceptorRestartWithReplayServesRecovery) {
     cluster.AddNode(std::make_unique<RingNode>(rc, &st0), {0, 1});
     cluster.AddNode(std::make_unique<RingNode>(rc, &st1), {0, 1});
     std::atomic<std::uint64_t> delivered{0};
-    RingLearner::Options lo;
-    lo.learner.ring = rc;
-    lo.send_delivery_acks = true;
-    lo.on_deliver = [&](const ClientMsg&) { ++delivered; };
-    cluster.AddNode(std::make_unique<RingLearner>(std::move(lo)), {0, 1});
+    multiring::MergeLearner::Options mo;
+    LearnerOptions lo;
+    lo.ring = rc;
+    mo.groups.push_back(std::move(lo));
+    mo.send_delivery_acks = true;
+    mo.on_deliver = [&](GroupId, const ClientMsg&) { ++delivered; };
+    cluster.AddNode(
+        std::make_unique<multiring::MergeLearner>(std::move(mo)), {0, 1});
     ProposerConfig pc;
     pc.ring = 0;
     pc.coordinator = 0;
@@ -874,10 +880,13 @@ TEST(FileStorage, AcceptorRestartWithReplayServesRecovery) {
     cluster.AddNode(std::make_unique<RingNode>(rc, &st0), {0, 1});
     cluster.AddNode(std::make_unique<RingNode>(rc, &st1), {0, 1});
     std::atomic<std::uint64_t> redelivered{0};
-    RingLearner::Options lo;
-    lo.learner.ring = rc;
-    lo.on_deliver = [&](const ClientMsg&) { ++redelivered; };
-    cluster.AddNode(std::make_unique<RingLearner>(std::move(lo)), {0, 1});
+    multiring::MergeLearner::Options mo;
+    LearnerOptions lo;
+    lo.ring = rc;
+    mo.groups.push_back(std::move(lo));
+    mo.on_deliver = [&](GroupId, const ClientMsg&) { ++redelivered; };
+    cluster.AddNode(
+        std::make_unique<multiring::MergeLearner>(std::move(mo)), {0, 1});
     cluster.Start();
     std::this_thread::sleep_for(std::chrono::milliseconds(600));
     cluster.Stop();

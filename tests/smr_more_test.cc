@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "multiring/sim_deployment.h"
+#include "reconfig/ring_view.h"
 #include "smr/client.h"
 #include "smr/replica.h"
 
@@ -186,6 +187,48 @@ TEST(KvSemantics, ClientRetriesUnderLossStillCompleteEverything) {
   std::uint64_t total = 0;
   for (auto* c : clients) total += c->completed();
   EXPECT_GT(total, 500u);
+}
+
+TEST(KvSemantics, UnroutableCrossPartitionQueriesAreRefused) {
+  // Two partitions and no g_all ring; the client routes through a
+  // RingHolder view without all_group(). No ring can order a query that
+  // spans both partitions, so the client refuses it instead of retrying
+  // it forever, and keeps completing requests.
+  DeploymentOptions opts;
+  opts.n_rings = 2;
+  SimDeployment d(opts);
+  const Partitioning part(2, 100000);
+  for (int p = 0; p < 2; ++p) {
+    d.AddLearnerNode({p}, [&](sim::SimNode&, std::vector<LearnerOptions> g) {
+      ReplicaConfig rc;
+      rc.partition = d.ring(p).group;
+      rc.range = part.RangeOf(static_cast<GroupId>(p));
+      rc.partition_ring = g[0];
+      return std::make_unique<Replica>(rc);
+    });
+  }
+  reconfig::RingHolder holder;
+  holder.Install(reconfig::RingConfiguration(
+      1, {reconfig::RouteFor(d.ring(0)), reconfig::RouteFor(d.ring(1))},
+      {{part.RangeOf(0).first, part.RangeOf(0).second, d.ring(0).group},
+       {part.RangeOf(1).first, part.RangeOf(1).second, d.ring(1).group}}));
+  KvClientConfig cc;
+  cc.partitioning = part;
+  cc.rings = {d.ring(0), d.ring(1)};
+  cc.holder = &holder;
+  cc.window = 2;
+  cc.query_ratio = 0.5;
+  cc.multi_partition_ratio = 1.0;
+  auto client = std::make_unique<KvClient>(cc);
+  auto* raw = client.get();
+  sim::SimNode& node = d.AddClient(std::move(client), {0, 1});
+  d.Start();
+  d.RunFor(Seconds(2));
+
+  EXPECT_GT(raw->unroutable(), 10u);
+  EXPECT_GT(raw->completed(), 200u) << "unroutable queries hold the window";
+  EXPECT_EQ(node.metrics().CounterValue("smr.client.unroutable"),
+            raw->unroutable());
 }
 
 TEST(KvSemantics, UnbootstrappedPeerDoesNotServeSnapshots) {

@@ -170,14 +170,14 @@ TEST(LearnerCore, ValueBeforeDecisionAndAfter) {
   auto p2a = MakeMessage<ringpaxos::P2A>(3, 1, 0, 42, paxos::Value::Batch({Msg(1)}),
                                          std::vector<ringpaxos::Decided>{},
                                          std::vector<NodeId>{0, 1});
-  EXPECT_TRUE(core.OnRingMessage(node, p2a));
+  EXPECT_TRUE(core.OnMessage(node, kNoNode, p2a));
   EXPECT_FALSE(core.HasReady());
   EXPECT_EQ(core.buffered_msgs(), 1u);
 
   // Decision arrives: ready.
   auto dec = MakeMessage<ringpaxos::DecisionMsg>(
       3, std::vector<ringpaxos::Decided>{{0, 42}});
-  EXPECT_TRUE(core.OnRingMessage(node, dec));
+  EXPECT_TRUE(core.OnMessage(node, kNoNode, dec));
   ASSERT_TRUE(core.HasReady());
   auto ready = core.Pop();
   ASSERT_TRUE(ready.has_value());
@@ -202,16 +202,16 @@ TEST(LearnerCore, StaleVidFromDeadRoundNotDelivered) {
                                            paxos::Value::Batch({Msg(7)}),
                                            std::vector<ringpaxos::Decided>{},
                                            std::vector<NodeId>{0, 1});
-  core.OnRingMessage(node, stale);
+  core.OnMessage(node, kNoNode, stale);
   auto dec = MakeMessage<ringpaxos::DecisionMsg>(
       3, std::vector<ringpaxos::Decided>{{0, vid_r2}});
-  core.OnRingMessage(node, dec);
+  core.OnMessage(node, kNoNode, dec);
   EXPECT_FALSE(core.HasReady());
   // The winning value arrives via retransmission (LearnRep).
   auto rep = MakeMessage<ringpaxos::LearnRep>(
       3, std::vector<ringpaxos::LearnRep::Entry>{
              {0, vid_r2, paxos::Value::Batch({Msg(8)})}});
-  core.OnRingMessage(node, rep);
+  core.OnMessage(node, kNoNode, rep);
   ASSERT_TRUE(core.HasReady());
   EXPECT_EQ(core.Pop()->value.msgs[0].seq, 8u);
 }
@@ -230,14 +230,14 @@ TEST(LearnerCore, LaterRoundReproposalFillsRelabelledDecision) {
   // Decision with the round-1 label arrives first (value lost).
   auto dec = MakeMessage<ringpaxos::DecisionMsg>(
       3, std::vector<ringpaxos::Decided>{{0, vid_r1}});
-  core.OnRingMessage(node, dec);
+  core.OnMessage(node, kNoNode, dec);
   EXPECT_FALSE(core.HasReady());
   // The new coordinator's round-3 re-proposal carries the same value.
   auto repro = MakeMessage<ringpaxos::P2A>(3, 3, 0, vid_r3,
                                            paxos::Value::Batch({Msg(7)}),
                                            std::vector<ringpaxos::Decided>{},
                                            std::vector<NodeId>{0, 1});
-  core.OnRingMessage(node, repro);
+  core.OnMessage(node, kNoNode, repro);
   ASSERT_TRUE(core.HasReady());
   EXPECT_EQ(core.Pop()->value.msgs[0].seq, 7u);
 }
@@ -249,7 +249,7 @@ TEST(LearnerCore, ForeignRingIgnored) {
   auto other = MakeMessage<ringpaxos::P2A>(99, 1, 0, 42, paxos::Value::Skip(1),
                                            std::vector<ringpaxos::Decided>{},
                                            std::vector<NodeId>{0, 1});
-  EXPECT_FALSE(core.OnRingMessage(node, other));
+  EXPECT_FALSE(core.OnMessage(node, kNoNode, other));
 }
 
 // ------------------------------------------------------ codec fuzzing

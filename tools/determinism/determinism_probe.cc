@@ -172,12 +172,12 @@ int main(int argc, char** argv) {
   if (recovery) opts.frontier_gated_trim = true;
   mrp::multiring::SimDeployment d(opts);
 
-  // One merge learner over all rings plus a single-ring learner, so both
-  // delivery paths contribute trace events.
+  // One merge learner over all rings plus a single-ring learner (a
+  // one-ring merge learner) in ring 0's site.
   std::vector<int> all_rings;
   for (int r = 0; r < rings; ++r) all_rings.push_back(r);
   d.AddMergeLearner(all_rings);
-  d.AddRingLearner(0);
+  d.AddMergeLearner({0}, {}, d.ring_site(0));
 
   // --recovery: coordinator + two recoverable learners; rec-b crash-loses
   // its state at 40% of the run and bootstraps from rec-a at 60%. Each

@@ -678,7 +678,7 @@ RunStats RunPlan(const FaultPlan& plan, InstanceId inject_corrupt,
             }
             ringpaxos::LearnerOptions lo;
             lo.ring = d.ring(r);
-            auto src = std::make_unique<multiring::RingGroupSource>(lo);
+            auto src = std::make_unique<ringpaxos::LearnerCore>(lo);
             src->StartAt(cut);
             obs->QueueSubscribe(std::move(src));
           });

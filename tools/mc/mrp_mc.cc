@@ -44,7 +44,6 @@
 #include "multiring/merge_learner.h"
 #include "paxos/value.h"
 #include "ringpaxos/config.h"
-#include "ringpaxos/learner.h"
 #include "ringpaxos/messages.h"
 #include "ringpaxos/ring_node.h"
 #include "tools/mc/explorer.h"
@@ -148,7 +147,8 @@ paxos::ClientMsg MakeCmd(GroupId group, NodeId proposer, std::uint64_t seq) {
   return m;
 }
 
-// Hosts one ring's acceptors and wires one RingLearner with oracle taps.
+// Hosts one ring's acceptors and wires one single-ring learner (a
+// one-ring MergeLearner) per listed id, with oracle taps.
 void HostRing(McWorld* world, const ringpaxos::RingConfig& cfg,
               const std::vector<NodeId>& learners) {
   McNet& net = world->net();
@@ -165,20 +165,21 @@ void HostRing(McWorld* world, const ringpaxos::RingConfig& cfg,
     net.AddNode(ln);
     net.Subscribe(cfg.data_channel, ln);
     net.Subscribe(cfg.control_channel, ln);
-    ringpaxos::RingLearner::Options lo;
-    lo.learner.ring = cfg;
-    lo.learner.recovery_interval = Seconds(10);  // past every horizon
+    multiring::MergeLearner::Options mo;
+    ringpaxos::LearnerOptions lo;
+    lo.ring = cfg;
+    mo.groups.push_back(std::move(lo));
+    mo.tick_interval = Seconds(10);  // past every horizon
     const int idx =
         oracles->RegisterLearner("L" + std::to_string(ln), {cfg.group});
-    const GroupId group = cfg.group;
-    lo.on_decide = [oracles, idx](RingId r, InstanceId i,
+    mo.on_decide = [oracles, idx](RingId r, InstanceId i,
                                   const paxos::Value& v) {
       oracles->OnDecide(idx, r, i, v);
     };
-    lo.on_deliver = [oracles, idx, group](const paxos::ClientMsg& m) {
-      oracles->OnDeliver(idx, group, m);
+    mo.on_deliver = [oracles, idx](GroupId g, const paxos::ClientMsg& m) {
+      oracles->OnDeliver(idx, g, m);
     };
-    auto rl = std::make_unique<ringpaxos::RingLearner>(std::move(lo));
+    auto rl = std::make_unique<multiring::MergeLearner>(std::move(mo));
     auto* raw = rl.get();
     world->Host(ln, std::move(rl), [raw] { return raw->Fingerprint(); });
   }
@@ -276,7 +277,6 @@ McConfig Ring2Config() {
     for (const auto& rc : {r0, r1}) {
       ringpaxos::LearnerOptions lo;
       lo.ring = rc;
-      lo.recovery_interval = Seconds(10);
       opts.groups.push_back(std::move(lo));
     }
     opts.m = 1;
