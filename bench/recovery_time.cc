@@ -257,8 +257,9 @@ int main(int argc, char** argv) {
               "roughly constant across L (the transfer moves a fixed-size app\n"
               "snapshot and the learner resumes at the cut), while log-replay\n"
               "reapplied equals the full backlog and its recover_ms grows\n"
-              "with L. A finer snapshot interval shrinks the live suffix the\n"
-              "recovered learner still has to stream.\n");
+              "with L. The serving peer checkpoints at its next merge turn\n"
+              "boundary when asked, so the coordinator's snapshot interval\n"
+              "does not set the suffix the recovered learner streams.\n");
   if (any_log_gone) {
     std::printf("\n* log gone: by crash time the ring's logical instance ids\n"
                 "  (skip instances included) had outrun the acceptors'\n"

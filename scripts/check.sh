@@ -4,8 +4,10 @@
 #   scripts/check.sh --sanitize   ASan/UBSan build + ctest
 #   scripts/check.sh --tsan       ThreadSanitizer build + the thread-
 #                                 bearing tests (src/runtime event loop
-#                                 and UDP transport); suppressions live
-#                                 in tsan.supp (audited, currently empty)
+#                                 and UDP transport, and a replica's
+#                                 state transfer over LocalCluster
+#                                 threads); suppressions live in
+#                                 tsan.supp (audited, currently empty)
 #   scripts/check.sh --coverage   gcov line-coverage build + ctest +
 #                                 tools/coverage/report.py gate (soft
 #                                 floor on src/paxos+ringpaxos+multiring)
@@ -72,14 +74,19 @@ case "$mode" in
     ;;
   tsan)
     cmake -B build-tsan -S . -DMRP_SANITIZE=thread
-    cmake --build build-tsan -j "$jobs" --target runtime_test plumbing_test
-    # Only the thread-bearing binaries: the sim suite is single-threaded
-    # by construction, so running it under TSan would cost 10x for no
-    # signal. halt_on_error so the first race fails the gate.
+    cmake --build build-tsan -j "$jobs" \
+      --target runtime_test plumbing_test catchup_test
+    # Only the thread-bearing binaries and cases: the sim suite is
+    # single-threaded by construction, so running it under TSan would
+    # cost 10x for no signal. The catch-up case drives a replica's
+    # recovery layer on LocalCluster threads over UDP. halt_on_error so
+    # the first race fails the gate.
     TSAN_OPTIONS="suppressions=$PWD/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
       ./build-tsan/tests/runtime_test
     TSAN_OPTIONS="suppressions=$PWD/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
       ./build-tsan/tests/plumbing_test
+    TSAN_OPTIONS="suppressions=$PWD/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
+      ./build-tsan/tests/catchup_test --gtest_filter='CatchUp.BootstrapOverUdp*'
     ;;
   coverage)
     cmake -B build-cov -S . -DMRP_COVERAGE=ON

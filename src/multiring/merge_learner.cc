@@ -79,7 +79,11 @@ void MergeLearner::SyncMergeGauges() {
 
 void MergeLearner::ArmTick(Env& env) {
   env.SetTimer(opts_.tick_interval, [this, &env] {
-    for (auto& g : groups_) g->source->Tick(env);
+    for (auto& g : groups_) {
+      // A held merge consumes nothing, so a source whose head is ready
+      // has no gap the merge waits on.
+      if (!held_ || !g->source->HasReady()) g->source->Tick(env);
+    }
     PumpMerge(env);
     ArmTick(env);
   });
@@ -277,7 +281,7 @@ void MergeLearner::ApplySubscriptionChanges(Env& env) {
 }
 
 void MergeLearner::PumpMerge(Env& env) {
-  if (halted_) return;
+  if (halted_ || held_) return;
   if (AtTurnBoundary() &&
       (!pending_subscribes_.empty() || !pending_unsubscribes_.empty())) {
     ApplySubscriptionChanges(env);
@@ -376,7 +380,11 @@ void MergeLearner::RestoreCut(const std::vector<CutEntry>& cut,
       break;
     }
   }
+  current_ = 0;
+  consumed_ = 0;
+  comp_queue_.clear();
   total_delivered_ = delivered_count;
+  SyncMergeGauges();
 }
 
 }  // namespace mrp::multiring

@@ -105,13 +105,14 @@ class MergeLearner final : public Protocol {
   std::size_t group_count() const { return groups_.size(); }
   std::uint64_t total_delivered() const { return total_delivered_; }
   std::size_t buffered_msgs() const;
-  std::size_t group_buffered(std::size_t idx) const {
-    return groups_[idx]->source->buffered_msgs();
-  }
   paxos::GroupSource* group_source(std::size_t idx) {
     return groups_[idx]->source.get();
   }
   bool halted() const { return halted_; }
+  // While held, the sources keep buffering their streams but the merge
+  // consumes nothing: a host holds it while it fetches the checkpoint it
+  // resumes at (docs/RECOVERY.md).
+  void Hold(bool held) { held_ = held; }
   // Effective merge quota of the group at merge position `idx`.
   std::uint32_t quota(std::size_t idx) const { return quota_[idx]; }
   // Messages currently held back by latency compensation.
@@ -136,7 +137,11 @@ class MergeLearner final : public Protocol {
   struct CutEntry {
     RingId ring = 0;
     InstanceId next_instance = 0;  // everything below is delivered
+    // Logical instances of an already-consumed skip batch the merge
+    // still owes this group's quota.
     std::uint64_t pending_skip = 0;
+
+    friend bool operator==(const CutEntry&, const CutEntry&) = default;
   };
   // The merge-consistent cut, in merge (ascending group) order. Only
   // meaningful at a turn boundary (inside on_turn_boundary, or before
@@ -145,10 +150,11 @@ class MergeLearner final : public Protocol {
   // True exactly when the merge sits at a turn boundary right now (also
   // true before any consumption) — CurrentCut() is valid to take.
   bool AtTurnBoundary() const { return current_ == 0 && consumed_ == 0; }
-  // Resumes a FRESH learner at a checkpoint cut: each source starts at
-  // its cut instance, pending skips are re-owed, and the delivery
-  // counter continues from the checkpoint. Must be called before
-  // OnStart. Entries whose ring no group matches are ignored.
+  // Resumes the learner at a checkpoint cut, before OnStart or while
+  // running: each source moves to its cut instance, pending skips are
+  // re-owed, the merge restarts at the turn boundary the cut was taken
+  // at (nothing held back), and the delivery counter continues from the
+  // checkpoint. Entries whose ring no group matches are ignored.
   void RestoreCut(const std::vector<CutEntry>& cut,
                   std::uint64_t delivered_count);
 
@@ -166,6 +172,9 @@ class MergeLearner final : public Protocol {
     f.U64(current_);
     f.U32(consumed_);
     f.Bool(halted_);
+    // Folded only when held, so the model checker's merges (never held)
+    // keep the digests its recorded state counts rest on.
+    if (held_) f.Bool(true);
     f.U64(total_delivered_);
     f.U64(subscription_changes_);
     f.U64(pending_subscribes_.size());
@@ -206,6 +215,7 @@ class MergeLearner final : public Protocol {
   std::size_t current_ = 0;       // group whose turn it is
   std::uint32_t consumed_ = 0;    // instances consumed in the current turn
   bool halted_ = false;
+  bool held_ = false;
   std::uint64_t total_delivered_ = 0;
 
   // Dynamic-subscription state: queued changes waiting for the next

@@ -64,10 +64,15 @@ class GroupSource {
   // Next instance of the decided stream this source will surface; the
   // merge records it as the source's checkpoint-cut position.
   virtual InstanceId next_instance() const { return 0; }
-  // Positions a fresh source at `at` (instances below are covered by a
-  // restored checkpoint). Called before OnStart, never after messages
-  // were consumed. Sources that cannot resume ignore it and replay.
+  // Positions the source at `at` (instances below are covered by a
+  // restored checkpoint), before OnStart or on a running source whose
+  // host restores a later checkpoint. Sources that cannot resume ignore
+  // it and replay.
   virtual void StartAt(InstanceId at) { (void)at; }
+  // Logical instances this source jumped over because its ordering
+  // protocol no longer held them (a lag past the acceptors' retention):
+  // a gap in the delivered stream.
+  virtual InstanceId fast_forwarded() const { return 0; }
 
   // State digest for the model checker (docs/MODEL_CHECKING.md). The
   // default covers only the consumption cursor; sources with internal

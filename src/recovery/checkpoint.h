@@ -28,6 +28,7 @@
 #include "common/bytes.h"
 #include "common/env.h"
 #include "common/types.h"
+#include "multiring/merge_learner.h"
 #include "recovery/messages.h"
 
 namespace mrp::recovery {
@@ -35,25 +36,11 @@ namespace mrp::recovery {
 // FNV-1a digest used to authenticate reassembled snapshot transfers.
 std::uint64_t Fnv1a(const Bytes& bytes);
 
-// One group's resume position inside a checkpoint.
-struct CheckpointCut {
-  RingId ring = 0;
-  // Everything below this instance is covered by the checkpoint.
-  InstanceId next_instance = 0;
-  // Logical instances of an already-consumed skip batch the merge still
-  // owes this group's quota (MergeLearner GroupState::pending_skip).
-  std::uint64_t pending_skip = 0;
-
-  friend bool operator==(const CheckpointCut& a, const CheckpointCut& b) {
-    return a.ring == b.ring && a.next_instance == b.next_instance &&
-           a.pending_skip == b.pending_skip;
-  }
-};
-
 struct Checkpoint {
-  std::uint64_t id = 0;               // coordinator epoch that drove it
+  std::uint64_t id = 0;               // epoch, or an id taken for a peer
   std::uint64_t delivered_count = 0;  // messages delivered below the cut
-  std::vector<CheckpointCut> cut;     // ascending group order
+  // MergeLearner::CurrentCut() at a turn boundary, ascending group order.
+  std::vector<multiring::MergeLearner::CutEntry> cut;
   Bytes app_state;                    // Snapshottable::SnapshotState()
 
   Bytes Encode() const;

@@ -10,7 +10,7 @@
 //
 // Snapshot transfer data plane, the one way state moves between nodes:
 // a recovering learner, a late-joining replica or a repartition target
-// pulls a checkpoint (the latest, or one given id) from a peer with
+// pulls a checkpoint (a fresh one, or one given id) from a peer with
 // SnapshotRequest and receives it as indexed SnapshotChunk frames
 // followed by a SnapshotDone trailer whose digest authenticates the
 // reassembled blob. Chunks are idempotent and self-describing, so loss,
@@ -81,7 +81,7 @@ struct SnapshotRequest final : MessageBase {
   MRP_WIRE_MESSAGE(SnapshotRequest, 17, "recovery.SnapshotRequest",
                    checkpoint_id, from_chunk, max_chunks)
 
-  std::uint64_t checkpoint_id = 0;  // 0 = the peer's latest checkpoint
+  std::uint64_t checkpoint_id = 0;  // 0 = a fresh checkpoint of the peer
   std::uint32_t from_chunk = 0;
   std::uint32_t max_chunks = 0;  // flow-control window per request
 

@@ -1,29 +1,31 @@
 // RecoverableLearner: a MergeLearner host that participates in the
-// checkpoint & recovery subsystem (docs/RECOVERY.md).
+// checkpoint & recovery subsystem (docs/RECOVERY.md), and the one
+// learner host that moves application state between nodes.
 //
 // Three duties on top of plain merge-learning:
-//  - Checkpoint agent: when the CheckpointCoordinator requests an epoch,
-//    the next merge turn boundary snapshots the cut (per-ring resume
-//    instances + pending skips + delivery count) together with the
-//    application state, persists it through SnapshotPersistence, and —
-//    only once durable — reports the cut's frontiers back to the
-//    coordinator. Reporting before durability could advance the stable
-//    frontier past state we would lose in a crash.
-//  - Snapshot server: answers SnapshotRequest from recovering peers with
-//    a chunked transfer (SnapshotChunk* + SnapshotDone trailer) through
-//    the shared ServeSnapshot (recovery_manager.h).
-//  - Recovery client: with `recover_on_start`, the learner stays dormant
-//    (ring traffic dropped) while a RecoveryManager fetches the latest
-//    checkpoint from a peer; on completion it restores the application
-//    state, positions the merge at the checkpointed cut and goes live —
-//    resuming delivery from the checkpoint instead of instance 0. The
-//    ring retention needed for the [cut, live) refetch is guaranteed by
-//    frontier-gated trimming (ringpaxos::RingConfig::frontier_gated_trim).
+//  - Checkpoint agent: on a CheckpointCoordinator epoch, or a peer's
+//    request, the next merge turn boundary snapshots the cut (per-ring
+//    resume instances + pending skips + delivery count) with the
+//    application state and persists it. An epoch is reported only once
+//    durable: earlier could advance the stable frontier past state a
+//    crash would lose.
+//  - Snapshot server: answers SnapshotRequest through ServeSnapshot
+//    (recovery_manager.h). Id 0 gets a checkpoint taken at the next turn
+//    boundary; any other id is the application's handoff under that id
+//    (Snapshottable::Handoff) or a stored checkpoint.
+//  - Recovery client: fetches a checkpoint from `fetch.peers` with the
+//    merge held, checks that the application accepted the state, and
+//    resumes the merge at the cut. It fetches with `recover_on_start`
+//    and after a gap — a source that fast-forwarded past history the
+//    acceptors no longer hold. Nothing past a gap is delivered; with no
+//    peer to fetch from, the learner stops for good (fail-stop).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/env.h"
@@ -41,7 +43,8 @@ class RecoverableLearner final : public Protocol {
  public:
   struct Options {
     // Merge configuration; `merge.on_turn_boundary` is reserved for the
-    // checkpoint agent and must be left empty.
+    // checkpoint agent and must be left empty. `merge.on_deliver` sees
+    // only deliveries that follow the application's state without a gap.
     multiring::MergeLearner::Options merge;
     // Application state captured into checkpoints (borrowed; optional —
     // without one, checkpoints carry only the ordering cut).
@@ -49,19 +52,14 @@ class RecoverableLearner final : public Protocol {
     // Durable checkpoint archive (borrowed; optional — without one,
     // checkpoints are "durable" the moment they are taken).
     SnapshotPersistence* persistence = nullptr;
-    // Checkpoints retained for serving peers.
-    std::size_t store_keep = 2;
-    // Where CheckpointReports go. kNoNode = never report (self-driven
-    // checkpoints only).
+    // Where CheckpointReports go. kNoNode = never report.
     NodeId coordinator = kNoNode;
-    // 0 = coordinator-driven only; otherwise also self-arm a checkpoint
-    // every interval (used by deployments without a coordinator).
-    Duration self_checkpoint_interval{0};
     // Recovery client: fetch a checkpoint from `fetch.peers` before
-    // going live.
+    // going live. Finding none, a fetch of id 0 cold-starts from
+    // instance 0; one pinned to an id (a handoff) fetches again.
     bool recover_on_start = false;
     RecoveryManager::Options fetch;
-    // Fired once when a restore completes (before the merge starts):
+    // Fired when a restore completes (before delivery resumes):
     // `resume_index` is the absolute delivery index the learner resumes
     // at — deliveries after this call align with a never-crashed
     // learner's stream from that index (the RecoveryOracle contract).
@@ -70,35 +68,56 @@ class RecoverableLearner final : public Protocol {
   };
 
   explicit RecoverableLearner(Options opts);
+  // The merge's callbacks hold `this`.
+  RecoverableLearner(const RecoverableLearner&) = delete;
+  RecoverableLearner& operator=(const RecoverableLearner&) = delete;
 
   void OnStart(Env& env) override;
   void OnMessage(Env& env, NodeId from, const MessagePtr& m) override;
 
   multiring::MergeLearner& merge() { return *merge_; }
   const multiring::MergeLearner& merge() const { return *merge_; }
-  SnapshotStore& store() { return store_; }
   const RecoveryManager& fetcher() const { return fetch_; }
-  bool recovering() const { return recovering_; }
-  std::uint64_t checkpoints_taken() const { return checkpoints_; }
+  // Delivering: neither fetching nor stopped.
+  bool live() const { return phase_ == Phase::kLive; }
+  bool recovering() const { return phase_ == Phase::kFetching; }
+  bool stopped() const { return phase_ == Phase::kStopped; }
+  std::uint64_t checkpoints_taken() const {
+    return ctr_checkpoints_ ? ctr_checkpoints_->value() : 0;
+  }
   std::uint64_t resume_index() const { return resume_index_; }
-  std::uint64_t serve_requests() const { return serve_requests_; }
+  std::uint64_t serve_requests() const {
+    return ctr_serve_reqs_ ? ctr_serve_reqs_->value() : 0;
+  }
 
  private:
+  enum class Phase : std::uint8_t { kLive, kFetching, kStopped };
+
+  // True while live and no source has fast-forwarded since the last
+  // check; on a new fast-forward, starts the catch-up fetch (or stops).
+  bool Live(Env& env);
   void MaybeTakeCheckpoint(Env& env);
-  void FinishRecovery(Env& env, Checkpoint cp);
+  void StartFetch(Env& env);
+  void FinishFetch(Env& env, Checkpoint cp);
 
   Options opts_;
   std::unique_ptr<multiring::MergeLearner> merge_;
   SnapshotStore store_;
   RecoveryManager fetch_;
   Env* env_ = nullptr;
-  bool recovering_ = false;
+  Phase phase_ = Phase::kLive;
+  // The application has been neither fed nor restored: a cold start
+  // from instance 0 is still equivalent to replaying the whole stream.
+  bool pristine_ = true;
+  // Per source group: the fast_forwarded() count already accounted for.
+  std::map<GroupId, InstanceId> seen_fast_forwarded_;
   // Highest checkpoint epoch requested but not yet taken (0 = none).
   std::uint64_t pending_epoch_ = 0;
   std::uint64_t last_epoch_ = 0;
-  std::uint64_t self_epoch_base_ = 0;  // high base for self-driven epochs
-  std::uint64_t checkpoints_ = 0;
-  std::uint64_t serve_requests_ = 0;
+  // Ids of checkpoints taken for peers: far above epochs and plan ids.
+  std::uint64_t served_id_ = 1ULL << 48;
+  // Id-0 requests waiting for the next turn boundary, one per peer.
+  std::vector<std::pair<NodeId, SnapshotRequest>> waiting_;
   std::uint64_t resume_index_ = 0;
   // Outlives-`this` guard for persistence completions: the simulated
   // disk's done callback can fire after a crash replaced this protocol

@@ -36,12 +36,16 @@ std::uint32_t ServeSnapshot(Env& env, NodeId to, const SnapshotRequest& req,
   return sent;
 }
 
-void RecoveryManager::Start(Env& env, DoneFn done,
-                            std::uint64_t checkpoint_id) {
+void RecoveryManager::Start(Env& env, DoneFn done) {
   done_ = std::move(done);
+  if (transfers_ > 0 && !opts_.peers.empty()) {
+    // The last transfer ended on this peer; begin at the next.
+    peer_idx_ = (peer_idx_ + 1) % opts_.peers.size();
+  }
+  ++transfers_;
   active_ = true;
-  requested_id_ = checkpoint_id;
-  pinned_id_ = checkpoint_id;
+  rotations_ = 0;
+  ResetTransfer();
   MetricsRegistry& reg = env.metrics();
   ctr_chunks_rx_ = &reg.counter("recovery.mgr.chunks_rx");
   ctr_retries_ = &reg.counter("recovery.mgr.retries");
@@ -82,7 +86,6 @@ void RecoveryManager::ArmRetry(Env& env) {
     if (!active_) return;
     if (chunks_rx_ == progress_mark_) {
       ++stalled_;
-      ++retries_;
       ctr_retries_->Inc();
       if (stalled_ >= opts_.peer_fail_after) {
         RotatePeer(env);
@@ -97,22 +100,27 @@ void RecoveryManager::ArmRetry(Env& env) {
   });
 }
 
-void RecoveryManager::RotatePeer(Env& env) {
-  ++peer_rotations_;
-  ctr_rotations_->Inc();
-  // Full restart: checkpoint ids are coordinator epochs, so two peers
-  // can hold DIFFERENT checkpoints under the same id (each cuts at its
-  // own turn boundary). Chunks must never be mixed across peers.
-  pinned_id_ = requested_id_;
+void RecoveryManager::ResetTransfer() {
+  pinned_id_ = opts_.checkpoint_id;
   total_chunks_ = 0;
   expected_digest_ = 0;
   done_seen_ = false;
   chunks_.clear();
   stalled_ = 0;
+}
+
+void RecoveryManager::RotatePeer(Env& env) {
+  ++peer_rotations_;
+  ++rotations_;
+  ctr_rotations_->Inc();
+  // Full restart: two peers can hold DIFFERENT checkpoints under the
+  // same id (each cuts at its own turn boundary). Chunks must never be
+  // mixed across peers.
+  ResetTransfer();
   peer_idx_ = (peer_idx_ + 1) % opts_.peers.size();
-  if (peer_rotations_ >=
+  if (rotations_ >=
       static_cast<std::uint64_t>(opts_.max_rotations) * opts_.peers.size()) {
-    // Every peer exhausted: cold-start from instance 0 (always safe).
+    // Every peer exhausted.
     TraceProtocolEvent(env.now(), env.self(), kNoRing, kNoInstance, "recovery",
                        "fetch_give_up", peer_rotations_);
     Finish(env, Checkpoint{});

@@ -17,9 +17,9 @@
 // progress the transfer restarts from scratch against the next peer in
 // the list (mid-transfer peer crash). Peers that answer "no checkpoint
 // available" (SnapshotDone{total_chunks=0}) also rotate. If every peer
-// is exhausted the manager completes with an EMPTY checkpoint — a
-// learner then cold-starts from instance 0, which is the pre-recovery
-// behaviour and always safe; a bootstrapping replica starts over.
+// is exhausted the manager completes with an EMPTY checkpoint, and the
+// host decides (recoverable_learner.h): cold-start from instance 0, or
+// fetch again later.
 #pragma once
 
 #include <cstdint>
@@ -58,31 +58,32 @@ class RecoveryManager {
     // Stalled retries against one peer before rotating to the next.
     int peer_fail_after = 4;
     // Full rotations over the peer list before giving up and completing
-    // with an empty checkpoint (cold start).
+    // with an empty checkpoint.
     int max_rotations = 3;
+    // 0 asks each peer for a checkpoint of its current state; any other
+    // id is fetched as that id or not at all.
+    std::uint64_t checkpoint_id = 0;
   };
 
   using DoneFn = std::function<void(Checkpoint)>;
 
   explicit RecoveryManager(Options opts) : opts_(std::move(opts)) {}
 
-  // Begins the transfer of checkpoint `checkpoint_id`; `done` fires
-  // exactly once. 0 asks each peer for its latest checkpoint; any other
-  // id is fetched as that id or not at all.
-  void Start(Env& env, DoneFn done, std::uint64_t checkpoint_id = 0);
+  // Begins a transfer; `done` fires exactly once. Once it has, Start
+  // may be called again: that transfer begins at the next peer.
+  void Start(Env& env, DoneFn done);
 
   // Feeds SnapshotChunk / SnapshotDone messages; returns true if the
   // message belonged to this transfer.
   bool OnMessage(Env& env, NodeId from, const MessagePtr& m);
 
-  bool active() const { return active_; }
-  std::uint64_t retries() const { return retries_; }
   std::uint64_t peer_rotations() const { return peer_rotations_; }
   std::uint64_t chunks_received() const { return chunks_rx_; }
 
  private:
   void RequestMissing(Env& env);
   void ArmRetry(Env& env);
+  void ResetTransfer();
   void RotatePeer(Env& env);
   void TryComplete(Env& env);
   void Finish(Env& env, Checkpoint cp);
@@ -92,13 +93,13 @@ class RecoveryManager {
   DoneFn done_;
   bool active_ = false;
 
+  std::uint64_t transfers_ = 0;  // Start calls
   std::size_t peer_idx_ = 0;
-  int rotations_ = 0;
+  std::uint64_t rotations_ = 0;  // in the current transfer
   int stalled_ = 0;
 
-  std::uint64_t requested_id_ = 0;  // Start's id; 0 = latest
-  // requested_id_, or for a "latest" fetch 0 until the first chunk pins
-  // the peer's id.
+  // Options::checkpoint_id, or for an id-0 fetch 0 until the first chunk
+  // pins the peer's id.
   std::uint64_t pinned_id_ = 0;
   std::uint32_t total_chunks_ = 0;
   std::uint64_t expected_digest_ = 0;
@@ -108,7 +109,6 @@ class RecoveryManager {
 
   TimerId retry_timer_ = kNoTimer;
 
-  std::uint64_t retries_ = 0;
   std::uint64_t peer_rotations_ = 0;
   std::uint64_t chunks_rx_ = 0;
 

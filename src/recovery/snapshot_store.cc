@@ -6,16 +6,12 @@ namespace mrp::recovery {
 
 void SnapshotStore::Put(const Checkpoint& cp, std::function<void()> durable) {
   Entry e{cp.id, cp.Encode()};
-  bytes_stored_ += e.encoded.size();
   const Bytes& encoded = e.encoded;
   if (persistence_ != nullptr) {
     persistence_->Persist(cp.id, encoded, std::move(durable));
   }
   entries_.push_back(std::move(e));
-  while (entries_.size() > keep_) {
-    bytes_stored_ -= entries_.front().encoded.size();
-    entries_.pop_front();
-  }
+  while (entries_.size() > keep_) entries_.pop_front();
   if (persistence_ == nullptr && durable) durable();
 }
 
@@ -26,24 +22,6 @@ const Bytes* SnapshotStore::Encoded(std::uint64_t id) const {
     if (e.id == id) return &e.encoded;
   }
   return nullptr;
-}
-
-std::optional<Checkpoint> SnapshotStore::Latest() const {
-  if (entries_.empty()) return std::nullopt;
-  return Checkpoint::Decode(entries_.back().encoded);
-}
-
-bool SnapshotStore::Restore(const Bytes& encoded) {
-  auto cp = Checkpoint::Decode(encoded);
-  if (!cp) return false;
-  if (!entries_.empty() && cp->id <= entries_.back().id) return false;
-  bytes_stored_ += encoded.size();
-  entries_.push_back(Entry{cp->id, encoded});
-  while (entries_.size() > keep_) {
-    bytes_stored_ -= entries_.front().encoded.size();
-    entries_.pop_front();
-  }
-  return true;
 }
 
 }  // namespace mrp::recovery

@@ -48,23 +48,13 @@ class SnapshotStore {
       : keep_(keep < 1 ? 1 : keep), persistence_(persistence) {}
 
   // Archives `cp`; `durable` fires once the persistence backend (if
-  // any) acknowledges. Ids must be strictly increasing.
+  // any) acknowledges. Ids must be unique.
   void Put(const Checkpoint& cp, std::function<void()> durable);
 
   // Encoded bytes of checkpoint `id`, or of the newest one when id == 0.
   // Returns nullptr when unknown/already dropped.
   const Bytes* Encoded(std::uint64_t id) const;
-  // Decoded view of the newest checkpoint (nullopt when empty).
-  std::optional<Checkpoint> Latest() const;
-  std::uint64_t latest_id() const {
-    return entries_.empty() ? 0 : entries_.back().id;
-  }
   std::size_t count() const { return entries_.size(); }
-  std::uint64_t bytes_stored() const { return bytes_stored_; }
-
-  // Seeds the store from persisted bytes (restart path); returns false
-  // on malformed input.
-  bool Restore(const Bytes& encoded);
 
  private:
   struct Entry {
@@ -74,8 +64,7 @@ class SnapshotStore {
 
   std::size_t keep_;
   SnapshotPersistence* persistence_;
-  std::deque<Entry> entries_;  // ascending id
-  std::uint64_t bytes_stored_ = 0;
+  std::deque<Entry> entries_;  // oldest first
 };
 
 }  // namespace mrp::recovery

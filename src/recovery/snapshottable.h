@@ -4,12 +4,15 @@
 // produced by this interface; restoring the blob and resuming the merge
 // at the cut must be equivalent to having delivered every message below
 // the cut. smr::Replica implements it by serializing its KvStore and
-// SessionTable; the same bytes bootstrap a late-joining replica and, for
-// the moved range, a repartition target.
+// SessionTable; the same bytes bootstrap a late-joining replica, catch
+// up a replica that fell behind the acceptors' retention and, for the
+// moved range, a repartition target.
 //
 // Header-only on purpose: implementers (src/smr) must not have to link
 // the recovery library to expose a snapshot.
 #pragma once
+
+#include <cstdint>
 
 #include "common/bytes.h"
 
@@ -28,6 +31,14 @@ class Snapshottable {
   // Replaces the application state with a previously captured snapshot.
   // Returns false (leaving the state unspecified) on malformed input.
   virtual bool RestoreState(const Bytes& state) = 0;
+
+  // An encoded checkpoint the application keeps under an id of its own
+  // (a repartition handoff under its plan id), served to peers verbatim
+  // for as long as it returns one; nullptr = none under that id.
+  virtual const Bytes* Handoff(std::uint64_t id) const {
+    (void)id;
+    return nullptr;
+  }
 };
 
 }  // namespace mrp::recovery

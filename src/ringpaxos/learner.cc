@@ -126,11 +126,7 @@ bool LearnerCore::OnMessage(Env& env, NodeId /*from*/, const MessagePtr& m) {
           trim->low_watermark + (trim->high_watermark - trim->low_watermark) / 2;
       if (target > window_.next()) {
         const InstanceId skipped = target - window_.next();
-        for (const Cell& dropped : window_.Skip(skipped)) {
-          if (dropped.value.has_value()) {
-            buffered_msgs_ -= std::min(buffered_msgs_, MsgsIn(*dropped.value));
-          }
-        }
+        for (const Cell& dropped : window_.Skip(skipped)) Release(dropped);
         fast_forwarded_ += skipped;
         if (ctr_fast_forwarded_) ctr_fast_forwarded_->Inc(skipped);
         TraceProtocolEvent(env.now(), env.self(), opts_.ring.ring, target,
@@ -142,6 +138,17 @@ bool LearnerCore::OnMessage(Env& env, NodeId /*from*/, const MessagePtr& m) {
     default:
       return false;
   }
+}
+
+void LearnerCore::StartAt(InstanceId at) {
+  if (at < window_.next()) {
+    window_.ForEachPresent([this](InstanceId, const Cell& c) { Release(c); });
+    window_ = InstanceWindow<Cell>();
+  }
+  for (const Cell& dropped : window_.Skip(at - window_.next())) {
+    Release(dropped);
+  }
+  TrimCache();
 }
 
 void LearnerCore::PlaceDecision(InstanceId instance, ValueId vid) {

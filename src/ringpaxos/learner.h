@@ -52,9 +52,7 @@ class LearnerCore final : public paxos::GroupSource {
       // ids inside the range were never proposed individually. Any
       // stale cells discarded by the advance release their accounting.
       for (const Cell& dropped : window_.Skip(cell.value->skip_count - 1)) {
-        if (dropped.value.has_value()) {
-          buffered_msgs_ -= std::min(buffered_msgs_, MsgsIn(*dropped.value));
-        }
+        Release(dropped);
       }
     }
     Ready out{instance, std::move(*cell.value)};
@@ -70,21 +68,15 @@ class LearnerCore final : public paxos::GroupSource {
 
   InstanceId next_instance() const override { return window_.next(); }
 
-  // Positions a FRESH core at `at`: every instance below is covered by a
-  // checkpoint (docs/RECOVERY.md) and will never be popped. Must be
-  // called before any message is consumed; a no-op for targets at or
-  // behind the window.
-  void StartAt(InstanceId at) override {
-    if (at > window_.next()) window_.Skip(at - window_.next());
-  }
+  // Positions the core at `at`: every instance below is covered by a
+  // checkpoint (docs/RECOVERY.md) and will never be popped. Moving
+  // backwards drops the window; the instances from `at` on are then
+  // relearned from the value cache and the acceptors.
+  void StartAt(InstanceId at) override;
 
   // Messages buffered: decided-but-unconsumed plus cached-undecided.
   std::size_t buffered_msgs() const override { return buffered_msgs_; }
-  std::size_t cache_entries() const { return cache_.size(); }
-  std::size_t window_entries() const { return window_.buffered(); }
-  // Logical instances jumped over because the acceptors' logs no longer
-  // held them (late join / deep lag).
-  InstanceId fast_forwarded() const { return fast_forwarded_; }
+  InstanceId fast_forwarded() const override { return fast_forwarded_; }
 
   // Gap recovery; the hosting learner calls it every tick.
   void Tick(Env& env) override;
@@ -133,6 +125,13 @@ class LearnerCore final : public paxos::GroupSource {
   };
 
   void PlaceDecision(InstanceId instance, ValueId vid);
+  // Releases the buffered-message accounting of a cell leaving the
+  // window unpopped.
+  void Release(const Cell& cell) {
+    if (cell.value.has_value()) {
+      buffered_msgs_ -= std::min(buffered_msgs_, MsgsIn(*cell.value));
+    }
+  }
   void TrimCache();
   std::size_t MsgsIn(const paxos::Value& v) const { return v.msgs.size(); }
   std::size_t BytesIn(const paxos::Value& v) const {

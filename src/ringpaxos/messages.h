@@ -192,10 +192,10 @@ struct LearnRep final : RingMessage {
 
 // Acceptor -> learner: the requested instances were trimmed from the
 // acceptor's log. The decided stream is only replayable within
-// [low_watermark, high_watermark]; a late-joining learner fast-forwards
-// into that window — to its midpoint, keeping half the retention as
-// replayable history and half as headroom against the moving trim point
-// (applications recover earlier state via snapshots, see smr::Replica).
+// [low_watermark, high_watermark]; a lagging learner fast-forwards to
+// its midpoint (half the retention replayable, half headroom against
+// the moving trim point). The skip is a gap: an smr::Replica's learner
+// fetches a peer's state at a cut, or stops (docs/RECOVERY.md).
 struct TrimNotice final : RingMessage {
   MRP_WIRE_MESSAGE(TrimNotice, 14, "ring.TrimNotice",
                    ring, low_watermark, high_watermark)

@@ -99,8 +99,8 @@ void SimNode::FireTimer(TimerId id, std::function<void()> callback) {
     deferred_timers_.emplace_back(id, std::move(callback));
     return;
   }
-  ExecuteAt(now(), spec_.infinite_cpu ? Duration{0} : spec_.cpu_timer_cost,
-            std::move(callback));
+  Execute(spec_.infinite_cpu ? Duration{0} : spec_.cpu_timer_cost,
+          std::move(callback));
 }
 
 void SimNode::BindProtocol(std::unique_ptr<Protocol> protocol) {
@@ -109,7 +109,7 @@ void SimNode::BindProtocol(std::unique_ptr<Protocol> protocol) {
 
 void SimNode::Start() {
   assert(protocol_ != nullptr);
-  ExecuteAt(now(), Duration{0}, [this] { protocol_->OnStart(*this); });
+  Execute(Duration{0}, [this] { protocol_->OnStart(*this); });
 }
 
 void SimNode::ReplaceProtocol(std::unique_ptr<Protocol> protocol) {

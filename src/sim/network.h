@@ -96,13 +96,20 @@ class SimNode final : public Env {
   // Serializes `wire_bytes` through the egress link starting no earlier
   // than `ready`; returns the departure time.
   TimePoint TxLinkDepart(std::size_t wire_bytes, TimePoint ready);
-  // Charges CPU work and runs `fn` when it completes (skipped if the
-  // node is down at completion time).
+  // Charges `cost` of CPU work that becomes ready now and runs `fn` when
+  // it completes (skipped if the node is down at completion time).
   template <typename Fn>
-  void ExecuteAt(TimePoint ready, Duration cost, Fn&& fn);
+  void Execute(Duration cost, Fn&& fn) {
+    ExecuteAt(now(), cost, std::forward<Fn>(fn));
+  }
   SimNetwork& network() { return net_; }
 
  private:
+  // Execute for work that becomes ready at `ready`. It books the CPU at
+  // call time, so a future `ready` blocks everything received before
+  // then; only DeliverPacket passes one (the NIC's receive time).
+  template <typename Fn>
+  void ExecuteAt(TimePoint ready, Duration cost, Fn&& fn);
   Duration Jittered(Duration cost);
   Duration RecvCost(std::size_t bytes);
   Duration SendCost(std::size_t bytes);

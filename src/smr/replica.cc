@@ -7,29 +7,35 @@
 namespace mrp::smr {
 namespace {
 
-// Pause before a bootstrap fetch that found nothing starts over.
-constexpr Duration kFetchRetry = Millis(100);
-// Ids of the snapshots served for id-0 requests start above this; plan
-// ids (the handoff checkpoint ids) stay below it.
-constexpr std::uint64_t kServedIdBase = 1ULL << 63;
+recovery::RecoverableLearner::Options LearnerOptions(
+    const ReplicaConfig& cfg, recovery::Snapshottable* app,
+    multiring::MergeLearner::DeliverFn deliver) {
+  recovery::RecoverableLearner::Options o;
+  o.merge.m = cfg.m;
+  o.merge.groups.push_back(cfg.partition_ring);
+  if (cfg.all_ring) o.merge.groups.push_back(*cfg.all_ring);
+  o.merge.on_deliver = std::move(deliver);
+  o.app = app;
+  o.recover_on_start = !cfg.bootstrap_peers.empty();
+  o.fetch.peers = cfg.bootstrap_peers;
+  // A late joiner asks for a peer's state (id 0), a repartition target
+  // for its plan's handoff.
+  o.fetch.checkpoint_id = cfg.handoff_plan;
+  return o;
+}
 
 }  // namespace
 
 Replica::Replica(ReplicaConfig cfg)
-    : cfg_(std::move(cfg)), sessions_(cfg_.session_response_cache) {
-  multiring::MergeLearner::Options opts;
-  opts.m = cfg_.m;
-  opts.groups.push_back(cfg_.partition_ring);
-  if (cfg_.all_ring) opts.groups.push_back(*cfg_.all_ring);
-  opts.on_deliver = [this](GroupId g, const paxos::ClientMsg& msg) {
-    Apply(*env_, g, msg);
-  };
-  merge_ = std::make_unique<multiring::MergeLearner>(std::move(opts));
-}
+    : cfg_(std::move(cfg)),
+      sessions_(cfg_.session_response_cache),
+      learner_(LearnerOptions(cfg_, this,
+                              [this](GroupId g, const paxos::ClientMsg& msg) {
+                                Apply(*env_, g, msg);
+                              })) {}
 
 void Replica::OnStart(Env& env) {
   env_ = &env;
-  bootstrapped_ = cfg_.bootstrap_peers.empty();
   if (cfg_.sessions) {
     ctr_dups_ = &env.metrics().counter("smr.replica.session_dups");
   }
@@ -37,26 +43,12 @@ void Replica::OnStart(Env& env) {
     ctr_local_reads_ = &env.metrics().counter("smr.replica.local_reads");
     ctr_read_fallbacks_ = &env.metrics().counter("smr.replica.read_fallbacks");
   }
-  merge_->OnStart(env);
-  // A late joiner fetches lazily, on its first delivery: only then is
-  // the merge stream's start position fixed, which guarantees the peer's
-  // snapshot covers everything before it. A repartition target fetches
-  // right away — its handoff's content is fixed by the seal position in
-  // the *source* stream, not by ours.
-  if (!bootstrapped_ && cfg_.handoff_plan != 0) StartFetch(env);
+  learner_.OnStart(env);
 }
 
 void Replica::OnMessage(Env& env, NodeId from, const MessagePtr& m) {
   env_ = &env;
   switch (m->tag()) {
-    case recovery::SnapshotRequest::kTag:
-      ServeSnapshot(env, from,
-                    *static_cast<const recovery::SnapshotRequest*>(m.get()));
-      return;
-    case recovery::SnapshotChunk::kTag:
-    case recovery::SnapshotDone::kTag:
-      if (fetch_ != nullptr) fetch_->OnMessage(env, from, m);
-      return;
     case reconfig::HandoffRequest::kTag: {
       const auto* probe = static_cast<const reconfig::HandoffRequest*>(m.get());
       // Coordinator completion probe: answered once the handoff with that
@@ -64,7 +56,7 @@ void Replica::OnMessage(Env& env, NodeId from, const MessagePtr& m) {
       // PlanStatus gets through).
       if (probe->plan_id == cfg_.handoff_plan) {
         env.Send(from, MakeMessage<reconfig::PlanStatus>(probe->plan_id,
-                                                         bootstrapped_));
+                                                         bootstrapped()));
       }
       return;
     }
@@ -104,21 +96,22 @@ void Replica::OnMessage(Env& env, NodeId from, const MessagePtr& m) {
       return;
     }
     default:
-      merge_->OnMessage(env, from, m);
+      learner_.OnMessage(env, from, m);
   }
 }
 
 // A local read is linearizable only if the lease window is open AND the
 // applied frontier covers the grant point: every command decided before
 // the grant is applied here, and no other replica can hold the lease.
-// Until the frontier catches up the read waits; once the lease lapses it
+// Until the frontier catches up the read waits; once the lease lapses,
+// or while the replica is not applying (fetching state, or stopped), it
 // fails over to the through-the-ring path (docs/SESSIONS.md).
 void Replica::TryServeRead(Env& env, ReadKey key) {
   auto it = pending_reads_.find(key);
   if (it == pending_reads_.end()) return;
   const PendingRead pr = it->second;
   const bool lease_valid = LeaseValid(env.now());
-  if (!lease_valid) {
+  if (!lease_valid || !bootstrapped()) {
     pending_reads_.erase(it);
     if (ctr_read_fallbacks_) ctr_read_fallbacks_->Inc();
     env.Send(pr.from, MakeMessage<session::SessionReadRep>(
@@ -126,7 +119,9 @@ void Replica::TryServeRead(Env& env, ReadKey key) {
                           session::SessionReadRep::kNoLease));
     return;
   }
-  const InstanceId frontier = ApplyFrontier();
+  // Everything below the partition ring's next instance is applied.
+  const InstanceId frontier =
+      learner_.merge().group_source(0)->next_instance();
   if (frontier < lease_grant_point_) {
     env.SetTimer(cfg_.read_recheck, [this, &env, key] {
       TryServeRead(env, key);
@@ -158,14 +153,6 @@ void Replica::Apply(Env& env, GroupId /*group*/, const paxos::ClientMsg& msg) {
   auto cmd = Command::Decode(msg.payload);
   if (!cmd) {
     ++discarded_;
-    return;
-  }
-  if (!bootstrapped_) {
-    // Stream is live but the bootstrap state has not been installed
-    // yet: buffer, and (late join) kick off the fetch now that the
-    // stream's start position is fixed.
-    pending_applies_.push_back(std::move(*cmd));
-    if (fetch_ == nullptr) StartFetch(env);
     return;
   }
   Execute(env, *cmd);
@@ -319,11 +306,12 @@ void Replica::ExecuteSeal(Env& env, const Command& cmd) {
     moved.Insert(k, std::move(v));
   }
   // The handoff is a checkpoint in SnapshotState's format, so the target
-  // installs it through RestoreState like any bootstrap. Its applied
-  // counter is 0: the target has applied none of these commands itself.
+  // installs it through RestoreState like any bootstrap. It carries no
+  // cut, and its applied and delivered counters are 0: the target's own
+  // stream starts at its beginning, and the target has applied none of
+  // these commands itself.
   recovery::Checkpoint cp;
   cp.id = cmd.req_id;
-  cp.delivered_count = applied_;
   cp.app_state = EncodeState(0, moved, sessions_, {});
   sealed_.emplace(cmd.req_id,
                   SealedRange{slo, shi, cmd.target_group, cp.Encode()});
@@ -333,61 +321,6 @@ void Replica::ExecuteSeal(Env& env, const Command& cmd) {
   }
   ctr_seals_->Inc();
   Respond(env, cmd, true, {});
-}
-
-// Answers a snapshot request (recovery::ServeSnapshot does the
-// chunking): id 0 is this replica's state, snapshotted now; a plan id is
-// that plan's sealed handoff; a snapshot id is one taken for an earlier
-// window of the same transfer.
-void Replica::ServeSnapshot(Env& env, NodeId from,
-                            const recovery::SnapshotRequest& req) {
-  std::uint64_t id = req.checkpoint_id;
-  const Bytes* blob = nullptr;
-  if (id == 0) {
-    // An unbootstrapped replica has no state to give: serving it would
-    // propagate a hole.
-    if (bootstrapped_) {
-      recovery::Checkpoint cp;
-      cp.id = std::max(served_.latest_id(), kServedIdBase) + 1;
-      cp.delivered_count = applied_;
-      cp.app_state = SnapshotState();
-      served_.Put(cp, nullptr);
-      id = cp.id;
-      blob = served_.Encoded(id);
-    }
-  } else if (auto it = sealed_.find(id); it != sealed_.end()) {
-    blob = &it->second.handoff;
-  } else {
-    blob = served_.Encoded(id);
-  }
-  recovery::ServeSnapshot(env, from, req, id, blob);
-}
-
-void Replica::StartFetch(Env& env) {
-  recovery::RecoveryManager::Options o;
-  o.peers = cfg_.bootstrap_peers;
-  fetch_ = std::make_unique<recovery::RecoveryManager>(std::move(o));
-  // A late joiner asks for the peers' current state (id 0), a
-  // repartition target for its plan's handoff.
-  fetch_->Start(
-      env,
-      [this, &env](recovery::Checkpoint cp) {
-        if (cp.id == 0 || !RestoreState(cp.app_state)) {
-          // Every peer was tried without success (none bootstrapped yet,
-          // or the source has not sealed), or the state did not parse:
-          // retry with a fresh transfer. The timer indirection also
-          // keeps the finished manager alive until we are out of its
-          // callback.
-          env.SetTimer(kFetchRetry, [this, &env] { StartFetch(env); });
-          return;
-        }
-        // Replay deliveries buffered while the fetch was in flight
-        // through the full Execute path — dedup and redirects included.
-        auto pending = std::move(pending_applies_);
-        pending_applies_.clear();
-        for (const auto& c : pending) Execute(env, c);
-      },
-      cfg_.handoff_plan);
 }
 
 Bytes Replica::EncodeState(std::uint64_t applied, const KvStore& store,
@@ -440,10 +373,12 @@ bool Replica::RestoreState(const Bytes& bytes) {
   if (!sessions_.Deserialize(*sess)) return false;
   applied_ = *applied;
   sealed_ = std::move(sealed);
-  // A restored replica is by definition caught up to the checkpoint: it
-  // may serve snapshots and applies deliveries from here on.
-  bootstrapped_ = true;
   return true;
+}
+
+const Bytes* Replica::Handoff(std::uint64_t id) const {
+  auto it = sealed_.find(id);
+  return it == sealed_.end() ? nullptr : &it->second.handoff;
 }
 
 }  // namespace mrp::smr

@@ -5,19 +5,17 @@
 // clients directly. Commands outside the replica's range (possible on
 // g_all) are discarded, exactly as the paper describes.
 //
-// State moves between replicas over the recovery layer's chunked
-// snapshot transfer only (recovery/recovery_manager.h). Every replica
-// serves it: a request for id 0 gets a snapshot of its state taken at
-// that moment (only once the replica is itself bootstrapped), a request
-// for a plan id gets that plan's sealed handoff. A replica configured
-// with `bootstrap_peers` pulls one of the two before it applies
-// anything, and installs it through RestoreState.
+// The replica is the application (a Snapshottable plus a delivery
+// handler) of one recovery::RecoverableLearner, which owns the merge and
+// every state transfer: late join, catch-up past the acceptors'
+// retention (or fail-stop without peers) and a repartition target's
+// handoff each fetch one checkpoint with its merge cut and resume the
+// merge there, with no command buffered or replayed (docs/RECOVERY.md).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -25,9 +23,7 @@
 
 #include "common/env.h"
 #include "common/fingerprint.h"
-#include "multiring/merge_learner.h"
-#include "recovery/recovery_manager.h"
-#include "recovery/snapshot_store.h"
+#include "recovery/recoverable_learner.h"
 #include "recovery/snapshottable.h"
 #include "session/messages.h"
 #include "session/session_table.h"
@@ -38,11 +34,12 @@ namespace mrp::smr {
 
 struct ReplicaConfig {
   GroupId partition = 0;
-  // Non-empty: this replica starts unbootstrapped and fetches its state
-  // from these peers before applying anything — the current state of a
-  // peer replica of the same partition (late join: the multicast history
-  // may already be trimmed), or with `handoff_plan` the sealed handoff
-  // of the source group's replicas.
+  // Non-empty: this replica fetches its state from these peers before
+  // applying anything — a peer replica's state at a merge cut (late
+  // join: the multicast history may already be trimmed), or with
+  // `handoff_plan` the source replicas' sealed handoff. A replica that
+  // falls behind the acceptors' retention fetches from its peers of the
+  // same partition again; without any it stops applying.
   std::vector<NodeId> bootstrap_peers;
   std::pair<Key, Key> range{0, ~0ULL};
   // Ring carrying this partition's group and (optionally) the ring
@@ -81,10 +78,10 @@ struct ReplicaConfig {
   // ---- Live repartition (docs/RECONFIG.md) ----
   // Target side: non-zero = the state fetched from `bootstrap_peers` is
   // the sealed handoff with this plan id, requested by that id and
-  // never substituted by another. Deliveries buffer until the handoff is
-  // installed; the transferred SessionTable keeps dedup intact across
-  // the move. The coordinator learns of completion via PlanStatus
-  // (answered to its HandoffRequest probes).
+  // never substituted by another. The target's merge starts once the
+  // handoff is installed; the transferred SessionTable keeps dedup
+  // intact across the move. The coordinator learns of completion via
+  // PlanStatus (answered to its HandoffRequest probes).
   std::uint64_t handoff_plan = 0;
 };
 
@@ -98,46 +95,39 @@ class Replica final : public Protocol, public recovery::Snapshottable {
   // ---- recovery::Snapshottable (docs/RECOVERY.md) ----
   // Captures/installs the applied counter, the full KV store, the
   // session table and the sealed ranges with their handoffs; a restored
-  // replica's store Fingerprint equals the source's. The bootstrap and
-  // handoff transfers carry this format (a handoff carries no sealed
-  // ranges).
+  // replica's store Fingerprint equals the source's. Every transfer
+  // carries this format (a handoff carries no sealed ranges).
   Bytes SnapshotState() const override;
   bool RestoreState(const Bytes& bytes) override;
+  // The sealed handoff of plan `id`, while the seal lives.
+  const Bytes* Handoff(std::uint64_t id) const override;
 
   const KvStore& store() const { return store_; }
   std::uint64_t applied() const { return applied_; }
   std::uint64_t discarded() const { return discarded_; }
   std::uint64_t redirected() const { return redirected_; }
   std::uint64_t seals() const { return sealed_.size(); }
-  bool bootstrapped() const { return bootstrapped_; }
-  multiring::MergeLearner& merge() { return *merge_; }
+  // Applying: the state is installed and follows the stream gap-free.
+  bool bootstrapped() const { return learner_.live(); }
+  const recovery::RecoverableLearner& learner() const { return learner_; }
   const session::SessionTable& sessions() const { return sessions_; }
   std::uint64_t duplicates_suppressed() const { return dup_suppressed_; }
   std::uint64_t local_reads_served() const { return local_reads_served_; }
-  std::uint64_t lease_epoch() const { return lease_epoch_; }
   // True while the lease window is open at `now` (the serve check also
   // requires the applied frontier to cover the lease's grant point).
   bool LeaseValid(TimePoint now) const {
     return lease_epoch_ != 0 && now < lease_expires_;
   }
-  // Applied frontier of the partition's ring, in ring instances:
-  // everything below is delivered (and applied synchronously).
-  InstanceId ApplyFrontier() const {
-    return merge_->group_source(0)->next_instance();
-  }
-
   // State digest for the model checker (docs/MODEL_CHECKING.md): the
   // embedded merge learner, the KV store, apply progress, and the
   // session/lease control plane.
   std::uint64_t Fingerprint() const {
     Fingerprinter f;
-    f.U64(merge_->Fingerprint());
+    f.U64(learner_.merge().Fingerprint());
     f.U64(store_.Fingerprint());
-    f.U64(pending_applies_.size());
-    f.Bool(fetch_ != nullptr);
+    f.Bool(learner_.live());
     f.U64(applied_);
     f.U64(discarded_);
-    f.Bool(bootstrapped_);
     f.U64(sessions_.Fingerprint());
     f.U64(dup_suppressed_);
     f.U64(lease_epoch_);
@@ -172,9 +162,6 @@ class Replica final : public Protocol, public recovery::Snapshottable {
   static Bytes EncodeState(std::uint64_t applied, const KvStore& store,
                            const session::SessionTable& sessions,
                            const std::map<std::uint64_t, SealedRange>& sealed);
-  void StartFetch(Env& env);
-  void ServeSnapshot(Env& env, NodeId from,
-                     const recovery::SnapshotRequest& req);
   void Respond(Env& env, const Command& cmd, bool ok,
                std::vector<std::pair<Key, std::string>> rows,
                GroupId redirect = kNoGroup);
@@ -182,7 +169,6 @@ class Replica final : public Protocol, public recovery::Snapshottable {
   void ExecuteSeal(Env& env, const Command& cmd);
 
   ReplicaConfig cfg_;
-  std::unique_ptr<multiring::MergeLearner> merge_;
   KvStore store_;
   session::SessionTable sessions_;
   std::map<ReadKey, PendingRead> pending_reads_;
@@ -194,22 +180,8 @@ class Replica final : public Protocol, public recovery::Snapshottable {
   Counter* ctr_dups_ = nullptr;
   Counter* ctr_local_reads_ = nullptr;
   Counter* ctr_read_fallbacks_ = nullptr;
-  // Deliveries buffered while the bootstrap fetch is in flight. A late
-  // joiner requests its snapshot only after the merge stream is
-  // positioned and delivering, so snapshot position >= stream start:
-  // replaying the buffer over the snapshot converges (commands are
-  // idempotent per key, session-stamped ones deduplicated) and can
-  // never leave a gap.
-  std::vector<Command> pending_applies_;
-  // The bootstrap fetch (late join or handoff); null until started.
-  std::unique_ptr<recovery::RecoveryManager> fetch_;
-  // Snapshots taken to answer id-0 requests, kept so the requester's
-  // later windows read the same bytes. Their ids start above every plan
-  // id (plan ids stay below 2^63), so they never shadow a handoff.
-  recovery::SnapshotStore served_{2};
   std::uint64_t applied_ = 0;
   std::uint64_t discarded_ = 0;
-  bool bootstrapped_ = false;
 
   // ---- Live repartition (docs/RECONFIG.md) ----
   // Source side: key ranges sealed out of this partition by an applied
@@ -229,6 +201,8 @@ class Replica final : public Protocol, public recovery::Snapshottable {
   Counter* ctr_redirects_ = nullptr;
   Counter* ctr_seals_ = nullptr;
   Env* env_ = nullptr;
+  // Declared last: it calls back into everything above.
+  recovery::RecoverableLearner learner_;
 };
 
 }  // namespace mrp::smr

@@ -254,7 +254,7 @@ struct MenciusCluster {
 
   void Submit(int server, std::uint64_t seq, std::uint32_t size = 8 * 1024) {
     auto* node = nodes[static_cast<std::size_t>(server)];
-    node->ExecuteAt(net->now(), Duration{0}, [this, node, server, seq, size] {
+    node->Execute(Duration{0}, [this, node, server, seq, size] {
       paxos::ClientMsg m;
       m.proposer = node->self();
       m.seq = seq;

@@ -1,7 +1,8 @@
-// Late-join catch-up: a learner that starts after the acceptors trimmed
-// the history it would need receives a TrimNotice and fast-forwards to
-// the log's low watermark; a new state-machine replica additionally
-// bootstraps its state from a peer snapshot and converges.
+// Catch-up past the acceptors' retention: a learner that starts after
+// the acceptors trimmed the history it would need receives a TrimNotice
+// and fast-forwards to the log's low watermark; a state-machine replica
+// instead fetches a peer's state at a merge cut (late join, or a pause
+// that outran retention) and converges, or stops if it has no peer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "multiring/sim_deployment.h"
@@ -116,6 +118,9 @@ void ExpectLateJoinerConverges(bool sessions) {
     EXPECT_EQ(primary->sessions().Fingerprint(),
               joiner->sessions().Fingerprint());
   }
+  // Exact, not just convergent: a joiner that replayed deliveries its
+  // snapshot already held would count them twice.
+  EXPECT_EQ(joiner->applied(), primary->applied());
 }
 
 TEST(CatchUp, NewReplicaBootstrapsFromPeerSnapshot) {
@@ -124,6 +129,98 @@ TEST(CatchUp, NewReplicaBootstrapsFromPeerSnapshot) {
 
 TEST(CatchUp, SessionReplicaBootstrapsSessionTableFromPeer) {
   ExpectLateJoinerConverges(/*sessions=*/true);
+}
+
+// A replica's node is paused for a second while the acceptors keep
+// only 200 instances (about 22 ms at this rate), so on resume the ring
+// no longer holds what it missed and its learner fast-forwards. The
+// replica must not apply across that hole. With a peer it fetches the
+// peer's state at a merge cut and resumes from there, ending with the
+// primary's state; with none it stops applying for good, and what it
+// applied stays a prefix of the primary's sequence.
+void ExpectPausedReplicaNeverDiverges(bool with_peer) {
+  DeploymentOptions opts;
+  opts.n_rings = 1;
+  opts.lambda_per_sec = 9000;
+  opts.trim_keep = 200;
+  SimDeployment d(opts);
+  smr::Partitioning part(1, 100000);
+
+  using Applied = std::vector<std::pair<NodeId, std::uint64_t>>;
+  auto add_replica = [&](std::vector<NodeId> peers, bool respond,
+                         Applied* log) {
+    sim::SimNode* node = nullptr;
+    auto* rep = d.AddLearnerNode(
+        {0}, [&](sim::SimNode& n,
+                 std::vector<ringpaxos::LearnerOptions> groups) {
+          node = &n;
+          smr::ReplicaConfig rc;
+          rc.partition = 0;
+          rc.range = part.RangeOf(0);
+          rc.partition_ring = groups[0];
+          rc.respond = respond;
+          rc.sessions = true;
+          rc.bootstrap_peers = std::move(peers);
+          rc.on_apply = [log](const smr::Command& c) {
+            log->emplace_back(c.client, c.req_id);
+          };
+          return std::make_unique<smr::Replica>(rc);
+        });
+    return std::make_pair(rep, node);
+  };
+  Applied primary_log, paused_log;
+  auto [primary, primary_node] = add_replica({}, true, &primary_log);
+  auto [paused, paused_node] = add_replica(
+      with_peer ? std::vector<NodeId>{primary_node->self()}
+                : std::vector<NodeId>{},
+      false, &paused_log);
+
+  smr::KvClientConfig cc;
+  cc.partitioning = part;
+  cc.rings.push_back(d.ring(0));
+  cc.window = 4;
+  cc.query_ratio = 0;  // writes only
+  cc.session_id = 5;
+  auto& cnode = d.AddClient(std::make_unique<smr::KvClient>(cc), {0});
+
+  d.Start();
+  d.RunFor(Seconds(1));
+  paused_node->SetDown(true);
+  d.RunFor(Seconds(1));
+  paused_node->SetDown(false);
+  d.RunFor(Seconds(1));
+  cnode.SetDown(true);  // stop the workload and drain
+  d.RunFor(Seconds(1));
+
+  const MetricsRegistry& m = paused_node->metrics();
+  ASSERT_GT(m.CounterValue("learner.r0.fast_forwarded"), 0u)
+      << "the pause never outran the acceptors' retention";
+  EXPECT_GE(m.CounterValue("recovery.gaps"), 1u);
+  ASSERT_GT(primary->applied(), 5000u);
+  if (with_peer) {
+    EXPECT_EQ(m.CounterValue("recovery.fail_stops"), 0u);
+    EXPECT_EQ(primary->store().Fingerprint(), paused->store().Fingerprint())
+        << "primary " << primary->store().size() << " keys vs paused "
+        << paused->store().size();
+    EXPECT_EQ(primary->sessions().Fingerprint(),
+              paused->sessions().Fingerprint());
+    EXPECT_EQ(paused->applied(), primary->applied());
+  } else {
+    EXPECT_EQ(m.CounterValue("recovery.fail_stops"), 1u);
+    EXPECT_LT(paused->applied(), primary->applied());
+    ASSERT_LE(paused_log.size(), primary_log.size());
+    EXPECT_TRUE(std::equal(paused_log.begin(), paused_log.end(),
+                           primary_log.begin()))
+        << "the paused replica applied a sequence the primary did not";
+  }
+}
+
+TEST(CatchUp, PausedReplicaFetchesPeerStatePastRetention) {
+  ExpectPausedReplicaNeverDiverges(/*with_peer=*/true);
+}
+
+TEST(CatchUp, PausedReplicaWithoutPeersFailStops) {
+  ExpectPausedReplicaNeverDiverges(/*with_peer=*/false);
 }
 
 // The same bootstrap over real UDP, with a state far larger than one

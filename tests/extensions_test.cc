@@ -220,7 +220,7 @@ TEST(PaxosBackedGroups, MergeAcrossPlainPaxosGroups) {
     for (auto* g : {&g0, &g1}) {
       auto* node = g->proposer_node;
       auto* prop = g->proposer;
-      node->ExecuteAt(net.now(), Duration{0}, [node, prop, i] {
+      node->Execute(Duration{0}, [node, prop, i] {
         paxos::ClientMsg m;
         m.group = prop == nullptr ? 0 : 0;  // group carried by decision tag
         m.proposer = node->self();
@@ -279,7 +279,7 @@ TEST(PaxosBackedGroups, MixedSubstrates) {
   for (int i = 0; i < 30; ++i) {
     auto* node = g1.proposer_node;
     auto* prop = g1.proposer;
-    node->ExecuteAt(d.net().now(), Duration{0}, [node, prop, i] {
+    node->Execute(Duration{0}, [node, prop, i] {
       paxos::ClientMsg m;
       m.proposer = node->self();
       m.seq = static_cast<std::uint64_t>(i + 1);
@@ -366,7 +366,7 @@ TEST(LcrBackedGroups, TripleSubstrateMerge) {
   for (int i = 0; i < 30; ++i) {
     auto* pnode = g1.proposer_node;
     auto* prop = g1.proposer;
-    pnode->ExecuteAt(d.net().now(), Duration{0}, [pnode, prop, i] {
+    pnode->Execute(Duration{0}, [pnode, prop, i] {
       paxos::ClientMsg m;
       m.proposer = pnode->self();
       m.seq = static_cast<std::uint64_t>(i + 1);
@@ -376,7 +376,7 @@ TEST(LcrBackedGroups, TripleSubstrateMerge) {
     });
     auto* member = lcr_members[0];
     const auto member_id = member->self();
-    member->ExecuteAt(d.net().now(), Duration{0}, [member, member_id, i] {
+    member->Execute(Duration{0}, [member, member_id, i] {
       paxos::ClientMsg m;
       m.proposer = member_id;
       m.seq = static_cast<std::uint64_t>(i + 1);

@@ -160,7 +160,7 @@ TEST(SimTimers, CancelBeforeFireSuppresses) {
 
   int fired = 0;
   TimerId keep = 0, cancel = 0;
-  node.ExecuteAt(net.now(), Duration{0}, [&] {
+  node.Execute(Duration{0}, [&] {
     keep = node.SetTimer(Millis(5), [&] { fired += 1; });
     cancel = node.SetTimer(Millis(5), [&] { fired += 100; });
     node.CancelTimer(cancel);
@@ -179,7 +179,7 @@ TEST(SimTimers, ManyTimersFireInOrder) {
   net.StartAll();
 
   std::vector<int> order;
-  node.ExecuteAt(net.now(), Duration{0}, [&] {
+  node.Execute(Duration{0}, [&] {
     for (int i = 20; i >= 1; --i) {
       node.SetTimer(Millis(i), [&order, i] { order.push_back(i); });
     }
@@ -196,7 +196,7 @@ TEST(SimTimers, TimerSurvivesAndDefersAcrossDowntime) {
   net.StartAll();
 
   std::vector<long long> fire_ms;
-  node.ExecuteAt(net.now(), Duration{0}, [&] {
+  node.Execute(Duration{0}, [&] {
     for (int i = 1; i <= 3; ++i) {
       node.SetTimer(Millis(i * 10), [&fire_ms, &net] {
         fire_ms.push_back(net.now().count() / 1000000);
@@ -222,7 +222,7 @@ TEST(SimTimers, TimerCancelledWhileDownDoesNotFireOnResume) {
 
   std::vector<int> fired;
   TimerId expired_then_cancelled = kNoTimer, cancelled_before_expiry = kNoTimer;
-  node.ExecuteAt(net.now(), Duration{0}, [&] {
+  node.Execute(Duration{0}, [&] {
     expired_then_cancelled =
         node.SetTimer(Millis(10), [&fired] { fired.push_back(1); });
     node.SetTimer(Millis(20), [&fired] { fired.push_back(2); });
@@ -248,7 +248,7 @@ TEST(SimTimers, ReplaceProtocolDropsOldTimers) {
   net.StartAll();
 
   std::vector<int> fired;
-  node.ExecuteAt(net.now(), Duration{0}, [&] {
+  node.Execute(Duration{0}, [&] {
     node.SetTimer(Millis(2), [&fired] { fired.push_back(1); });
     node.SetTimer(Millis(10), [&fired] { fired.push_back(2); });
     node.SetTimer(Millis(20), [&fired] { fired.push_back(3); });
@@ -258,7 +258,7 @@ TEST(SimTimers, ReplaceProtocolDropsOldTimers) {
   net.RunFor(Millis(10));
   node.ReplaceProtocol(std::make_unique<TimerHarness>());
   node.SetDown(false);
-  node.ExecuteAt(net.now(), Duration{0}, [&] {
+  node.Execute(Duration{0}, [&] {
     node.SetTimer(Millis(1), [&fired] { fired.push_back(4); });
   });
   net.RunFor(Millis(30));
@@ -273,14 +273,14 @@ TEST(SimTimers, CancelAfterFireIsNoOp) {
 
   int fired = 0;
   TimerId first = kNoTimer;
-  node.ExecuteAt(net.now(), Duration{0}, [&] {
+  node.Execute(Duration{0}, [&] {
     first = node.SetTimer(Millis(1), [&] { fired += 1; });
   });
   net.RunFor(Millis(5));
   ASSERT_EQ(fired, 1);
   // Armed after `first` fired, so it may reuse that timer's slot.
   TimerId second = kNoTimer;
-  node.ExecuteAt(net.now(), Duration{0}, [&] {
+  node.Execute(Duration{0}, [&] {
     second = node.SetTimer(Millis(1), [&] { fired += 10; });
     node.CancelTimer(first);
   });
@@ -296,7 +296,7 @@ TEST(SimTimers, CancelNoTimerIsNoOp) {
   net.StartAll();
 
   int fired = 0;
-  node.ExecuteAt(net.now(), Duration{0}, [&] {
+  node.Execute(Duration{0}, [&] {
     node.SetTimer(Millis(1), [&] { fired += 1; });
     node.CancelTimer(kNoTimer);
   });

@@ -76,7 +76,7 @@ struct Deployment {
   void Submit(std::size_t proposer_idx, std::uint64_t seq, std::uint32_t size = 100) {
     auto* node = proposer_nodes[proposer_idx];
     auto* prop = proposers[proposer_idx];
-    node->ExecuteAt(net.now(), Duration{0}, [this, node, prop, seq, size, proposer_idx] {
+    node->Execute(Duration{0}, [this, node, prop, seq, size, proposer_idx] {
       ClientMsg m;
       m.proposer = node->self();
       m.seq = seq;

@@ -141,7 +141,7 @@ TEST(RingDispatch, RoutesByRingAndBroadcastsOthers) {
   sender.BindProtocol(std::make_unique<Collector>());
   net.StartAll();
 
-  sender.ExecuteAt(net.now(), Duration{0}, [&] {
+  sender.Execute(Duration{0}, [&] {
     sender.Send(node.self(), MakeMessage<ringpaxos::Heartbeat>(0, 1, 9));
     sender.Send(node.self(), MakeMessage<ringpaxos::Heartbeat>(1, 1, 9));
     sender.Send(node.self(), MakeMessage<ringpaxos::Heartbeat>(7, 1, 9));  // unknown ring
@@ -221,7 +221,7 @@ TEST(MergeLearner, TickIntervalDrivesRecoveryCadence) {
         m.proposer = pnode.self();
         m.seq = static_cast<std::uint64_t>(i + 1);
         m.payload_size = 100;
-        pnode.ExecuteAt(pnode.now(), Duration{0}, [&pnode, prop_raw, m] {
+        pnode.Execute(Duration{0}, [&pnode, prop_raw, m] {
           prop_raw->Submit(pnode, m);
         });
       });

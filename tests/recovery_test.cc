@@ -130,25 +130,13 @@ TEST(SnapshotStore, KeepsNewestAndServesPinnedIds) {
     EXPECT_TRUE(durable);  // no backend: durable synchronously
   }
   EXPECT_EQ(store.count(), 2u);
-  EXPECT_EQ(store.latest_id(), 3u);
   EXPECT_EQ(store.Encoded(1), nullptr);  // evicted oldest-first
   ASSERT_NE(store.Encoded(2), nullptr);  // superseded but still pinned
   ASSERT_NE(store.Encoded(0), nullptr);  // 0 = latest
   auto latest = recovery::Checkpoint::Decode(*store.Encoded(0));
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->id, 3u);
-  EXPECT_EQ(store.Latest()->delivered_count, 300u);
-}
-
-TEST(SnapshotStore, RestoreSeedsFromPersistedBytes) {
-  recovery::Checkpoint cp;
-  cp.id = 9;
-  cp.delivered_count = 900;
-  recovery::SnapshotStore store(2);
-  EXPECT_TRUE(store.Restore(cp.Encode()));
-  EXPECT_EQ(store.latest_id(), 9u);
-  EXPECT_FALSE(store.Restore({0x42}));  // malformed input refused
-  EXPECT_EQ(store.latest_id(), 9u);
+  EXPECT_EQ(latest->delivered_count, 300u);
 }
 
 }  // namespace
@@ -475,8 +463,11 @@ TEST(RecoveryEndToEnd, MidTransferPeerCrashRotatesToNextPeer) {
 
   auto& coord_node = rig.d->net().AddNode();
   rig.coordinator_id = coord_node.self();
-  auto rec_a1 = rig.Add(rig.MakeOpts(&oracle, false));
-  auto rec_a2 = rig.Add(rig.MakeOpts(nullptr, false));
+  // The reference stream comes from the peer that survives: the target
+  // resumes at a checkpoint taken when it asks, past anything the
+  // crashed peer delivered.
+  auto rec_a1 = rig.Add(rig.MakeOpts(nullptr, false));
+  auto rec_a2 = rig.Add(rig.MakeOpts(&oracle, false));
   rig.peers = {rec_a1.node->self(), rec_a2.node->self()};
   auto rec_b = rig.Add(rig.MakeOpts(&oracle, true));
   rig.BindCoordinator(coord_node, {rec_a1.node->self(), rec_a2.node->self(),
@@ -507,6 +498,70 @@ TEST(RecoveryEndToEnd, MidTransferPeerCrashRotatesToNextPeer) {
   EXPECT_FALSE(rec_b.learner->recovering());
   oracle.Finish();
   EXPECT_TRUE(suite.ok()) << suite.Report();
+  EXPECT_GT(oracle.compared(), 0u);
+}
+
+// A restore the application refuses is a failed fetch, not a resume on
+// top of unspecified state: the learner stays recovering, fetches again
+// and resumes only at a checkpoint the application accepted.
+class RefusingApp final : public Snapshottable {
+ public:
+  RefusingApp(HashApp* app, int refusals) : app_(app), refusals_(refusals) {}
+  Bytes SnapshotState() const override { return app_->SnapshotState(); }
+  bool RestoreState(const Bytes& bytes) override {
+    ++attempts_;
+    if (refusals_ > 0) {
+      --refusals_;
+      return false;
+    }
+    return app_->RestoreState(bytes);
+  }
+  int attempts() const { return attempts_; }
+
+ private:
+  HashApp* app_;
+  int refusals_;
+  int attempts_ = 0;
+};
+
+TEST(RecoveryEndToEnd, RefusedRestoreFetchesAgain) {
+  check::OracleSuite suite;
+  check::RecoveryOracle oracle(&suite);
+  RecoveryRig rig(/*seed=*/7);
+
+  auto& coord_node = rig.d->net().AddNode();
+  rig.coordinator_id = coord_node.self();
+  auto rec_a = rig.Add(rig.MakeOpts(&oracle, false));
+  rig.peers = {rec_a.node->self()};
+  auto rec_b = rig.Add(rig.MakeOpts(&oracle, true));
+  rig.BindCoordinator(coord_node, {rec_a.node->self(), rec_b.node->self()});
+  rig.AddTraffic();
+
+  std::unique_ptr<RefusingApp> refusing;
+  auto& sched = rig.d->net().scheduler();
+  sched.At(TimePoint(Millis(400).count()),
+           [&rec_b] { rec_b.node->SetDown(true); });
+  sched.At(TimePoint(Millis(600).count()), [&] {
+    auto ro = rig.MakeOpts(&oracle, true);
+    refusing = std::make_unique<RefusingApp>(rig.apps.back().get(), 1);
+    ro.app = refusing.get();
+    rig.Revive(rec_b, std::move(ro));
+    rec_b.node->SetDown(false);
+    rec_b.node->Start();
+  });
+
+  rig.d->Start();
+  rig.d->RunFor(Millis(1500));
+
+  ASSERT_NE(refusing, nullptr);
+  EXPECT_EQ(refusing->attempts(), 2);  // refused, fetched again, accepted
+  EXPECT_EQ(rec_b.node->metrics().CounterValue("recovery.mgr.restores"), 2u);
+  EXPECT_GT(rec_b.learner->resume_index(), 0u);
+  EXPECT_FALSE(rec_b.learner->recovering());
+  oracle.Finish();
+  EXPECT_TRUE(suite.ok()) << suite.Report();
+  EXPECT_GT(oracle.compared(), 0u);
+  EXPECT_EQ(oracle.segments(), 2u);  // the refused restore resumed nothing
 }
 
 // With every peer unavailable the manager gives up after max_rotations

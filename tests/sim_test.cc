@@ -442,7 +442,7 @@ TEST(SimNetwork, UnicastDeliversWithLatencyAndCosts) {
   b.BindProtocol(std::unique_ptr<Protocol>(rec));
   net.StartAll();
 
-  a.ExecuteAt(net.now(), Duration{0},
+  a.Execute(Duration{0},
               [&] { a.Send(b.self(), MakeMessage<TestMsg>(1000, 7)); });
   net.RunFor(Millis(10));
 
@@ -471,7 +471,7 @@ TEST(SimNetwork, MulticastFansOutToSubscribersExceptSender) {
   a.BindProtocol(std::unique_ptr<Protocol>(arec));
   net.StartAll();
 
-  a.ExecuteAt(net.now(), Duration{0},
+  a.Execute(Duration{0},
               [&] { a.Multicast(5, MakeMessage<TestMsg>(100, 1)); });
   net.RunFor(Millis(10));
 
@@ -494,7 +494,7 @@ TEST(SimNetwork, CpuSaturationQueuesWork) {
   // Each 8kB message costs b ~2us + 8050*5.3ns = ~45us of CPU. Sending
   // 1000 of them back-to-back takes ~45ms of CPU; the link can carry
   // them in ~8ms. CPU binds.
-  a.ExecuteAt(net.now(), Duration{0}, [&] {
+  a.Execute(Duration{0}, [&] {
     for (int i = 0; i < 1000; ++i) a.Send(b.self(), MakeMessage<TestMsg>(8000, i));
   });
   net.RunFor(Seconds(2));
@@ -520,7 +520,7 @@ TEST(SimNetwork, LossDropsApproximatelyAtConfiguredRate) {
   net.StartAll();
 
   const int kN = 5000;
-  a.ExecuteAt(net.now(), Duration{0}, [&] {
+  a.Execute(Duration{0}, [&] {
     for (int i = 0; i < kN; ++i) a.Send(b.self(), MakeMessage<TestMsg>(100, i));
   });
   net.RunFor(Seconds(5));
@@ -538,7 +538,7 @@ TEST(SimNetwork, DownNodeDropsMessagesAndDefersTimers) {
   net.StartAll();
 
   int timer_fired_at_ms = -1;
-  b.ExecuteAt(net.now(), Duration{0}, [&] {
+  b.Execute(Duration{0}, [&] {
     b.SetTimer(Millis(5), [&] {
       timer_fired_at_ms = static_cast<int>(net.now().count() / 1000000);
     });
@@ -546,7 +546,7 @@ TEST(SimNetwork, DownNodeDropsMessagesAndDefersTimers) {
   net.RunFor(Millis(1));
   b.SetDown(true);
 
-  a.ExecuteAt(net.now(), Duration{0},
+  a.Execute(Duration{0},
               [&] { a.Send(b.self(), MakeMessage<TestMsg>(100, 1)); });
   net.RunFor(Millis(20));  // timer expires while down -> deferred
   EXPECT_TRUE(rec->received.empty());
@@ -556,7 +556,7 @@ TEST(SimNetwork, DownNodeDropsMessagesAndDefersTimers) {
   net.RunFor(Millis(5));
   EXPECT_EQ(timer_fired_at_ms, 21);  // fires on resume
 
-  a.ExecuteAt(net.now(), Duration{0},
+  a.Execute(Duration{0},
               [&] { a.Send(b.self(), MakeMessage<TestMsg>(100, 2)); });
   net.RunFor(Millis(10));
   ASSERT_EQ(rec->received.size(), 1u);
@@ -574,7 +574,7 @@ TEST(SimNetwork, DeterministicAcrossRuns) {
     auto* rec = new Recorder();
     b.BindProtocol(std::unique_ptr<Protocol>(rec));
     net.StartAll();
-    a.ExecuteAt(net.now(), Duration{0}, [&] {
+    a.Execute(Duration{0}, [&] {
       for (int i = 0; i < 200; ++i) a.Send(b.self(), MakeMessage<TestMsg>(500, i));
     });
     net.RunFor(Seconds(1));

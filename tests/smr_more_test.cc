@@ -238,9 +238,11 @@ TEST(KvSemantics, UnbootstrappedPeerDoesNotServeSnapshots) {
   opts.lambda_per_sec = 0;
   SimDeployment d(opts);
   // Replicas a and b are consecutive nodes, each naming the other.
+  std::vector<sim::SimNode*> nodes;
   auto add_replica = [&](int peer_offset) {
     return d.AddLearnerNode(
         {0}, [&](sim::SimNode& node, std::vector<LearnerOptions> groups) {
+          nodes.push_back(&node);
           ReplicaConfig rc;
           rc.partition_ring = groups[0];
           // BOTH bootstrap: neither may serve
@@ -252,10 +254,19 @@ TEST(KvSemantics, UnbootstrappedPeerDoesNotServeSnapshots) {
   auto* replica_b = add_replica(-1);
   d.Start();
   d.RunFor(Seconds(1));
-  // Deadlock by design: neither bootstraps off the other. (A real
-  // deployment seeds at least one replica without bootstrap peers.)
-  EXPECT_FALSE(replica_a->bootstrapped());
-  EXPECT_FALSE(replica_b->bootstrapped());
+  // Each refuses every request it gets while fetching, so neither gets
+  // a snapshot off the other. (A real deployment seeds at least one
+  // replica without bootstrap peers.) Having found no snapshot anywhere
+  // and applied nothing, each then starts from instance 0, which nothing
+  // has trimmed.
+  for (sim::SimNode* node : nodes) {
+    EXPECT_GT(node->metrics().CounterValue("recovery.serve_reqs"), 0u);
+    EXPECT_EQ(node->metrics().CounterValue("recovery.chunks_tx"), 0u);
+  }
+  for (Replica* replica : {replica_a, replica_b}) {
+    EXPECT_EQ(replica->learner().resume_index(), 0u);
+    EXPECT_TRUE(replica->bootstrapped());
+  }
 }
 
 }  // namespace

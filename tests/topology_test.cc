@@ -209,7 +209,7 @@ TEST(SimNetworkTopology, CrossSiteLegPaysConfiguredLinkLatency) {
   net.Subscribe(remote.self(), 5);
   net.StartAll();
 
-  snd.ExecuteAt(net.now(), Duration{0},
+  snd.Execute(Duration{0},
                 [&] { snd.Multicast(5, MakeMessage<TestMsg>(1000, 1)); });
   net.RunFor(Millis(100));
 
@@ -240,7 +240,7 @@ TEST(SimNetworkTopology, MulticastChargesCrossedLinkOncePerPacket) {
     recs.push_back(r);
   }
   net.StartAll();
-  snd.ExecuteAt(net.now(), Duration{0},
+  snd.Execute(Duration{0},
                 [&] { snd.Multicast(9, MakeMessage<TestMsg>(1000, 2)); });
   net.RunFor(Millis(100));
 
@@ -263,7 +263,7 @@ TEST(SimNetworkTopology, AccessLinkLossDropsAndCounts) {
   clean.BindProtocol(std::unique_ptr<Protocol>(rc));
   net.StartAll();
 
-  snd.ExecuteAt(net.now(), Duration{0}, [&] {
+  snd.Execute(Duration{0}, [&] {
     snd.Send(lossy.self(), MakeMessage<TestMsg>(100, 1));
     snd.Send(clean.self(), MakeMessage<TestMsg>(100, 2));
   });

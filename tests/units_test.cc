@@ -80,7 +80,7 @@ TEST(SimFifo, SameLinkNeverReorders) {
   auto* rec = new OrderRecorder();
   b.BindProtocol(std::unique_ptr<Protocol>(rec));
   net.StartAll();
-  a.ExecuteAt(net.now(), Duration{0}, [&] {
+  a.Execute(Duration{0}, [&] {
     for (int i = 0; i < 200; ++i) {
       a.Send(b.self(), MakeMessage<StampMsg>(i, i % 2 == 0 ? 8000 : 60));
     }
