@@ -47,6 +47,8 @@ const char* KindName(FaultEvent::Kind kind) {
       return "resubscribe_storm";
     case FaultEvent::Kind::kReconfigCoordKill:
       return "reconfig_coord_kill";
+    case FaultEvent::Kind::kLearnerPause:
+      return "learner_pause";
   }
   return "?";
 }
@@ -196,6 +198,8 @@ FaultPlan GeneratePlan(std::uint64_t seed, const DeploymentShape& shape,
         // coordinator; ring and member stay 0.
         break;
       }
+      case FaultEvent::Kind::kLearnerPause:  // scripted plans only
+        break;
     }
     plan.events.push_back(e);
   }
@@ -248,6 +252,8 @@ std::string ToJson(const FaultPlan& plan) {
   out += "\"n_sites\":" + std::to_string(plan.shape.n_sites) + ",";
   out += std::string("\"with_smr\":") +
          (plan.shape.with_smr ? "true" : "false");
+  // Omitted when false, so earlier artifacts round-trip unchanged.
+  if (plan.shape.workload) out += ",\"workload\":true";
   out += "},";
   out += "\"budget\":{";
   out += std::string("\"preserve_majority\":") +
@@ -424,7 +430,8 @@ std::optional<FaultEvent::Kind> KindFromName(const std::string& name) {
                  FaultEvent::Kind::kSessionAbandon,
                  FaultEvent::Kind::kLeaseDrop, FaultEvent::Kind::kSplitLive,
                  FaultEvent::Kind::kResubscribeStorm,
-                 FaultEvent::Kind::kReconfigCoordKill}) {
+                 FaultEvent::Kind::kReconfigCoordKill,
+                 FaultEvent::Kind::kLearnerPause}) {
     if (name == KindName(k)) return k;
   }
   return std::nullopt;
@@ -486,6 +493,11 @@ std::optional<FaultPlan> PlanFromDom(const JsonValue& dom) {
   plan.shape.n_spares = static_cast<int>(*n_spares);
   plan.shape.n_sites = static_cast<int>(*n_sites);
   plan.shape.with_smr = *with_smr;
+  if (shape->Find("workload") != nullptr) {
+    auto workload = GetBool(*shape, "workload");
+    if (!workload) return std::nullopt;
+    plan.shape.workload = *workload;
+  }
 
   auto preserve = GetBool(*budget, "preserve_majority");
   auto liveness = GetBool(*budget, "assert_liveness");
@@ -536,13 +548,10 @@ std::optional<FaultPlan> PlanFromDom(const JsonValue& dom) {
       return std::nullopt;
     }
     // Client-side events only make sense against an SMR deployment.
-    if (e.kind >= FaultEvent::Kind::kDuplicateSubmit &&
-        !plan.shape.with_smr) {
-      return std::nullopt;
-    }
+    if (IsSmrKind(e.kind) && !plan.shape.with_smr) return std::nullopt;
     // Reconfiguration events additionally need a second ring to host the
     // split-off group.
-    if (e.kind >= FaultEvent::Kind::kSplitLive && plan.shape.n_rings < 2) {
+    if (IsReconfigKind(e.kind) && plan.shape.n_rings < 2) {
       return std::nullopt;
     }
     plan.events.push_back(e);

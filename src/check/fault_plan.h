@@ -1,12 +1,15 @@
-// Fault-schedule generation for the chaos fuzzer (docs/CHECKING.md).
-// From a single seed a FaultPlan draws a timed sequence of self-healing
-// fault events — crash/restart, inter-site partition/heal, message-loss
-// bursts, disk stalls, coordinator kills — against a configurable budget
-// ("never lose an acceptor majority, liveness asserted" vs. "anything
-// goes, safety only"). Every event carries its own duration so the plan
-// is a flat list the shrinker can drop events from one at a time, and
-// plans round-trip through JSON so a failing (seed, plan) pair is a
-// self-contained replay artifact.
+// Fault schedules for the plan executor (tools/fuzz/plan_executor.h,
+// docs/CHECKING.md). From a single seed GeneratePlan draws a timed
+// sequence of self-healing fault events — crash/restart, inter-site
+// partition/heal, message-loss bursts, disk stalls, coordinator kills,
+// learner crashes, session and reconfiguration faults — against a
+// configurable budget ("never lose an acceptor majority, liveness
+// asserted" vs. "anything goes, safety only"). Scripted plans (the
+// determinism gate's, chaos_test's) are written out event by event.
+// Every event carries its own duration so the plan is a flat list the
+// shrinker can drop events from one at a time, and plans round-trip
+// through JSON so a failing (seed, plan) pair is a self-contained replay
+// artifact.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +48,9 @@ struct FaultEvent {
                             // turn boundary, repeatedly for duration
     kReconfigCoordKill = 12,  // pause the repartition coordinator for
                               // duration mid-plan, then revive it
+    // Scripted plans only (GeneratePlan never draws it).
+    kLearnerPause = 13,  // pause the merge-b learner for duration with
+                         // its state intact; it catches up on resume
   };
 
   Kind kind = Kind::kCrash;
@@ -60,6 +66,17 @@ struct FaultEvent {
 };
 
 const char* KindName(FaultEvent::Kind kind);
+
+// Client-side session and reconfiguration kinds need a with_smr shape.
+inline bool IsSmrKind(FaultEvent::Kind kind) {
+  return kind >= FaultEvent::Kind::kDuplicateSubmit &&
+         kind <= FaultEvent::Kind::kReconfigCoordKill;
+}
+// Reconfiguration kinds additionally need a second ring.
+inline bool IsReconfigKind(FaultEvent::Kind kind) {
+  return kind >= FaultEvent::Kind::kSplitLive &&
+         kind <= FaultEvent::Kind::kReconfigCoordKill;
+}
 
 struct FaultBudget {
   // Keep a majority of every ring's acceptor universe up at all times
@@ -96,6 +113,9 @@ struct DeploymentShape {
   int n_spares = 1;
   int n_sites = 2;      // >= 2 enables partition events
   bool with_smr = false;  // partition-0 KV replicas + client
+  // One open-loop WorkloadDriver (the multi-tenant mix) over every ring
+  // instead of the closed-loop proposers.
+  bool workload = false;
 
   int universe() const { return ring_size + n_spares; }
 

@@ -79,11 +79,7 @@ void MergeLearner::SyncMergeGauges() {
 
 void MergeLearner::ArmTick(Env& env) {
   env.SetTimer(opts_.tick_interval, [this, &env] {
-    for (auto& g : groups_) {
-      // A held merge consumes nothing, so a source whose head is ready
-      // has no gap the merge waits on.
-      if (!held_ || !g->source->HasReady()) g->source->Tick(env);
-    }
+    for (auto& g : groups_) g->source->Tick(env);
     PumpMerge(env);
     ArmTick(env);
   });

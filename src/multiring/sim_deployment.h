@@ -63,13 +63,6 @@ class SimDeployment {
     return ring_nodes_[i][0]->protocol_as<ringpaxos::RingNode>();
   }
   sim::SimNode* acceptor_node(int ring, int idx) { return ring_nodes_[ring][idx]; }
-  // Simulated disk of ring r's universe member idx (ring members first,
-  // then spares); nullptr when the deployment runs in-memory. Used by
-  // the chaos fuzzer's disk-stall fault injection.
-  sim::SimDiskStorage* disk_storage(int r, int idx) {
-    if (!opts_.disk) return nullptr;
-    return disks_[static_cast<std::size_t>(opts_.acceptor_id(r, idx))].get();
-  }
   const std::vector<sim::SimNode*>& ring_universe(int i) { return ring_nodes_[i]; }
   // Site ring r's acceptors were placed in.
   sim::SiteId ring_site(int r) const {

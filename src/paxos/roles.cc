@@ -260,7 +260,9 @@ std::optional<GroupSource::Ready> PaxosGroupSource::Pop() {
 }
 
 void PaxosGroupSource::Tick(Env& env) {
-  const bool stuck = window_.next() == last_next_ && window_.buffered() > 0;
+  // A ready head is no gap, only a merge that has not consumed it yet.
+  const bool stuck =
+      !HasReady() && window_.next() == last_next_ && window_.buffered() > 0;
   last_next_ = window_.next();
   if (!stuck || opts_.proposers.empty()) return;
   const NodeId target = opts_.proposers[static_cast<std::size_t>(

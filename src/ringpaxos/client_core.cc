@@ -3,21 +3,25 @@
 namespace mrp::ringpaxos {
 
 void ClientCore::Seed(RingId ring, NodeId coordinator) {
-  hints_.try_emplace(ring, coordinator);
+  hints_.try_emplace(ring, Hint{coordinator, 0});
 }
 
 NodeId ClientCore::coordinator(RingId ring) const {
   const auto it = hints_.find(ring);
-  return it == hints_.end() ? kNoNode : it->second;
+  return it == hints_.end() ? kNoNode : it->second.coordinator;
 }
 
 bool ClientCore::OnMessage(const MessageBase& m) {
   if (m.tag() != Heartbeat::kTag) return false;
   const auto& hb = static_cast<const Heartbeat&>(m);
-  const auto [it, fresh] = hints_.try_emplace(hb.ring, hb.coordinator);
+  const auto [it, fresh] =
+      hints_.try_emplace(hb.ring, Hint{hb.coordinator, hb.round});
   if (fresh) return true;
-  if (it->second == hb.coordinator) return false;
-  it->second = hb.coordinator;
+  Hint& hint = it->second;
+  if (hb.round < hint.round) return false;
+  hint.round = hb.round;
+  if (hint.coordinator == hb.coordinator) return false;
+  hint.coordinator = hb.coordinator;
   return true;
 }
 

@@ -5,7 +5,9 @@
 // RepartitionCoordinator and SubmitSwap — sends through one of these.
 //
 // It keeps a per-ring coordinator hint, seeded from the configuration
-// and overwritten by every control-channel Heartbeat the node hears;
+// and overwritten by every control-channel Heartbeat the node hears
+// whose round is not below the hint's (a resumed stale coordinator's
+// heartbeats do not move it back);
 // stamps each ClientMsg with proposer, seq and sent_at; fires the
 // on_submit oracle tap for fresh submissions; and sends the Submit to
 // the hinted coordinator, or to the admission gateway when one is set.
@@ -44,7 +46,8 @@ class ClientCore {
   NodeId coordinator(RingId ring) const;
 
   // Control-channel input. Returns true iff `m` is a Heartbeat that moved
-  // its ring's hint; every other message is ignored and returns false.
+  // its ring's hint; every other message, and a Heartbeat of a lower
+  // round than the hint's, is ignored and returns false.
   bool OnMessage(const MessageBase& m);
 
   // Sets proposer = self and sent_at = now, and takes the next of this
@@ -62,9 +65,10 @@ class ClientCore {
   // Folds the coordinator hints into a role's state digest.
   void Fold(Fingerprinter& f) const {
     f.U64(hints_.size());
-    for (const auto& [ring, coordinator] : hints_) {
+    for (const auto& [ring, hint] : hints_) {
       f.U32(ring);
-      f.U32(coordinator);
+      f.U32(hint.coordinator);
+      f.U32(hint.round);
     }
   }
 
@@ -72,10 +76,14 @@ class ClientCore {
   SubmitTap on_submit_;
   NodeId gateway_;
   std::uint64_t seq_ = 0;
-  // ring -> coordinator. Every submission looks its ring up, and one
+  struct Hint {
+    NodeId coordinator;
+    Round round;  // of the heartbeat that set it; 0 when seeded
+  };
+  // ring -> hint. Every submission looks its ring up, and one
   // WorkloadDriver submits to up to a hundred rings (scale_suite's
   // scale_100rings), so a tree, not a scan; ordered so Fold is too.
-  std::map<RingId, NodeId> hints_;
+  std::map<RingId, Hint> hints_;
 };
 
 }  // namespace mrp::ringpaxos

@@ -187,12 +187,28 @@ void LearnerCore::TrimCache() {
   }
 }
 
+bool LearnerCore::HasHole() const {
+  bool hole = false;
+  InstanceId expect = window_.next();
+  window_.ForEachPresent([&](InstanceId id, const Cell& c) {
+    if (id < expect) return;  // inside an earlier skip's range
+    if (id > expect || !c.value.has_value()) hole = true;
+    expect = id + (c.value.has_value() && c.value->is_skip()
+                       ? std::max<InstanceId>(1, c.value->skip_count)
+                       : 1);
+  });
+  return hole;
+}
+
 void LearnerCore::Tick(Env& env) {
   EnsureCounters(env);
   TrimCache();
   SyncCacheGauges();
-  const bool stuck = window_.next() == last_next_ &&
-                     (window_.buffered() > 0 || !cache_.empty());
+  // A ready head is no gap, only a merge that has not consumed it yet:
+  // behind one, only a hole further up the window is worth recovering.
+  const bool stuck =
+      window_.next() == last_next_ &&
+      (HasReady() ? HasHole() : window_.buffered() > 0 || !cache_.empty());
   last_next_ = window_.next();
   if (!stuck) {
     stuck_rounds_ = 0;

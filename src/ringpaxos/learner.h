@@ -133,6 +133,9 @@ class LearnerCore final : public paxos::GroupSource {
     }
   }
   void TrimCache();
+  // True when an instance between the head and the newest decision in
+  // the window lacks its value (a skip covers its whole range).
+  bool HasHole() const;
   std::size_t MsgsIn(const paxos::Value& v) const { return v.msgs.size(); }
   std::size_t BytesIn(const paxos::Value& v) const {
     std::size_t b = 0;

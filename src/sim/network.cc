@@ -54,6 +54,19 @@ TimePoint SimNode::ChargeCpu(TimePoint ready, Duration cost) {
   return cpu_free_at_;
 }
 
+void SimNode::DiskWrite(std::size_t bytes, std::function<void()> done) {
+  const Duration write =
+      spec_.disk_op_latency +
+      Duration(static_cast<std::int64_t>(static_cast<double>(bytes) * 8.0 /
+                                         spec_.disk_bw_bps * 1e9));
+  disk_free_at_ = std::max(now(), disk_free_at_) + write;
+  if (done) {
+    net_.scheduler().At(disk_free_at_, [this, done = std::move(done)] {
+      if (!down_) done();
+    });
+  }
+}
+
 void SimNode::Send(NodeId to, MessagePtr m) {
   if (down_) return;
   const std::size_t wire = m->WireSize() + spec_.wire_overhead_bytes;

@@ -19,6 +19,7 @@
 // same node), so utilisation and saturation points are exact.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -89,7 +90,18 @@ class SimNode final : public Env {
   // Site (datacenter) this node lives in; 0 in single-site deployments.
   SiteId site() const { return site_; }
 
-  // ---- Internal (SimNetwork / SimDiskStorage) ----
+  // ---- Simulated disk (SimDiskStorage, SimSnapshotPersistence) ----
+  // Queues a `bytes`-byte write behind whatever the disk is already
+  // draining (spec().disk_op_latency plus bytes at spec().disk_bw_bps)
+  // and runs `done` when it completes, unless the node is down then.
+  void DiskWrite(std::size_t bytes, std::function<void()> done);
+  // Fault injection: no write issued before `until` completes earlier
+  // than it (a stalled controller). Queued writes push out behind it.
+  void StallDisk(TimePoint until) {
+    disk_free_at_ = std::max(disk_free_at_, until);
+  }
+
+  // ---- Internal (SimNetwork) ----
   // Packet hits this node's NIC ingress at `port_arrival`.
   void DeliverPacket(NodeId from, MessagePtr m, std::size_t wire_bytes,
                      TimePoint port_arrival);
@@ -139,6 +151,7 @@ class SimNode final : public Env {
   TimePoint cpu_free_at_{0};
   TimePoint tx_link_free_at_{0};
   TimePoint rx_link_free_at_{0};
+  TimePoint disk_free_at_{0};
   BusyMeter busy_;
   RateMeter rx_meter_;
   RateMeter tx_meter_;

@@ -1,12 +1,10 @@
-// Simulated-disk checkpoint persistence: snapshot writes share the cost
-// model of SimDiskStorage (fixed per-op latency plus bytes/bandwidth,
-// serialized behind whatever the disk is already draining), so the
-// checkpoint subsystem's disk footprint shows up in simulated time —
-// a learner reports a checkpoint as durable only after the simulated
-// write completes (docs/RECOVERY.md).
+// Simulated-disk checkpoint persistence: snapshot writes go through the
+// node's disk (SimNode::DiskWrite, the cost model SimDiskStorage uses),
+// so the checkpoint subsystem's disk footprint shows up in simulated
+// time — a learner reports a checkpoint as durable only after the
+// simulated write completes (docs/RECOVERY.md).
 #pragma once
 
-#include <algorithm>
 #include <map>
 #include <utility>
 
@@ -22,19 +20,7 @@ class SimSnapshotPersistence final : public recovery::SnapshotPersistence {
   void Persist(std::uint64_t id, const Bytes& bytes,
                std::function<void()> done) override {
     blobs_[id] = bytes;
-    const auto& spec = node_.spec();
-    const Duration write = spec.disk_op_latency +
-                           Duration(static_cast<std::int64_t>(
-                               static_cast<double>(bytes.size()) * 8.0 /
-                               spec.disk_bw_bps * 1e9));
-    disk_free_at_ = std::max(node_.now(), disk_free_at_) + write;
-    total_bytes_ += bytes.size();
-    if (done) {
-      node_.network().scheduler().At(
-          disk_free_at_, [&node = node_, done = std::move(done)] {
-            if (!node.down()) done();
-          });
-    }
+    node_.DiskWrite(bytes.size(), std::move(done));
   }
 
   std::optional<Bytes> LoadLatest() override {
@@ -42,19 +28,9 @@ class SimSnapshotPersistence final : public recovery::SnapshotPersistence {
     return blobs_.rbegin()->second;
   }
 
-  std::uint64_t total_bytes_written() const { return total_bytes_; }
-  TimePoint disk_free_at() const { return disk_free_at_; }
-
-  // Fault injection: mirrors SimDiskStorage::StallUntil.
-  void StallUntil(TimePoint until) {
-    disk_free_at_ = std::max(disk_free_at_, until);
-  }
-
  private:
   SimNode& node_;
   std::map<std::uint64_t, Bytes> blobs_;
-  TimePoint disk_free_at_{0};
-  std::uint64_t total_bytes_ = 0;
 };
 
 }  // namespace mrp::sim

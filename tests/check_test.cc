@@ -201,6 +201,16 @@ TEST(FaultPlans, JsonRoundTripsExactly) {
     ASSERT_TRUE(parsed.has_value()) << "seed " << seed;
     EXPECT_EQ(*parsed, plan) << "seed " << seed;
   }
+  // What only scripted plans carry: learner_pause (never drawn, valid in
+  // any shape) and the workload shape.
+  FaultPlan scripted;
+  scripted.shape.workload = true;
+  scripted.events.push_back({.kind = FaultEvent::Kind::kLearnerPause,
+                             .at = Seconds(1),
+                             .duration = Millis(300)});
+  const auto parsed = ParsePlan(ToJson(scripted));
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(*parsed, scripted);
 }
 
 TEST(FaultPlans, ArtifactRoundTripsExactly) {

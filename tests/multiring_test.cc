@@ -7,6 +7,7 @@
 
 #include <deque>
 #include <map>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -245,6 +246,31 @@ TEST(MultiRing, CoordinatorPauseStallsMergeAndCatchUpSkipDrainsIt) {
   EXPECT_GT(learner->total_delivered(), delivered_before + 1000);
   EXPECT_FALSE(learner->halted());
   EXPECT_GT(p0->acked_seq(), 0u);
+}
+
+TEST(MultiRing, StalledRingSendsNoOtherRingIntoRecovery) {
+  // While the merge waits on a paused ring 1, ring 0's head is decided
+  // and ready: that is no gap, so ring 0's learner must not ask the
+  // acceptors for instances it already holds.
+  DeploymentOptions opts;
+  opts.n_rings = 2;
+  opts.suspect_after = Seconds(60);  // no fail-over while ring 1 is paused
+  SimDeployment d(opts);
+  sim::SimNode* learner = nullptr;
+  d.AddLearnerNode({0, 1}, [&](sim::SimNode& node,
+                               std::vector<ringpaxos::LearnerOptions> groups) {
+    learner = &node;
+    MergeLearner::Options mo;
+    mo.groups = std::move(groups);
+    return std::make_unique<MergeLearner>(std::move(mo));
+  });
+  d.AddProposer(0, OpenLoop(1000, 1024));
+  d.AddProposer(1, OpenLoop(1000, 1024));
+  d.Start();
+  d.RunFor(Seconds(1));
+  for (auto* n : d.ring_universe(1)) n->SetDown(true);
+  d.RunFor(Seconds(1));
+  EXPECT_EQ(learner->metrics().CounterValue("learner.r0.recovery_reqs"), 0u);
 }
 
 TEST(MultiRing, LossyNetworkStillMergesConsistently) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "multiring/sim_deployment.h"
+#include "ringpaxos/client_core.h"
 #include "ringpaxos/proposer.h"
 #include "ringpaxos/ring_node.h"
 
@@ -42,6 +43,17 @@ ProposerConfig ClosedLoop(std::size_t window, std::uint32_t payload = 8 * 1024) 
   cfg.max_outstanding = window;
   cfg.payload_size = payload;
   return cfg;
+}
+
+TEST(ClientCore, CoordinatorHintFollowsTheHighestRound) {
+  ClientCore core;
+  core.Seed(0, 1);
+  EXPECT_TRUE(core.OnMessage(Heartbeat(0, 5, 2)));
+  // A resumed stale coordinator still heartbeats its old, lower round.
+  EXPECT_FALSE(core.OnMessage(Heartbeat(0, 3, 1)));
+  EXPECT_EQ(core.coordinator(0), 2u);
+  EXPECT_TRUE(core.OnMessage(Heartbeat(0, 7, 3)));
+  EXPECT_EQ(core.coordinator(0), 3u);
 }
 
 TEST(RingPaxos, DeliversInOrderWithClosedLoopClient) {

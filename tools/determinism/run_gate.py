@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Determinism gate: byte-identical traces/metrics or the build fails.
 
-For each seed, runs determinism_probe three times:
+Runs one fixed fault plan (tools/determinism/plans/*.json) on mrp_fuzz's
+plan executor. For each seed (the plan's own seed is replaced), three
+runs:
   A. plain
   B. plain again                      -> catches wall clock / unseeded rand
   C. MALLOC_PERTURB_ + --perturb-heap -> catches heap-address dependence
@@ -9,11 +11,15 @@ For each seed, runs determinism_probe three times:
      unordered-container iteration order)
 
 and byte-compares both output files (trace JSONL, metrics JSON) of B and
-C against A. Registered as the `determinism_gate` ctest target.
+C against A. Every run must keep the oracles clean, and run A must show
+the scenario's markers (--trace-kind: some trace event of that kind;
+--metric-positive: that counter, summed over all nodes, is > 0), so a
+plan whose faults stopped firing fails instead of comparing quiet runs.
 """
 
 import argparse
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -28,21 +34,10 @@ def first_diff(path_a, path_b):
     return "files differ in length"
 
 
-def run_probe(probe, out_base, seed, rings, run_ms, sites, recovery,
-              sessions, reconfig, workload, perturb):
+def run_plan(fuzz, plan, out_base, seed, perturb):
     trace = out_base + ".trace.jsonl"
     metrics = out_base + ".metrics.json"
-    cmd = [probe, "--seed", str(seed), "--rings", str(rings),
-           "--run-ms", str(run_ms), "--sites", str(sites),
-           "--out-trace", trace, "--out-metrics", metrics]
-    if recovery:
-        cmd.append("--recovery")
-    if sessions:
-        cmd.append("--sessions")
-    if reconfig:
-        cmd.append("--reconfig")
-    if workload:
-        cmd.append("--workload")
+    cmd = [fuzz, "--plan", plan, "--trace", trace, "--out-metrics", metrics]
     env = dict(os.environ)
     if perturb:
         cmd += ["--perturb-heap", str(0x9E3779B9 ^ seed)]
@@ -52,66 +47,70 @@ def run_probe(probe, out_base, seed, rings, run_ms, sites, recovery,
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
                           check=False)
     if proc.returncode != 0:
-        print(f"determinism_gate: probe failed ({' '.join(cmd)}):\n"
+        print(f"determinism_gate: run failed ({' '.join(cmd)}):\n"
               f"{proc.stdout}{proc.stderr}", file=sys.stderr)
         sys.exit(1)
     return trace, metrics
 
 
+def missing_markers(trace, metrics, kinds, counters):
+    """Markers of the scenario that the outputs of one run lack."""
+    seen = set()
+    with open(trace, encoding="utf-8") as f:
+        for line in f:
+            seen.add(json.loads(line)["kind"])
+    missing = [f"trace kind '{k}'" for k in kinds if k not in seen]
+    with open(metrics, encoding="utf-8") as f:
+        snap = json.load(f)
+    registries = [snap["net"]] + list(snap["nodes"].values())
+    for name in counters:
+        total = sum(r["counters"].get(name, 0) for r in registries)
+        if total <= 0:
+            missing.append(f"counter '{name}' > 0 (got {total})")
+    return missing
+
+
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--probe", required=True)
+    ap.add_argument("--fuzz", required=True, help="mrp_fuzz binary")
+    ap.add_argument("--plan", required=True, help="fault plan JSON")
     ap.add_argument("--workdir", required=True)
     ap.add_argument("--seeds", default="1,42")
-    ap.add_argument("--rings", type=int, default=4)
-    ap.add_argument("--run-ms", type=int, default=500)
-    # >1 deploys the rings across a WAN full mesh (sim/topology.h), so
-    # the gate also covers the topology layer's routing and RNG draws.
-    ap.add_argument("--sites", type=int, default=1)
-    # Adds a checkpoint coordinator + two recoverable learners, with a
-    # mid-run crash/recover cycle of one of them (docs/RECOVERY.md).
-    ap.add_argument("--recovery", action="store_true")
-    # Adds the session control plane (replicas with dedup, lease grantor,
-    # admission gateway, session client) plus scripted session faults
-    # (docs/SESSIONS.md).
-    ap.add_argument("--sessions", action="store_true")
-    # Adds the elastic reconfiguration subsystem: a holder-routed session
-    # client plus a RepartitionCoordinator performing a live key-range
-    # split from ring 0 to ring 1 mid-run (docs/RECONFIG.md).
-    ap.add_argument("--reconfig", action="store_true")
-    # Replaces the closed-loop proposers with the workload engine: one
-    # WorkloadDriver running the multi-tenant mix (Zipfian keys, MMPP
-    # bursts, diurnal curves) over every ring (docs/WORKLOADS.md).
-    ap.add_argument("--workload", action="store_true")
+    ap.add_argument("--trace-kind", action="append", default=[])
+    ap.add_argument("--metric-positive", action="append", default=[])
     args = ap.parse_args()
 
     os.makedirs(args.workdir, exist_ok=True)
+    with open(args.plan, encoding="utf-8") as f:
+        plan = json.load(f)
     failures = []
     for seed in [int(s) for s in args.seeds.split(",")]:
         base = os.path.join(args.workdir, f"seed{seed}")
-        ref = run_probe(args.probe, base + ".a", seed, args.rings,
-                        args.run_ms, args.sites, args.recovery,
-                        args.sessions, args.reconfig, args.workload,
-                        perturb=False)
+        plan["seed"] = seed
+        plan_path = base + ".plan.json"
+        with open(plan_path, "w", encoding="utf-8") as f:
+            json.dump(plan, f)
+        ref = run_plan(args.fuzz, plan_path, base + ".a", seed, perturb=False)
+        for marker in missing_markers(*ref, args.trace_kind,
+                                      args.metric_positive):
+            failures.append(f"seed {seed}: no {marker} ({args.plan})")
         for tag, perturb in (("rerun", False), ("perturbed", True)):
-            got = run_probe(args.probe, f"{base}.{tag}", seed, args.rings,
-                            args.run_ms, args.sites, args.recovery,
-                            args.sessions, args.reconfig, args.workload,
-                            perturb=perturb)
+            got = run_plan(args.fuzz, plan_path, f"{base}.{tag}", seed,
+                           perturb=perturb)
             for kind, a, b in (("trace", ref[0], got[0]),
                                ("metrics", ref[1], got[1])):
                 if not filecmp.cmp(a, b, shallow=False):
                     failures.append(
                         f"seed {seed}: {kind} differs on {tag} run "
                         f"({a} vs {b})\n  first diff at {first_diff(a, b)}")
-        print(f"determinism_gate: seed {seed} OK "
-              f"(rerun + perturbed byte-identical)")
+        print(f"determinism_gate: seed {seed} done")
 
     if failures:
         print("determinism_gate: FAIL\n" + "\n".join(failures),
               file=sys.stderr)
         sys.exit(1)
-    print("determinism_gate: OK")
+    print("determinism_gate: OK (rerun + perturbed byte-identical, "
+          "markers present)")
 
 
 if __name__ == "__main__":
