@@ -6,6 +6,8 @@
 //
 //   ./mrp_node --config examples/cluster.cfg --id <N> [--seconds S]
 //
+// A learner process exits non-zero when it delivered nothing.
+//
 // With no arguments it runs a self-contained demo: a built-in 2-ring
 // cluster file run on a LocalCluster, every node a separate UDP endpoint
 // inside this one process (same sockets and codec a distributed
@@ -74,6 +76,7 @@ int RunNode(const ClusterConfig& cfg, NodeId id, int seconds) {
   const auto& spec = cfg.spec;
   const auto ring_nodes = static_cast<NodeId>(spec.ring_node_count());
   std::atomic<std::uint64_t> delivered{0};
+  bool learner = false;
   std::unique_ptr<Protocol> protocol;
   std::vector<ChannelId> channels;
   if (const int r = spec.acceptor_ring(id); r >= 0) {
@@ -87,6 +90,7 @@ int RunNode(const ClusterConfig& cfg, NodeId id, int seconds) {
       mo.groups = spec.LearnerGroups(lr->rings);
       protocol = std::make_unique<multiring::MergeLearner>(std::move(mo));
       channels = spec.LearnerChannels(lr->rings);
+      learner = true;
       std::printf("node %u: learner of %zu groups\n", id, lr->rings.size());
     } else {
       const auto& pr = std::get<ClusterConfig::ProposerRole>(role);
@@ -113,7 +117,10 @@ int RunNode(const ClusterConfig& cfg, NodeId id, int seconds) {
   std::this_thread::sleep_for(std::chrono::seconds(seconds));
   node.Stop();
   transport.Stop();
-  return 0;
+  if (!learner) return 0;
+  std::printf("node %u: delivered %llu messages\n", id,
+              static_cast<unsigned long long>(delivered.load()));
+  return delivered.load() > 0 ? 0 : 1;
 }
 
 // Demo mode: the whole built-in cluster on one LocalCluster over UDP.

@@ -79,6 +79,8 @@ void MergeLearner::SyncMergeGauges() {
 
 void MergeLearner::ArmTick(Env& env) {
   env.SetTimer(opts_.tick_interval, [this, &env] {
+    // A halted learner is done: its sources neither tick nor buffer.
+    if (halted_) return;
     for (auto& g : groups_) g->source->Tick(env);
     PumpMerge(env);
     ArmTick(env);
@@ -86,6 +88,7 @@ void MergeLearner::ArmTick(Env& env) {
 }
 
 void MergeLearner::OnMessage(Env& env, NodeId from, const MessagePtr& m) {
+  if (halted_) return;  // ring traffic would only grow the buffers
   for (std::size_t i = 0; i < groups_.size(); ++i) {
     if (groups_[i]->source->OnMessage(env, from, m)) {
       stats_[i]->received.Add(1, m->WireSize());

@@ -13,7 +13,8 @@
 // A bounded buffer models the paper's learner-halt behaviour (Figure
 // 10): once more than `max_buffer_msgs` messages are buffered, the
 // learner stops delivering for good, exactly like the prototype whose
-// buffers overflow.
+// buffers overflow. A halted learner drops ring traffic and stops
+// ticking its sources, so its buffers stay at their size at the halt.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,12 @@
 // NodeRuntime: hosts one protocol object on a real event loop + real
 // transport, implementing the same Env interface the simulator provides.
-// LocalCluster wires a whole multi-node deployment inside one process
-// (one loop thread per node), over either the in-process bus or UDP.
+// It attaches its loop to the transport, so over UDP the loop also reads
+// the node's sockets: one thread per node runs its timers, its receive
+// path and its handlers. Received messages reach the protocol through
+// a Post onto that loop (a Post from the loop itself wakes nothing), so
+// every handler runs to completion. LocalCluster wires a whole
+// multi-node deployment inside one process, over either the in-process
+// bus or UDP.
 #pragma once
 
 #include <memory>
@@ -26,6 +31,7 @@ class NodeRuntime final : public Env {
   NodeRuntime(NodeId self, std::unique_ptr<Protocol> protocol, Transport& transport)
       : self_(self), protocol_(std::move(protocol)), transport_(transport),
         rng_(0x5eed0000ULL + self) {
+    transport_.Attach(loop_);
     transport_.SetReceiver([this](NodeId from, MessagePtr msg) {
       loop_.Post([this, from, msg = std::move(msg)] {
         protocol_->OnMessage(*this, from, msg);
@@ -146,6 +152,8 @@ class LocalCluster {
   Kind kind_;
   UdpConfig udp_cfg_;
   InProcBus bus_;
+  // Declared before the nodes, so each node (and the loop that reads its
+  // transport) is destroyed before its transport.
   std::vector<std::unique_ptr<UdpTransport>> udp_;
   std::vector<std::unique_ptr<NodeRuntime>> nodes_;
   bool started_ = false;

@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -185,31 +184,22 @@ void UdpTransport::ReadSocket(int fd) {
 }
 
 void UdpTransport::Start() {
-  if (running_.exchange(true)) return;
-  poll_thread_ = std::thread([this] { PollLoop(); });
+  if (started_) return;
+  started_ = true;
+  EventLoop* loop = loop_;
+  if (loop == nullptr) {
+    own_loop_ = std::make_unique<EventLoop>();
+    loop = own_loop_.get();
+  }
+  loop->Watch(unicast_fd_, [this] { ReadSocket(unicast_fd_); });
+  for (const auto& [ch, fd] : mcast_rx_fds_) {
+    loop->Watch(fd, [this, fd = fd] { ReadSocket(fd); });
+  }
+  if (own_loop_) own_loop_->Start();
 }
 
 void UdpTransport::Stop() {
-  if (!running_.exchange(false)) return;
-  // Wake the poll thread now rather than at its next timeout: an empty
-  // datagram to our own unicast socket, which ReadSocket drops.
-  const sockaddr_in addr = UnicastAddr(self_);
-  ::sendto(unicast_fd_, "", 0, 0, reinterpret_cast<const sockaddr*>(&addr),
-           sizeof addr);
-  if (poll_thread_.joinable()) poll_thread_.join();
-}
-
-void UdpTransport::PollLoop() {
-  std::vector<pollfd> fds;
-  fds.push_back({unicast_fd_, POLLIN, 0});
-  for (const auto& [ch, fd] : mcast_rx_fds_) fds.push_back({fd, POLLIN, 0});
-
-  while (running_.load(std::memory_order_relaxed)) {
-    if (::poll(fds.data(), fds.size(), /*timeout_ms=*/50) <= 0) continue;
-    for (const auto& pfd : fds) {
-      if (pfd.revents & POLLIN) ReadSocket(pfd.fd);
-    }
-  }
+  if (own_loop_) own_loop_->Stop();
 }
 
 }  // namespace mrp::runtime

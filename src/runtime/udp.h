@@ -9,15 +9,25 @@
 // base addresses parsed once at construction. Per-destination FIFO is
 // the caller's own order.
 //
-// Receive path: a background thread polls all sockets and drains each
-// with recvmmsg() into transport-owned scratch buffers sized for the
-// largest frame, then copies every datagram into an exact-size frame
-// that feeds the zero-copy decode path (net/codec.h): ClientMsg payloads
-// alias that frame, so a retained message pins only its own bytes.
+// Receive path: Start() watches every socket on the EventLoop the node
+// attached (Transport::Attach), so the node's one loop thread wakes on a
+// datagram, drains the socket with recvmmsg() into transport-owned
+// scratch buffers sized for the largest frame, and copies every datagram
+// into an exact-size frame that feeds the zero-copy decode path
+// (net/codec.h): ClientMsg payloads alias that frame, so a retained
+// message pins only its own bytes. A transport nothing attached (a bare
+// transport, or one wrapped by a transport that does not forward the
+// hook) watches its sockets on a private EventLoop it owns, with the same
+// read path on that loop's thread.
+//
+// Precondition, with a loop attached: the node, and with it the loop,
+// is stopped and destroyed before this transport, because the loop calls
+// into the transport until it stops. LocalCluster, mrpbench's Deployment
+// and mrp_node all keep that order.
 //
 // Defaults target loopback so a whole cluster runs on one machine; with
 // bind_ip / interface set to a real NIC the same code runs a distributed
-// deployment (see examples/mrp_node.cc).
+// deployment (see examples/mrp_node.cpp).
 #pragma once
 
 #include <netinet/in.h>
@@ -27,10 +37,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "runtime/event_loop.h"
 #include "runtime/transport.h"
 
 namespace mrp::runtime {
@@ -55,9 +65,13 @@ class UdpTransport final : public Transport {
   void Multicast(ChannelId channel, MessagePtr msg) override;
   void Subscribe(ChannelId channel) override;
   void SetReceiver(RxFn rx) override;
+  void Attach(EventLoop& loop) override { loop_ = &loop; }
 
-  // Starts the receive thread (after subscriptions are registered).
+  // Watches the sockets (after subscriptions are registered): on the
+  // attached loop, before that loop starts, or else on a private loop
+  // started here. Once only.
   void Start();
+  // Stops the private loop, if any; an attached loop is its owner's.
   void Stop();
 
   std::uint64_t tx_frames() const { return tx_frames_.load(); }
@@ -70,7 +84,6 @@ class UdpTransport final : public Transport {
   std::uint64_t rx_batches() const { return rx_batches_.load(); }
 
  private:
-  void PollLoop();
   int OpenMulticastRx(ChannelId channel);
   // Unicast address of a node, and group address of a multicast channel.
   sockaddr_in UnicastAddr(NodeId node) const;
@@ -88,17 +101,21 @@ class UdpTransport final : public Transport {
   in_addr bind_addr_{};   // bind_ip
   in_addr mcast_base_{};  // mcast_prefix + "0"
   std::vector<std::pair<ChannelId, int>> mcast_rx_fds_;
-  std::thread poll_thread_;
-  std::atomic<bool> running_{false};
+  EventLoop* loop_ = nullptr;  // attached by the node
+  bool started_ = false;
   std::atomic<std::uint64_t> tx_frames_{0};
   std::atomic<std::uint64_t> tx_oversized_{0};
   std::atomic<std::uint64_t> rx_frames_{0};
   std::atomic<std::uint64_t> rx_batches_{0};
 
-  // Receive-thread scratch: one max-size buffer per recvmmsg() slot.
+  // Receive scratch, used on the watching loop's thread: one max-size
+  // buffer per recvmmsg() slot.
   std::unique_ptr<std::uint8_t[]> rx_scratch_;
   std::vector<iovec> rx_iovs_;
   std::vector<mmsghdr> rx_hdrs_;
+  // The loop that reads the sockets when nothing attached one; last, so
+  // its thread stops before the members it uses go.
+  std::unique_ptr<EventLoop> own_loop_;
 };
 
 }  // namespace mrp::runtime

@@ -190,6 +190,26 @@ TEST(MultiRing, BufferOverflowHaltsLearner) {
   EXPECT_TRUE(learner->halted());
 }
 
+// A halted learner drops ring traffic and stops ticking its sources, so
+// its buffers keep the size they had at the halt.
+TEST(MultiRing, HaltedLearnerStopsBuffering) {
+  DeploymentOptions opts;
+  opts.n_rings = 2;
+  opts.lambda_per_sec = 0;
+  SimDeployment d(opts);
+  DeliveryLog log;
+  auto* learner =
+      AddLoggingMergeLearner(d, {0, 1}, log, 1, false, /*max_buffer=*/100);
+  d.AddProposer(0, OpenLoop(2000, 1024));
+  d.Start();
+  for (int ms = 0; ms < 2000 && !learner->halted(); ++ms) d.RunFor(Millis(1));
+  ASSERT_TRUE(learner->halted());
+  const std::size_t at_halt = learner->buffered_msgs();
+  EXPECT_GT(at_halt, 100u);
+  d.RunFor(Seconds(1));
+  EXPECT_EQ(learner->buffered_msgs(), at_halt);
+}
+
 TEST(MultiRing, MGreaterThanOnePreservesPartialOrder) {
   DeploymentOptions opts;
   opts.n_rings = 2;

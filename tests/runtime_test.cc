@@ -6,8 +6,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <unistd.h>
 #include <variant>
@@ -224,6 +227,52 @@ TEST(EventLoop, EarlierTimerFromAnotherThreadWakesLoop) {
   loop.Stop();
 }
 
+TEST(EventLoop, WatchedFdWakesSleepingLoopOnItsThread) {
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  EventLoop loop;
+  std::atomic<bool> fired{false};
+  std::atomic<bool> on_loop{false};
+  loop.Watch(pipe_fds[0], [&] {
+    char c;
+    EXPECT_EQ(::read(pipe_fds[0], &c, 1), 1);
+    on_loop = loop.on_loop_thread();
+    fired = true;
+  });
+  loop.Start();
+  EXPECT_THROW(loop.Watch(pipe_fds[0], [] {}), std::logic_error);
+  loop.SetTimer(Seconds(10), [] {});
+  // Let the loop go to sleep until the 10 s deadline.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_EQ(::write(pipe_fds[1], "x", 1), 1);
+  EXPECT_TRUE(WaitFor([&] { return fired.load(); }, std::chrono::seconds(1)));
+  EXPECT_TRUE(on_loop.load());
+  loop.Stop();
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
+}
+
+TEST(EventLoop, PostFromAnotherThreadWakesLoopWithNoTimer) {
+  EventLoop loop;
+  loop.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::atomic<bool> ran{false};
+  std::thread poster([&] { loop.Post([&] { ran = true; }); });
+  poster.join();
+  EXPECT_TRUE(WaitFor([&] { return ran.load(); }, std::chrono::seconds(1)));
+  loop.Stop();
+}
+
+TEST(EventLoop, StopWakesSleepingLoop) {
+  EventLoop loop;
+  loop.Start();
+  loop.SetTimer(Seconds(10), [] {});
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const TimePoint t0 = loop.now();
+  loop.Stop();
+  EXPECT_LT(loop.now() - t0, Millis(100));
+}
+
 // ---- Full cluster over real threads ----
 
 // 2 rings x (2 members + 1 spare); the same spec drives the simulator
@@ -256,29 +305,38 @@ void AddRoles(Deployment& d, multiring::MergeLearner::Options mo) {
 struct ClusterResult {
   std::uint64_t delivered = 0;
   bool merged_two_groups = false;
+  // Threads the cluster's Start() added to the process.
+  std::size_t threads_started = 0;
+  // Every delivery ran on the learner node's loop thread.
+  bool delivered_on_loop = true;
 };
+
+// Threads of this process: the entries of /proc/self/task.
+std::size_t ThreadCount() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
+}
 
 // Runs `cluster` for `run_ms` with the spec's roles added.
 ClusterResult RunMultiRingCluster(LocalCluster& cluster, int run_ms) {
   multiring::MergeLearner::Options mo;
+  const auto learner = static_cast<NodeId>(cluster.size());  // added first
   std::atomic<std::uint64_t> delivered{0};
-  std::atomic<bool> saw_g0{false}, saw_g1{false};
+  std::atomic<bool> saw_g0{false}, saw_g1{false}, off_loop{false};
   mo.on_deliver = [&](GroupId g, const ClientMsg&) {
     ++delivered;
     if (g == 0) saw_g0 = true;
     if (g == 1) saw_g1 = true;
+    if (!cluster.node(learner).loop().on_loop_thread()) off_loop = true;
   };
   AddRoles(cluster, std::move(mo));
+  const std::size_t threads_before = ThreadCount();
   cluster.Start();
+  const std::size_t threads_started = ThreadCount() - threads_before;
   std::this_thread::sleep_for(std::chrono::milliseconds(run_ms));
   cluster.Stop();
-  return {delivered.load(), saw_g0.load() && saw_g1.load()};
-}
-
-ClusterResult RunMultiRingCluster(LocalCluster::Kind kind, int run_ms,
-                                  UdpConfig udp = {}) {
-  LocalCluster cluster(TwoRingSpec(), kind, udp);
-  return RunMultiRingCluster(cluster, run_ms);
+  return {delivered.load(), saw_g0.load() && saw_g1.load(), threads_started,
+          !off_loop.load()};
 }
 
 TEST(DeploymentSpec, SimulatorAndLocalClusterDeriveOneCluster) {
@@ -318,9 +376,12 @@ TEST(DeploymentSpec, SimulatorAndLocalClusterDeriveOneCluster) {
 }
 
 TEST(LocalClusterInProc, MultiRingDeliversOverThreads) {
-  auto result = RunMultiRingCluster(LocalCluster::Kind::kInProc, 1000);
+  LocalCluster cluster(TwoRingSpec(), LocalCluster::Kind::kInProc);
+  const auto result = RunMultiRingCluster(cluster, 1000);
   EXPECT_GT(result.delivered, 100u);
   EXPECT_TRUE(result.merged_two_groups);
+  EXPECT_EQ(result.threads_started, cluster.size());
+  EXPECT_TRUE(result.delivered_on_loop);
 }
 
 TEST(LocalClusterUdp, MultiRingDeliversOverRealMulticast) {
@@ -328,9 +389,13 @@ TEST(LocalClusterUdp, MultiRingDeliversOverRealMulticast) {
   udp.base_port = 47100;
   udp.mcast_port_base = 47600;
   udp.mcast_prefix = "239.255.81.";
-  auto result = RunMultiRingCluster(LocalCluster::Kind::kUdp, 1500, udp);
+  LocalCluster cluster(TwoRingSpec(), LocalCluster::Kind::kUdp, udp);
+  const auto result = RunMultiRingCluster(cluster, 1500);
   EXPECT_GT(result.delivered, 50u);
   EXPECT_TRUE(result.merged_two_groups);
+  // One thread per node: each node's loop also reads its sockets.
+  EXPECT_EQ(result.threads_started, cluster.size());
+  EXPECT_TRUE(result.delivered_on_loop);
 }
 
 }  // namespace
