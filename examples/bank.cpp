@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/wire.h"
 #include "multiring/merge_learner.h"
 #include "multiring/sim_deployment.h"
 #include "ringpaxos/client_core.h"
@@ -38,23 +39,7 @@ struct BankOp {
   std::uint64_t to = 0;
   std::int64_t amount = 0;
 
-  Bytes Encode() const {
-    ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(kind));
-    w.u64(from);
-    w.u64(to);
-    w.i64(amount);
-    return w.take();
-  }
-  static BankOp Decode(std::span<const std::uint8_t> b) {
-    ByteReader r(b);
-    BankOp op;
-    op.kind = static_cast<Kind>(r.u8().value_or(0));
-    op.from = r.u64().value_or(0);
-    op.to = r.u64().value_or(0);
-    op.amount = r.i64().value_or(0);
-    return op;
-  }
+  MRP_WIRE_FIELDS(kind, from, to, amount)
 };
 
 GroupId PartitionOf(std::uint64_t account, int partitions) {
@@ -117,7 +102,9 @@ class BankReplica final : public Protocol {
 
  private:
   void Apply(const paxos::ClientMsg& m) {
-    const BankOp op = BankOp::Decode(m.payload);
+    const auto decoded = wire::Decode<BankOp>(m.payload);
+    if (!decoded) return;
+    const BankOp& op = *decoded;
     ++applied_;
     if (op.kind == BankOp::Kind::kDeposit) {
       auto it = balances_.find(op.from);
@@ -198,7 +185,7 @@ class BankClient final : public Protocol {
     }
     paxos::ClientMsg m;
     m.group = rings_[ring_idx].group;
-    m.payload = op.Encode();
+    m.payload = wire::Encode(op);
     m.payload_size = static_cast<std::uint32_t>(m.payload.size());
     core_.Stamp(env, m);
     core_.Submit(env, rings_[ring_idx].ring, std::move(m));

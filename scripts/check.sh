@@ -132,7 +132,7 @@ case "$mode" in
     if command -v cppcheck >/dev/null 2>&1; then
       cppcheck --std=c++20 --language=c++ --enable=warning,performance,portability \
         --inline-suppr --suppressions-list=.cppcheck-suppressions \
-        --error-exitcode=1 --quiet -I src src bench tests tools/determinism
+        --error-exitcode=1 --quiet -I src src bench tests tools/fuzz
     else
       echo "check.sh: cppcheck not installed; skipping (CI enforces it)"
     fi

@@ -4,18 +4,27 @@
 // charges are the bytes the codec writes.
 //
 // Field encodings (little-endian):
-//   bool, enums, unsigned integers  fixed width (bool as u8 0/1)
+//   bool, enums, integers            fixed width (bool as u8 0/1, signed
+//                                    as two's complement)
 //   Duration                         i64 nanoseconds
 //   std::string, Bytes               varint length + bytes
-//   std::vector<T>                   varint count (capped on decode) + T...
+//   std::vector<T>, std::set<T>      varint count (capped on decode) + T...
+//   std::map<K, V>                   varint count (capped) + (K, V)...
 //   std::optional<T>                 u8 presence flag (any non-zero) + T
 //   std::pair<A, B>                  A then B
 //   a struct with MRP_WIRE_FIELDS    its fields in order
 // A struct may define `bool Valid() const`; decode rejects it when false.
+// A set or map keeps the first of repeated keys on decode.
+//
+// Whole values (checkpoints, snapshots, plans, log records) go through
+// Encode/Decode below: Decode rejects a buffer with bytes left over, as
+// net::DecodeMessage does for a frame.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -55,7 +64,8 @@ namespace mrp::wire {
 // Decode-time bound on a collection's element count (Capped overrides it).
 inline constexpr std::uint64_t kMaxCount = 1'000'000;
 
-// A vector field whose decoded count is capped at N instead of kMaxCount.
+// A collection field whose decoded count is capped at N instead of
+// kMaxCount.
 template <std::uint64_t N, class V>
 struct CappedRef {
   static constexpr std::uint64_t kCap = N;
@@ -97,6 +107,18 @@ inline std::size_t ClampReserve(std::uint64_t count, std::size_t remaining,
 namespace detail {
 template <class T> struct IsVector : std::false_type {};
 template <class T, class A> struct IsVector<std::vector<T, A>> : std::true_type {};
+// Sets and maps; Element is what one encoded element decodes into.
+template <class T> struct IsTree : std::false_type {};
+template <class K, class C, class A>
+struct IsTree<std::set<K, C, A>> : std::true_type {
+  using Element = K;
+};
+template <class K, class V, class C, class A>
+struct IsTree<std::map<K, V, C, A>> : std::true_type {
+  using Element = std::pair<K, V>;
+};
+template <class T>
+inline constexpr bool kIsCollection = IsVector<T>::value || IsTree<T>::value;
 template <class T> struct IsOptional : std::false_type {};
 template <class T> struct IsOptional<std::optional<T>> : std::true_type {};
 template <class T> struct IsPair : std::false_type {};
@@ -116,6 +138,8 @@ void Put(ByteWriter& w, const T& v) {
     w.u8(v ? 1 : 0);
   } else if constexpr (std::is_enum_v<T>) {
     Put(w, static_cast<std::underlying_type_t<T>>(v));
+  } else if constexpr (std::is_signed_v<T> && std::is_integral_v<T>) {
+    Put(w, static_cast<std::make_unsigned_t<T>>(v));
   } else if constexpr (std::is_unsigned_v<T>) {
     if constexpr (sizeof(T) == 1) w.u8(v);
     if constexpr (sizeof(T) == 2) w.u16(v);
@@ -127,7 +151,7 @@ void Put(ByteWriter& w, const T& v) {
     w.str(v);
   } else if constexpr (std::is_same_v<T, Bytes>) {
     w.bytes(v);
-  } else if constexpr (detail::IsVector<T>::value) {
+  } else if constexpr (detail::kIsCollection<T>) {
     w.varint(v.size());
     for (const auto& e : v) Put(w, e);
   } else if constexpr (detail::IsOptional<T>::value) {
@@ -152,8 +176,8 @@ std::size_t MinSize() {
   return kMin;
 }
 
-template <std::uint64_t Cap, class E>
-bool GetSeq(ByteReader& r, std::vector<E>& v);
+template <std::uint64_t Cap, class C>
+bool GetSeq(ByteReader& r, C& c);
 
 template <class T>
 bool Get(ByteReader& r, T& v) {
@@ -163,6 +187,10 @@ bool Get(ByteReader& r, T& v) {
     v = *x != 0;
   } else if constexpr (std::is_enum_v<T>) {
     std::underlying_type_t<T> x = 0;
+    if (!Get(r, x)) return false;
+    v = static_cast<T>(x);
+  } else if constexpr (std::is_signed_v<T> && std::is_integral_v<T>) {
+    std::make_unsigned_t<T> x = 0;
     if (!Get(r, x)) return false;
     v = static_cast<T>(x);
   } else if constexpr (std::is_unsigned_v<T>) {
@@ -185,7 +213,7 @@ bool Get(ByteReader& r, T& v) {
     auto x = r.bytes();
     if (!x) return false;
     v = std::move(*x);
-  } else if constexpr (detail::IsVector<T>::value) {
+  } else if constexpr (detail::kIsCollection<T>) {
     return GetSeq<kMaxCount>(r, v);
   } else if constexpr (detail::IsOptional<T>::value) {
     bool present = false;
@@ -207,27 +235,36 @@ bool Get(ByteReader& r, T& v) {
   return true;
 }
 
-template <std::uint64_t Cap, class E>
-bool GetSeq(ByteReader& r, std::vector<E>& v) {
+template <std::uint64_t Cap, class C>
+bool GetSeq(ByteReader& r, C& c) {
   auto n = r.varint();
   if (!n || *n > Cap) return false;
-  v.clear();
-  v.reserve(ClampReserve(*n, r.remaining(), MinSize<E>()));
-  for (std::uint64_t i = 0; i < *n; ++i) {
-    if (!Get(r, v.emplace_back())) return false;
+  c.clear();
+  if constexpr (detail::IsVector<C>::value) {
+    using E = typename C::value_type;
+    c.reserve(ClampReserve(*n, r.remaining(), MinSize<E>()));
+    for (std::uint64_t i = 0; i < *n; ++i) {
+      if (!Get(r, c.emplace_back())) return false;
+    }
+  } else {
+    for (std::uint64_t i = 0; i < *n; ++i) {
+      typename detail::IsTree<C>::Element e{};
+      if (!Get(r, e)) return false;
+      c.insert(c.end(), std::move(e));  // a repeated key keeps the first
+    }
   }
   return true;
 }
 
 template <class T>
 std::size_t Size(const T& v) {
-  if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T> || std::is_unsigned_v<T>) {
+  if constexpr (std::is_enum_v<T> || std::is_integral_v<T>) {
     return sizeof(T);
   } else if constexpr (std::is_same_v<T, Duration>) {
     return 8;
   } else if constexpr (std::is_same_v<T, std::string> || std::is_same_v<T, Bytes>) {
     return VarintSize(v.size()) + v.size();
-  } else if constexpr (detail::IsVector<T>::value) {
+  } else if constexpr (detail::kIsCollection<T>) {
     std::size_t n = VarintSize(v.size());
     if constexpr (std::is_arithmetic_v<typename T::value_type>) {
       n += v.size() * sizeof(typename T::value_type);
@@ -246,6 +283,24 @@ std::size_t Size(const T& v) {
   } else {
     return v.Fields([](const auto&... f) { return (std::size_t{0} + ... + Size(f)); });
   }
+}
+
+// `v` as one buffer.
+template <class T>
+Bytes Encode(const T& v) {
+  ByteWriter w(Size(v));
+  Put(w, v);
+  return w.take();
+}
+
+// The value `data` encodes, or nullopt when it is malformed or has bytes
+// left over.
+template <class T>
+std::optional<T> Decode(std::span<const std::uint8_t> data) {
+  ByteReader r(data);
+  std::optional<T> v(std::in_place);
+  if (!Get(r, *v) || !r.done()) return std::nullopt;
+  return v;
 }
 
 }  // namespace mrp::wire

@@ -29,6 +29,7 @@
 #include "common/fingerprint.h"
 #include "common/stats.h"
 #include "common/types.h"
+#include "common/wire.h"
 #include "paxos/group_source.h"
 #include "paxos/value.h"
 #include "ringpaxos/learner.h"
@@ -142,6 +143,7 @@ class MergeLearner final : public Protocol {
     // still owes this group's quota.
     std::uint64_t pending_skip = 0;
 
+    MRP_WIRE_FIELDS(ring, next_instance, pending_skip)
     friend bool operator==(const CutEntry&, const CutEntry&) = default;
   };
   // The merge-consistent cut, in merge (ascending group) order. Only

@@ -37,10 +37,12 @@ constexpr std::array<Codec, 256> MakeCodecs(MessageList<Ms...>) {
 
 constexpr std::array<Codec, 256> kCodecs = MakeCodecs(WireMessages{});
 
+// A frame is exactly one message: bytes left over make it malformed.
 MessagePtr DecodeFrame(ByteReader& r) {
   auto tag = r.u8();
   if (!tag || kCodecs[*tag].decode == nullptr) return nullptr;
-  return kCodecs[*tag].decode(r);
+  MessagePtr m = kCodecs[*tag].decode(r);
+  return r.done() ? m : nullptr;
 }
 
 }  // namespace

@@ -27,8 +27,8 @@ Bytes EncodeMessage(const MessageBase& msg);
 // Returns false if the message type is not in the registry.
 bool EncodeMessageTo(ByteWriter& w, const MessageBase& msg);
 
-// Returns nullptr on malformed input. Payload bytes are copied out of
-// the frame.
+// Returns nullptr on malformed input, including a frame with bytes left
+// over after the message. Payload bytes are copied out of the frame.
 MessagePtr DecodeMessage(std::span<const std::uint8_t> frame);
 
 // Zero-copy decode: ClientMsg payloads in the returned message are

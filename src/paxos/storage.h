@@ -24,6 +24,8 @@ struct AcceptorRecord {
   Round promised = 0;        // highest round promised (rnd)
   Round accepted_round = 0;  // round of the accepted value (vrnd)
   std::optional<Value> accepted;  // accepted value (vval)
+
+  MRP_WIRE_FIELDS(promised, accepted_round, accepted)
 };
 
 class Storage {

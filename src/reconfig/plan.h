@@ -21,6 +21,7 @@
 #include "common/bytes.h"
 #include "common/fingerprint.h"
 #include "common/types.h"
+#include "common/wire.h"
 
 namespace mrp::reconfig {
 
@@ -35,6 +36,7 @@ struct ReconfigPlan {
   // smr::Command opcode range.
   static constexpr std::uint8_t kMagic = 0xFC;
 
+  std::uint8_t magic = kMagic;  // decode rejects any other first byte
   Kind kind = Kind::kSplit;
   std::uint64_t plan_id = 0;
   GroupId source_group = 0;
@@ -71,20 +73,11 @@ struct ReconfigPlan {
     return p;
   }
 
-  Bytes Encode() const {
-    ByteWriter w;
-    w.u8(kMagic);
-    w.u8(static_cast<std::uint8_t>(kind));
-    w.u64(plan_id);
-    w.u32(source_group);
-    w.u32(target_group);
-    w.u64(lo);
-    w.u64(hi);
-    w.u32(ring);
-    w.u32(swap_out);
-    w.u32(swap_in);
-    return w.take();
-  }
+  MRP_WIRE_FIELDS(magic, kind, plan_id, source_group, target_group, lo, hi,
+                  ring, swap_out, swap_in)
+  bool Valid() const { return magic == kMagic && kind <= Kind::kSwap; }
+
+  Bytes Encode() const { return wire::Encode(*this); }
 
   // Cheap probe: does this payload carry an encoded plan?
   static bool IsPlanPayload(std::span<const std::uint8_t> data) {
@@ -92,34 +85,7 @@ struct ReconfigPlan {
   }
 
   static std::optional<ReconfigPlan> Decode(std::span<const std::uint8_t> data) {
-    ByteReader r(data);
-    auto magic = r.u8();
-    auto kind = r.u8();
-    auto id = r.u64();
-    auto source = r.u32();
-    auto target = r.u32();
-    auto lo = r.u64();
-    auto hi = r.u64();
-    auto ring = r.u32();
-    auto out = r.u32();
-    auto in = r.u32();
-    if (!magic || !kind || !id || !source || !target || !lo || !hi || !ring ||
-        !out || !in) {
-      return std::nullopt;
-    }
-    if (*magic != kMagic) return std::nullopt;
-    if (*kind > static_cast<std::uint8_t>(Kind::kSwap)) return std::nullopt;
-    ReconfigPlan p;
-    p.kind = static_cast<Kind>(*kind);
-    p.plan_id = *id;
-    p.source_group = *source;
-    p.target_group = *target;
-    p.lo = *lo;
-    p.hi = *hi;
-    p.ring = *ring;
-    p.swap_out = *out;
-    p.swap_in = *in;
-    return p;
+    return wire::Decode<ReconfigPlan>(data);
   }
 
   std::uint64_t Fingerprint() const {

@@ -26,6 +26,7 @@
 #include "common/bytes.h"
 #include "common/fingerprint.h"
 #include "common/types.h"
+#include "common/wire.h"
 #include "ringpaxos/config.h"
 
 namespace mrp::reconfig {
@@ -41,6 +42,8 @@ struct GroupRoute {
   ChannelId control_channel = 0;
   std::vector<NodeId> ring_members;
 
+  MRP_WIRE_FIELDS(group, ring, coordinator, data_channel, control_channel,
+                  wire::Capped<10'000>(ring_members))
   friend bool operator==(const GroupRoute&, const GroupRoute&) = default;
 };
 
@@ -56,6 +59,7 @@ struct RangeAssignment {
   std::uint64_t hi = 0;  // inclusive
   GroupId group = 0;
 
+  MRP_WIRE_FIELDS(lo, hi, group)
   friend bool operator==(const RangeAssignment&, const RangeAssignment&) =
       default;
 };
@@ -120,76 +124,19 @@ class RingConfiguration {
     return out;
   }
 
-  Bytes Encode() const {
-    ByteWriter w;
-    w.u64(version_);
-    w.u32(all_group_);
-    w.varint(routes_.size());
-    for (const auto& r : routes_) {
-      w.u32(r.group);
-      w.u32(r.ring);
-      w.u32(r.coordinator);
-      w.u32(r.data_channel);
-      w.u32(r.control_channel);
-      w.varint(r.ring_members.size());
-      for (NodeId n : r.ring_members) w.u32(n);
-    }
-    w.varint(ranges_.size());
-    for (const auto& r : ranges_) {
-      w.u64(r.lo);
-      w.u64(r.hi);
-      w.u32(r.group);
-    }
-    return w.take();
-  }
+  MRP_WIRE_FIELDS(version_, all_group_, wire::Capped<100'000>(routes_),
+                  wire::Capped<100'000>(ranges_))
 
+  Bytes Encode() const { return wire::Encode(*this); }
+
+  // Routes and ranges come back sorted whatever order the bytes list
+  // them in (the constructor sorts).
   static std::optional<RingConfiguration> Decode(
       std::span<const std::uint8_t> data) {
-    ByteReader r(data);
-    auto version = r.u64();
-    auto all = r.u32();
-    auto nroutes = r.varint();
-    if (!version || !all || !nroutes || *nroutes > 100'000) return std::nullopt;
-    std::vector<GroupRoute> routes;
-    routes.reserve(static_cast<std::size_t>(*nroutes));
-    for (std::uint64_t i = 0; i < *nroutes; ++i) {
-      GroupRoute gr;
-      auto group = r.u32();
-      auto ring = r.u32();
-      auto coord = r.u32();
-      auto data_ch = r.u32();
-      auto ctrl_ch = r.u32();
-      auto nmembers = r.varint();
-      if (!group || !ring || !coord || !data_ch || !ctrl_ch || !nmembers ||
-          *nmembers > 10'000) {
-        return std::nullopt;
-      }
-      gr.group = *group;
-      gr.ring = *ring;
-      gr.coordinator = *coord;
-      gr.data_channel = *data_ch;
-      gr.control_channel = *ctrl_ch;
-      gr.ring_members.reserve(static_cast<std::size_t>(*nmembers));
-      for (std::uint64_t j = 0; j < *nmembers; ++j) {
-        auto n = r.u32();
-        if (!n) return std::nullopt;
-        gr.ring_members.push_back(*n);
-      }
-      routes.push_back(std::move(gr));
-    }
-    auto nranges = r.varint();
-    if (!nranges || *nranges > 100'000) return std::nullopt;
-    std::vector<RangeAssignment> ranges;
-    ranges.reserve(static_cast<std::size_t>(*nranges));
-    for (std::uint64_t i = 0; i < *nranges; ++i) {
-      auto lo = r.u64();
-      auto hi = r.u64();
-      auto group = r.u32();
-      if (!lo || !hi || !group) return std::nullopt;
-      ranges.push_back(RangeAssignment{*lo, *hi, *group});
-    }
-    return RingConfiguration(*version, std::move(routes), std::move(ranges),
-                             *all);
+    auto c = wire::Decode<RingConfiguration>(data);
+    if (!c) return std::nullopt;
+    return RingConfiguration(c->version_, std::move(c->routes_),
+                             std::move(c->ranges_), c->all_group_);
   }
 
   std::uint64_t Fingerprint() const {

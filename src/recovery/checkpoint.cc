@@ -17,44 +17,6 @@ std::uint64_t Fnv1a(const Bytes& bytes) {
   return h;
 }
 
-Bytes Checkpoint::Encode() const {
-  ByteWriter w(32 + cut.size() * 24 + app_state.size());
-  w.u64(id);
-  w.u64(delivered_count);
-  w.varint(cut.size());
-  for (const auto& c : cut) {
-    w.u32(c.ring);
-    w.u64(c.next_instance);
-    w.u64(c.pending_skip);
-  }
-  w.bytes(app_state);
-  return w.take();
-}
-
-std::optional<Checkpoint> Checkpoint::Decode(const Bytes& bytes) {
-  ByteReader r(bytes);
-  Checkpoint cp;
-  auto id = r.u64();
-  auto delivered = r.u64();
-  auto n = r.varint();
-  if (!id || !delivered || !n || *n > 100'000) return std::nullopt;
-  cp.id = *id;
-  cp.delivered_count = *delivered;
-  cp.cut.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(*n, r.remaining() / 20 + 1)));
-  for (std::uint64_t i = 0; i < *n; ++i) {
-    auto ring = r.u32();
-    auto next = r.u64();
-    auto skip = r.u64();
-    if (!ring || !next || !skip) return std::nullopt;
-    cp.cut.push_back({*ring, *next, *skip});
-  }
-  auto state = r.bytes();
-  if (!state || !r.done()) return std::nullopt;
-  cp.app_state = std::move(*state);
-  return cp;
-}
-
 std::vector<RingFrontier> Checkpoint::Frontiers() const {
   std::vector<RingFrontier> out;
   out.reserve(cut.size());

@@ -28,6 +28,7 @@
 #include "common/bytes.h"
 #include "common/env.h"
 #include "common/types.h"
+#include "common/wire.h"
 #include "multiring/merge_learner.h"
 #include "recovery/messages.h"
 
@@ -43,8 +44,12 @@ struct Checkpoint {
   std::vector<multiring::MergeLearner::CutEntry> cut;
   Bytes app_state;                    // Snapshottable::SnapshotState()
 
-  Bytes Encode() const;
-  static std::optional<Checkpoint> Decode(const Bytes& bytes);
+  MRP_WIRE_FIELDS(id, delivered_count, wire::Capped<100'000>(cut), app_state)
+
+  Bytes Encode() const { return wire::Encode(*this); }
+  static std::optional<Checkpoint> Decode(const Bytes& bytes) {
+    return wire::Decode<Checkpoint>(bytes);
+  }
 
   // The per-ring frontier this checkpoint lets the cluster trim to.
   std::vector<RingFrontier> Frontiers() const;

@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "common/bytes.h"
+#include "common/wire.h"
 #include "paxos/value.h"
 #include "recovery/snapshottable.h"
 
@@ -28,20 +29,13 @@ class HashApp final : public Snapshottable {
     ++count_;
   }
 
-  Bytes SnapshotState() const override {
-    ByteWriter w(16);
-    w.u64(count_);
-    w.u64(digest_);
-    return w.take();
-  }
+  MRP_WIRE_FIELDS(count_, digest_)
+  Bytes SnapshotState() const override { return wire::Encode(*this); }
 
   bool RestoreState(const Bytes& bytes) override {
-    ByteReader r(bytes);
-    auto count = r.u64();
-    auto digest = r.u64();
-    if (!count || !digest || !r.done()) return false;
-    count_ = *count;
-    digest_ = *digest;
+    auto fresh = wire::Decode<HashApp>(bytes);
+    if (!fresh) return false;
+    *this = *fresh;
     return true;
   }
 

@@ -1,77 +1,21 @@
 #include "runtime/file_storage.h"
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/logging.h"
+#include "common/wire.h"
 
 namespace mrp::runtime {
 namespace {
 
 // Log record framing: [u32 size][payload]; payload encodes one
-// (instance, AcceptorRecord).
+// (instance, AcceptorRecord) pair.
 Bytes EncodeRecord(InstanceId instance, const paxos::AcceptorRecord& rec) {
-  ByteWriter w;
-  w.u64(instance);
-  w.u32(rec.promised);
-  w.u32(rec.accepted_round);
-  w.u8(rec.accepted.has_value() ? 1 : 0);
-  if (rec.accepted) {
-    const auto& v = *rec.accepted;
-    w.u8(static_cast<std::uint8_t>(v.kind));
-    w.u64(v.skip_count);
-    w.varint(v.msgs.size());
-    for (const auto& m : v.msgs) {
-      w.u32(m.group);
-      w.u32(m.proposer);
-      w.u64(m.seq);
-      w.i64(m.sent_at.count());
-      w.u32(m.payload_size);
-      w.bytes(m.payload);
-    }
-  }
-  return w.take();
-}
-
-bool DecodeRecord(ByteReader& r, InstanceId& instance, paxos::AcceptorRecord& rec) {
-  auto inst = r.u64();
-  auto promised = r.u32();
-  auto vrnd = r.u32();
-  auto has = r.u8();
-  if (!inst || !promised || !vrnd || !has) return false;
-  instance = *inst;
-  rec.promised = *promised;
-  rec.accepted_round = *vrnd;
-  rec.accepted.reset();
-  if (*has) {
-    paxos::Value v;
-    auto kind = r.u8();
-    auto skip = r.u64();
-    auto count = r.varint();
-    if (!kind || !skip || !count) return false;
-    v.kind = static_cast<paxos::Value::Kind>(*kind);
-    v.skip_count = *skip;
-    for (std::uint64_t i = 0; i < *count; ++i) {
-      paxos::ClientMsg m;
-      auto group = r.u32();
-      auto proposer = r.u32();
-      auto seq = r.u64();
-      auto sent = r.i64();
-      auto psize = r.u32();
-      auto payload = r.bytes();
-      if (!group || !proposer || !seq || !sent || !psize || !payload) return false;
-      m.group = *group;
-      m.proposer = *proposer;
-      m.seq = *seq;
-      m.sent_at = Duration(*sent);
-      m.payload_size = *psize;
-      m.payload = std::move(*payload);
-      v.msgs.push_back(std::move(m));
-    }
-    rec.accepted = std::move(v);
-  }
-  return true;
+  using Ref = std::pair<InstanceId, const paxos::AcceptorRecord&>;
+  return wire::Encode(Ref(instance, rec));
 }
 
 }  // namespace
@@ -102,11 +46,9 @@ std::size_t FileStorage::Load() {
     if (std::fread(&size, sizeof size, 1, in) != 1) break;
     buf.resize(size);
     if (size > 0 && std::fread(buf.data(), 1, size, in) != size) break;
-    ByteReader r(buf);
-    InstanceId instance;
-    paxos::AcceptorRecord rec;
-    if (!DecodeRecord(r, instance, rec)) break;  // truncated tail
-    records_[instance] = std::move(rec);
+    auto rec = wire::Decode<std::pair<InstanceId, paxos::AcceptorRecord>>(buf);
+    if (!rec) break;  // truncated tail
+    records_[rec->first] = std::move(rec->second);
     ++loaded;
     ++appends_in_log_;
     bytes_in_log_ += sizeof size + size;

@@ -21,6 +21,7 @@
 
 #include "common/bytes.h"
 #include "common/fingerprint.h"
+#include "common/wire.h"
 
 namespace mrp::session {
 
@@ -32,9 +33,15 @@ class SessionTable {
     kUnknown,    // session not open (never opened, or closed)
   };
 
+  // Decode bound on every collection in a serialized table: sessions,
+  // applied seqnos above a watermark, cached responses and their rows.
+  static constexpr std::uint64_t kMaxCount = 10'000'000;
+
   struct Cached {
     bool ok = false;
     std::vector<std::pair<std::uint64_t, std::string>> rows;
+
+    MRP_WIRE_FIELDS(ok, wire::Capped<kMaxCount>(rows))
   };
 
   // How many responses are cached per session; older ones are evicted
@@ -83,66 +90,15 @@ class SessionTable {
   }
 
   // ---- Checkpoint integration (Replica::SnapshotState, docs/RECOVERY.md) ----
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.varint(entries_.size());
-    for (const auto& [sid, e] : entries_) {
-      w.u64(sid);
-      w.u64(e.low);
-      w.varint(e.above.size());
-      for (std::uint64_t s : e.above) w.u64(s);
-      w.varint(e.responses.size());
-      for (const auto& [seq, c] : e.responses) {
-        w.u64(seq);
-        w.u8(c.ok ? 1 : 0);
-        w.varint(c.rows.size());
-        for (const auto& [k, v] : c.rows) {
-          w.u64(k);
-          w.str(v);
-        }
-      }
-    }
-    return w.take();
-  }
+  MRP_WIRE_FIELDS(wire::Capped<kMaxCount>(entries_))
+  Bytes Serialize() const { return wire::Encode(*this); }
 
+  // Replaces the table's sessions; false (table untouched) on malformed
+  // input.
   bool Deserialize(const Bytes& bytes) {
-    ByteReader r(bytes);
-    auto n = r.varint();
-    if (!n || *n > 10'000'000) return false;
-    std::map<std::uint64_t, Entry> entries;
-    for (std::uint64_t i = 0; i < *n; ++i) {
-      auto sid = r.u64();
-      auto low = r.u64();
-      auto na = r.varint();
-      if (!sid || !low || !na || *na > 10'000'000) return false;
-      Entry e;
-      e.low = *low;
-      for (std::uint64_t j = 0; j < *na; ++j) {
-        auto s = r.u64();
-        if (!s) return false;
-        e.above.insert(*s);
-      }
-      auto nc = r.varint();
-      if (!nc || *nc > 10'000'000) return false;
-      for (std::uint64_t j = 0; j < *nc; ++j) {
-        auto seq = r.u64();
-        auto ok = r.u8();
-        auto nr = r.varint();
-        if (!seq || !ok || !nr || *nr > 10'000'000) return false;
-        Cached c;
-        c.ok = *ok != 0;
-        for (std::uint64_t k = 0; k < *nr; ++k) {
-          auto key = r.u64();
-          auto val = r.str();
-          if (!key || !val) return false;
-          c.rows.emplace_back(*key, std::move(*val));
-        }
-        e.responses.emplace(*seq, std::move(c));
-      }
-      entries.emplace(*sid, std::move(e));
-    }
-    if (!r.done()) return false;
-    entries_ = std::move(entries);
+    auto fresh = wire::Decode<SessionTable>(bytes);
+    if (!fresh) return false;
+    entries_ = std::move(fresh->entries_);
     return true;
   }
 
@@ -174,6 +130,9 @@ class SessionTable {
     std::uint64_t low = 0;           // every seqno <= low is applied
     std::set<std::uint64_t> above;   // applied seqnos > low (out-of-order)
     std::map<std::uint64_t, Cached> responses;  // newest applied seqnos
+
+    MRP_WIRE_FIELDS(low, wire::Capped<kMaxCount>(above),
+                    wire::Capped<kMaxCount>(responses))
   };
 
   std::size_t response_cache_;

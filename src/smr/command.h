@@ -96,17 +96,9 @@ struct Command {
                   session_seq, target_group)
   bool Valid() const { return op <= Op::kSeal; }
 
-  Bytes Encode() const {
-    ByteWriter w(wire::Size(*this));
-    wire::Put(w, *this);
-    return w.take();
-  }
-
+  Bytes Encode() const { return wire::Encode(*this); }
   static std::optional<Command> Decode(std::span<const std::uint8_t> data) {
-    ByteReader r(data);
-    Command c;
-    if (!wire::Get(r, c)) return std::nullopt;
-    return c;
+    return wire::Decode<Command>(data);
   }
 };
 

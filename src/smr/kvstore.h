@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/wire.h"
 #include "smr/command.h"
 
 namespace mrp::smr {
@@ -37,31 +38,15 @@ class KvStore {
   // Full-store serialization for checkpoints (docs/RECOVERY.md):
   // deterministic (map order) and round-trip exact, so a restored
   // store's Fingerprint matches the source's.
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.varint(data_.size());
-    for (const auto& [k, v] : data_) {
-      w.u64(k);
-      w.str(v);
-    }
-    return w.take();
-  }
+  MRP_WIRE_FIELDS(wire::Capped<50'000'000>(data_))
+  Bytes Serialize() const { return wire::Encode(*this); }
 
   // Replaces the store contents; false (store untouched) on malformed
   // input.
   bool Deserialize(const Bytes& bytes) {
-    ByteReader r(bytes);
-    auto n = r.varint();
-    if (!n || *n > 50'000'000) return false;
-    std::map<Key, std::string> fresh;
-    for (std::uint64_t i = 0; i < *n; ++i) {
-      auto k = r.u64();
-      auto v = r.str();
-      if (!k || !v) return false;
-      fresh.emplace_hint(fresh.end(), *k, std::move(*v));
-    }
-    if (!r.done()) return false;
-    data_ = std::move(fresh);
+    auto fresh = wire::Decode<KvStore>(bytes);
+    if (!fresh) return false;
+    data_ = std::move(fresh->data_);
     return true;
   }
 

@@ -92,6 +92,34 @@ TEST(RingConfiguration, CodecRoundTripAndFingerprint) {
   EXPECT_FALSE(RingConfiguration::Decode(Bytes{1, 2, 3}).has_value());
 }
 
+TEST(RingConfiguration, DecodeSortsOutOfOrderRoutesAndRanges) {
+  // Encode always writes sorted lists; bytes that list routes and
+  // ranges out of order still decode to the sorted view.
+  ByteWriter w;
+  w.u64(4);  // version
+  w.u32(kNoGroup);
+  w.varint(3);
+  for (std::uint32_t g : {2u, 0u, 1u}) {
+    for (int field = 0; field < 5; ++field) w.u32(g);
+    w.varint(1);
+    w.u32(g);
+  }
+  w.varint(2);
+  for (std::uint64_t lo : {500u, 0u}) {
+    w.u64(lo);
+    w.u64(lo + 499);
+    w.u32(lo == 0 ? 0 : 1);
+  }
+  auto cfg = RingConfiguration::Decode(w.data());
+  ASSERT_TRUE(cfg.has_value());
+  ASSERT_EQ(cfg->routes().size(), 3u);
+  for (std::uint32_t g = 0; g < 3; ++g) EXPECT_EQ(cfg->routes()[g].group, g);
+  ASSERT_EQ(cfg->ranges().size(), 2u);
+  EXPECT_EQ(cfg->ranges()[0].lo, 0u);
+  EXPECT_EQ(cfg->ranges()[1].lo, 500u);
+  EXPECT_EQ(cfg->GroupOfKey(700), 1u);
+}
+
 TEST(RingHolder, MonotonicInstallNotifiesSubscribers) {
   RingHolder holder;
   EXPECT_EQ(holder.version(), 0u);
